@@ -52,7 +52,6 @@ TARGETS = {
     "transforms.jacobian": (transforms, "jacobian_dtau_dt"),
     "dynamics.integrate": (dynamics, "integrate"),
     "verify.run_suite": (verify, "run_suite"),
-    "verify.identities": (verify, "run_identity_suite"),
     "verify.correspondence": (verify, "run_correspondence_suite"),
     "verify.dynamic": (verify, "run_dynamic_correspondence"),
     "verify.degeneration": (verify, "run_degeneration_suite"),

@@ -1,15 +1,16 @@
-"""The four benchmark workloads: seeded inputs, the timed operation, and the
+"""The three benchmark workloads: seeded inputs, the timed operation, and the
 output check that runs after the timed phase.
 
 Every workload draws its inputs from ``random.Random(seed)`` inside a stated
 region and keeps every draw; an input on which the program fails counts as a
-failed operation.  The timed operation is a call into a public entry point
-(``cli.main`` or ``transforms.multi_transform``), looked up through its
-module at call time so that the traced run sees the wrapped functions.
+failed operation.  The timed operation is a call of ``cli.main``, looked up
+through its module at call time so that the traced run sees the wrapped
+functions.
 
-Checks never reuse the call they check: integrate outputs are compared with
-an independent integration on the other side of the correspondence (the
-two-path comparison), the PVI inverse with the forward map of its result.
+Checks never reuse the call they check: verify reports are read for their
+own pass flags, and integrate outputs are compared with an independent
+integration on the other side of the correspondence (the two-path
+comparison).
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ G4SQ_RANK3 = 0.7 + 0j
 REL_TOL = 1e-10
 # two-path endpoint agreement at rel_tol 1e-10, as in verify's dynamic suite
 TOL_TWO_PATH = 1e-6
-# forward-map round trip of the PVI inverse (Newton stops at 1e-11 in wp)
-TOL_ROUND_TRIP = 1e-8
 
 # generic complex auxiliary constants, one set per equation; these and the
 # base times are the benchmark's own, so its inputs do not move when the
@@ -173,11 +172,10 @@ WARMUP_SEED = 20000418
 
 class Workload:
     """One workload.  ``make_items`` returns the warm-up input followed by
-    ``pool`` seeded inputs, which the timed phase cycles through; ``batch``
-    is the stated batch size behind ``wall_s``."""
+    ``pool`` seeded inputs, which the timed phase runs in rounds; ``pool`` is
+    sized so that a round takes a few seconds and a run holds several."""
 
     pool = 0
-    batch = 0
 
     def __init__(self, work: Path):
         self.work = work
@@ -199,29 +197,42 @@ class Workload:
         raise NotImplementedError
 
 
-class VerifyAll(Workload):
-    """``verify --suite all --seed s`` through cli.main for consecutive s
-    from 1000 * seed; the warm-up runs the documented ``--seed 7``."""
+class VerifyCore(Workload):
+    """``verify`` of the correspondence, dynamic and degeneration suites
+    through cli.main, one call per suite, all three on the same seed s, for
+    consecutive s from 1000 * seed; the warm-up runs the documented
+    ``--seed 7``.
 
-    pool = 256
-    batch = 2
+    The identity suite is left out: its ``identity.lemma3_fd.0+1j`` row fails
+    on about 15% of seeds (a 4th-order finite difference in tau with step
+    1e-3 does not reach its 1e-9 tolerance), so ``--suite all`` over
+    consecutive seeds nearly always holds failed operations.
+    """
+
+    suites = ("correspondence", "dynamic", "degeneration")
+    pool = 3
 
     def make_items(self, seed):
         return [7] + [1000 * seed + j for j in range(self.pool)]
 
     def op(self, item, n):
-        out = self.work / f"report_{n}.json"
-        rc = run_cli(["verify", "--suite", "all", "--seed", str(item), "--out", str(out)])
-        return rc, out
+        out = []
+        for suite in self.suites:
+            path = self.work / f"report_{n}_{suite}.json"
+            out.append((run_cli(["verify", "--suite", suite, "--seed", str(item),
+                                 "--out", str(path)]), path))
+        return out
 
     def check(self, item, result):
-        rc, out = result
-        rows = json.loads(out.read_text())
+        rows, codes = [], []
+        for rc, path in result:
+            codes.append(rc)
+            rows += json.loads(path.read_text())
         # shrink_ratio rows are pass/fail only, with tolerance 0: no ratio
         ratios = {r["check_id"]: r["max_error"] / r["tolerance"] for r in rows if r["tolerance"] > 0}
         failed = [r["check_id"] for r in rows if not r["passed"]]
-        if failed or rc != 0:
-            raise CheckFailed(f"verify --seed {item}: exit {rc}, failed {failed}", ratios)
+        if failed or any(codes):
+            raise CheckFailed(f"verify --seed {item}: exits {codes}, failed {failed}", ratios)
         return ratios
 
 
@@ -295,12 +306,11 @@ def other_path_endpoint(item: FlowItem, side: str) -> PhaseState:
 
 
 class PviFlowRank3(_IntegrateWorkload):
-    """PVI Calogero flow at rank 3, g4^2 = 0.7, tau-arc of length 0.03."""
+    """PVI Calogero flow at rank 3, g4^2 = 0.7, tau-arc of length 0.01."""
 
     side = "calogero"
-    arc = 0.03
-    pool = 128
-    batch = 4
+    arc = 0.01
+    pool = 32
 
     def draw(self, rng, count):
         items = []
@@ -311,35 +321,29 @@ class PviFlowRank3(_IntegrateWorkload):
         return items
 
 
+def _round_robin(draws: dict) -> list:
+    """Keys of ``draws`` in turn, each key as many times as its value."""
+    return [key for k in range(max(draws.values())) for key, n in draws.items() if k < n]
+
+
 class PainlevePoly(_IntegrateWorkload):
     """Painleve-side flows of PVI..PI at rank 1 and rank 3 (g4^2 = 0.7).
 
-    Operations go round-robin over the twelve (equation, rank) cases, four
-    rounds per batch.  Each case cycles through its own pool of seeded draws
-    with t-arcs of length 0.3: 12 draws per case, but 48 for PV, whose
-    heavy-tailed rank-3 cost sets the operation-time tail, so that tail
-    rests on many inputs.  PVI has 2 draws and t-arcs of 0.1: its check
-    integrates the elliptic Calogero flow, about 30 times the cost of the
-    operation, and the short arcs keep its few inputs out of the tail.
+    The pool goes round-robin over the twelve (equation, rank) cases, with
+    12 seeded draws per case and t-arcs of length 0.3.  PVI has 2 draws per
+    rank and t-arcs of 0.1: its check integrates the elliptic Calogero flow,
+    about 30 times the cost of the operation.
     """
 
     side = "painleve"
-    cases = [(eq, rank) for eq in EQUATIONS for rank in (1, 3)]
     arcs = {"VI": 0.1}
-    draws_per_case = {"VI": 2, "V": 48}
     default_arc = 0.3
-    default_draws = 12
-    pool = 96 * len(cases)
-    batch = 4 * len(cases)
+    order = _round_robin({(eq, rank): 2 if eq == "VI" else 12
+                          for eq in EQUATIONS for rank in (1, 3)})
+    pool = len(order)
 
     def draw(self, rng, count):
-        rounds = -(-count // len(self.cases))
-        pools = {}
-        for eq, rank in self.cases:
-            n = min(rounds, self.draws_per_case.get(eq, self.default_draws))
-            pools[eq, rank] = [self._draw_one(eq, rank, rng) for _ in range(n)]
-        return [pools[case][(k // len(self.cases)) % len(pools[case])]
-                for k, case in zip(range(count), itertools.cycle(self.cases))]
+        return [self._draw_one(eq, rank, rng) for eq, rank in self.order[:count]]
 
     def _draw_one(self, eq, rank, rng):
         start_cal = draw_calogero_state(eq, rank, rng)
@@ -352,43 +356,10 @@ class PainlevePoly(_IntegrateWorkload):
         return self._item(eq, rank, start_cal, end_cal_time, start, t_end)
 
 
-@dataclass
-class InverseItem:
-    state: PhaseState            # Painleve-side (lambda, mu, t)
-    tau_seed: complex
-
-
-class PviInverse(Workload):
-    """Un-hinted ``multi_transform('VI', 'to_calogero')`` at rank 3, with the
-    seed tau offset from the true tau by up to 0.04 in each of Re and Im."""
-
-    offset = 0.04
-    pool = 512
-    batch = 16
-
-    def draw(self, rng, count):
-        items = []
-        for _ in range(count):
-            start_cal = draw_calogero_state("VI", 3, rng)
-            tau_seed = start_cal.time + _cbox(rng, -self.offset, self.offset,
-                                              -self.offset, self.offset)
-            items.append(InverseItem(to_painleve("VI", start_cal), tau_seed))
-        return items
-
-    def op(self, item, n):
-        ctx = elliptic.EllipticContext(item.tau_seed)
-        return transforms.multi_transform("VI", "to_calogero", item.state, aux_params("VI"), ctx)
-
-    def check(self, item, result):
-        back = to_painleve("VI", result)
-        return {"round_trip": state_distance(back, item.state) / TOL_ROUND_TRIP}
-
-
 WORKLOADS = {
-    "verify-all": VerifyAll,
+    "verify-core": VerifyCore,
     "pvi-flow-rank3": PviFlowRank3,
     "painleve-poly": PainlevePoly,
-    "pvi-inverse": PviInverse,
 }
 
 
