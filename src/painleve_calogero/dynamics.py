@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import EllipticContext
-from .errors import CoordinateSingularity, PoleAt, TooSparse
+from .errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
 from .params import PainleveParams, check_equation
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
 
@@ -122,8 +122,10 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
     The segment runs from initial.time to t_end in the system's own time
     variable; it must keep distance > 1e-3 from the fixed singularities
-    (t = 0 and, for VI, t = 1).  Movable poles terminate the trajectory
-    with a 'pole_detected' or 'step_underflow' tag instead of raising.
+    (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at
+    Im tau > 0 (``BadContext`` otherwise, raised before any step).  Movable
+    poles terminate the trajectory with a 'pole_detected' or
+    'step_underflow' tag instead of raising.
     ``max_step`` caps |dt| per accepted step (useful to force dense
     sampling for post-processing).
     """
@@ -208,6 +210,11 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
 
 def _check_segment(sys, t0, t1):
+    if sys.time_gauge == "tau":
+        # Im tau is linear along the segment and check_state has vetted t0
+        if not (t1.imag > 0):
+            raise BadContext(f"PVI Calogero segment leaves Im tau > 0 at tau={t1}")
+        return
     bad_points = []
     if sys.equation == "VI" and sys.side == "painleve":
         bad_points = [0j, 1 + 0j]

@@ -4,13 +4,23 @@ lattice Z + tau*Z (primitive periods 1 and tau, Im tau > 0).
 Conventions
 -----------
 Half periods are omega_1 = 1/2, omega_2 = -(1+tau)/2, omega_3 = tau/2 and
-e_n = wp(omega_n).  wp is evaluated through the sine series
+e_n = wp(omega_n).  wp is the sine series
 
     wp(u) = -pi^2/3 + sum_n pi^2/sin^2(pi(u + n tau)) - sum_{n>=1} 2 pi^2/sin^2(pi n tau),
 
-which converges spectrally for Im tau > 0 once u is reduced to the
-fundamental cell.  The slow double lattice sum survives only as a test
-oracle (tests/test_elliptic.py).
+summed with u reduced to the fundamental cell.  The n = 0 term is kept as
+the sine, which holds full relative accuracy near the pole.  The n >= 1
+terms are summed in nome form,
+
+    pi^2/sin^2(pi(u +- n tau)) = -4 pi^2 x/(1-x)^2,   x = e^{2 pi i (n tau +- u)},
+
+and wp' term-wise from the same x.  Each sequence starts at
+e^{2 pi i (tau +- u)}, which cannot overflow, and every further term costs
+one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
+in the cell, N = ceil(1.5 + 39/(2 pi Im tau)) terms leave a tail below
+e^{-39}.  ``lattice_order`` caps N, so small Im tau is truncated at the cap.
+Q, N and the tau-only constant are cached on the context.  The slow double
+lattice sum survives only as a test oracle (tests/test_elliptic.py).
 
 The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u); its
 u- and tau-derivatives are term-wise.  f(u) = (wp(u)-e1)/(e2-e1) and its
@@ -43,15 +53,20 @@ DEFAULT_THETA_ORDER = 16
 class EllipticContext:
     """Modular parameter plus truncation orders for the series evaluations.
 
-    The half-period values (e1, e2, e3) are cached on first use.  The cache
-    is write-once/read-many: concurrent writers recompute the same triple,
-    so the benign race is harmless.
+    ``lattice_order`` caps the number of nome terms of the wp series.  The
+    half-period values (e1, e2, e3) and the tau-only series data (nome,
+    term count, constant) are cached on first use, so ``tau`` and the
+    orders must not change afterwards.  The caches are write-once/read-many:
+    concurrent writers recompute the same values, so the benign race is
+    harmless.
     """
 
     tau: complex
     lattice_order: int = DEFAULT_LATTICE_ORDER
     theta_order: int = DEFAULT_THETA_ORDER
     cached_e: tuple[complex, complex, complex] | None = field(default=None, compare=False)
+    cached_series: tuple[complex, int, complex] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tau = complex(self.tau)
@@ -95,8 +110,9 @@ def _inv_sin2(z: complex) -> complex:
 def _inv_sin3_cos(z: complex) -> complex:
     if abs(z.imag) > _IM_OVERFLOW:
         return 0j
-    s = cmath.sin(z)
-    return cmath.cos(z) / (s * s * s)
+    # cot(z) first: sin^3 itself overflows to nan once |Im z| passes ~236
+    r = 1.0 / cmath.sin(z)
+    return cmath.cos(z) * r * r * r
 
 
 def _check_pole(u_red: complex) -> None:
@@ -104,31 +120,52 @@ def _check_pole(u_red: complex) -> None:
         raise PoleAt(u_red)
 
 
-def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
-    """wp(u | 1, tau) from the sine series truncated at |n| <= lattice_order."""
+def _series(ctx: EllipticContext) -> tuple[complex, int, complex]:
+    """(Q, N, c): the nome Q = e^{2 pi i tau}, the term count N and the
+    constant c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau); cached."""
+    if ctx.cached_series is None:
+        tau = ctx.tau
+        n_terms = min(ctx.lattice_order, math.ceil(1.5 + 39 / (2 * PI * tau.imag)))
+        tail = sum(_inv_sin2(PI * n * tau) for n in range(1, n_terms + 1))
+        ctx.cached_series = (cmath.exp(TWO_PI_I * tau), n_terms, -PI * PI / 3 - 2 * PI * PI * tail)
+    return ctx.cached_series
+
+
+def _nome_start(u: complex, ctx: EllipticContext):
+    """Reduced u, the series data and x_1 = e^{2 pi i (tau +- u)}."""
     tau = ctx.tau
     u = reduce_to_cell(u, tau)
     _check_pole(u)
-    n_max = ctx.lattice_order
-    total = -PI * PI / 3 + PI * PI * _inv_sin2(PI * u)
-    for n in range(1, n_max + 1):
-        total += PI * PI * (_inv_sin2(PI * (u + n * tau)) + _inv_sin2(PI * (u - n * tau)))
-        total -= 2 * PI * PI * _inv_sin2(PI * n * tau)
-    return total
+    q, n_terms, const = _series(ctx)
+    return u, q, n_terms, const, cmath.exp(TWO_PI_I * (tau + u)), cmath.exp(TWO_PI_I * (tau - u))
+
+
+def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
+    """wp(u | 1, tau): the n = 0 sine term plus N nome terms per side.
+
+    N = min(lattice_order, ceil(1.5 + 39/(2 pi Im tau))); see the module
+    docstring for the series and the bound behind N.
+    """
+    u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
+    total = 0j
+    for _ in range(n_terms):
+        dp, dm = 1 - xp, 1 - xm
+        total += xp / (dp * dp) + xm / (dm * dm)
+        xp *= q
+        xm *= q
+    return const + PI * PI * _inv_sin2(PI * u) - 4 * PI * PI * total
 
 
 def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
-    """wp'(u), term-wise derivative of the sine series."""
-    tau = ctx.tau
-    u = reduce_to_cell(u, tau)
-    _check_pole(u)
-    n_max = ctx.lattice_order
-    total = -2 * PI**3 * _inv_sin3_cos(PI * u)
-    for n in range(1, n_max + 1):
-        total += -2 * PI**3 * (
-            _inv_sin3_cos(PI * (u + n * tau)) + _inv_sin3_cos(PI * (u - n * tau))
-        )
-    return total
+    """wp'(u), term-wise derivative of the series of ``weierstrass_p``."""
+    u, q, n_terms, _, xp, xm = _nome_start(u, ctx)
+    total = 0j
+    for _ in range(n_terms):
+        dp, dm = 1 - xp, 1 - xm
+        total += xp * (1 + xp) / (dp * dp * dp) - xm * (1 + xm) / (dm * dm * dm)
+        xp *= q
+        xm *= q
+    return -2 * PI**3 * _inv_sin3_cos(PI * u) - 8j * PI**3 * total
 
 
 def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]:

@@ -53,9 +53,5 @@ class TooSparse(PainleveCalogeroError):
     """Trajectory has too few samples for finite-difference post-processing."""
 
 
-class MaxSteps(PainleveCalogeroError):
-    """Integrator exceeded the step budget."""
-
-
 class ScheduleMismatch(PainleveCalogeroError):
     """Degeneration schedule references symbols absent from the source model."""

@@ -27,7 +27,7 @@ from . import elliptic
 from .elliptic import PI, TWO_PI_I, EllipticContext
 from .errors import BranchCut, MapSingularity, NoConvergence
 from .params import AuxParams, check_equation
-from .systems import PhaseState, SystemDescriptor
+from .systems import PhaseState
 
 CANONICAL_FACTORS = {"VI": 1.0, "V": 0.5, "IV": 0.25, "III": 0.5, "II": 1.0, "I": 1.0}
 
@@ -125,58 +125,44 @@ def _nearest_in_lattice(cands, hint, tau):
     return best
 
 
+def _newton_wp(q, target, ctx, step_cap):
+    """Newton on wp(q) = target from q: the root, or None if it stalls."""
+    for _ in range(_NEWTON_STEPS):
+        try:
+            val = elliptic.weierstrass_p(q, ctx) - target
+            dp = elliptic.weierstrass_p_prime(q, ctx)
+        except elliptic.PoleAt:
+            return None
+        if abs(val) < 1e-11 * max(1.0, abs(target)):
+            return q
+        if abs(dp) < 1e-13:
+            return None
+        step = val / dp
+        if abs(step) > step_cap:
+            step *= step_cap / abs(step)
+        q = q - step
+    return None
+
+
 def _q_of_lambda_pvi(lam, ctx, branch_hint):
     """Newton multistart over the fundamental cell for wp(q) = target.
 
     A supplied branch hint seeds a direct Newton run first; the cell-wide
-    multistart is the fallback.
+    multistart is the fallback and stops at the first seed that converges.
     """
     e1, e2, _ = elliptic.half_period_values(ctx)
     target = e1 + (e2 - e1) * lam
     tau = ctx.tau
     if branch_hint is not None:
-        q = complex(branch_hint)
-        for _ in range(_NEWTON_STEPS):
-            try:
-                val = elliptic.weierstrass_p(q, ctx) - target
-                dp = elliptic.weierstrass_p_prime(q, ctx)
-            except elliptic.PoleAt:
-                break
-            if abs(val) < 1e-11 * max(1.0, abs(target)):
-                return _nearest_in_lattice((q, -q), complex(branch_hint), tau)
-            if abs(dp) < 1e-13:
-                break
-            step = val / dp
-            if abs(step) > 0.5:
-                step *= 0.5 / abs(step)
-            q = q - step
-    roots = []
-    for ia in range(1, 6):
-        for ib in range(1, 6):
-            q = (ia / 6.0) + (ib / 6.0) * tau
-            ok = False
-            for _ in range(_NEWTON_STEPS):
-                try:
-                    val = elliptic.weierstrass_p(q, ctx) - target
-                    dp = elliptic.weierstrass_p_prime(q, ctx)
-                except elliptic.PoleAt:
-                    break
-                if abs(val) < 1e-11 * max(1.0, abs(target)):
-                    ok = True
-                    break
-                if abs(dp) < 1e-13:
-                    break
-                step = val / dp
-                if abs(step) > 1.0:
-                    step *= 1.0 / abs(step)
-                q = q - step
-            if ok:
-                q = elliptic.reduce_to_cell(q, tau)
-                if all(abs(q - r) > 1e-8 and abs(q + r) > 1e-8 for r in roots):
-                    roots.append(q)
-    if not roots:
+        q = _newton_wp(complex(branch_hint), target, ctx, 0.5)
+        if q is not None:
+            return _nearest_in_lattice((q, -q), complex(branch_hint), tau)
+    seeds = ((ia / 6.0) + (ib / 6.0) * tau for ia in range(1, 6) for ib in range(1, 6))
+    attempts = (_newton_wp(q, target, ctx, 1.0) for q in seeds)
+    root = next((q for q in attempts if q is not None), None)
+    if root is None:
         raise NoConvergence(f"PVI inversion found no preimage of lambda={lam}")
-    root = roots[0]
+    root = elliptic.reduce_to_cell(root, tau)
     cands = (root, -root)
     if branch_hint is not None:
         return _nearest_in_lattice(cands, complex(branch_hint), tau)
@@ -356,8 +342,3 @@ def _check_pairwise(coords):
 
                 raise TwoBodyCollision(f"components {j} and {k} collide after transform")
 
-
-def transform_system(sys: SystemDescriptor) -> SystemDescriptor:
-    """Descriptor of the image system under the correspondence (side swap)."""
-    other = "calogero" if sys.side == "painleve" else "painleve"
-    return SystemDescriptor(sys.equation, other, sys.rank, sys.g4sq, sys.params)

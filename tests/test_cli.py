@@ -175,3 +175,18 @@ def test_calogero_side_integration(tmp_path):
                  "--t-end", "1+0.3j", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("re_t,im_t,re_l1,im_l1,re_m1,im_m1")
+
+
+def test_pvi_calogero_segment_leaving_upper_half_plane_exits_1(tmp_path, capsys):
+    init = tmp_path / "cal.json"
+    init.write_text(json.dumps(
+        {"coords": [[0.12, 0.05]], "momenta": [[0.4, -0.1]], "time": [0.1, 0.2]}))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"kappa0": [0.31, 0.12], "kappa1": [0.27, -0.08], "theta": [0.43, 0.05],
+         "kappa": [0.17, 0.09]}))
+    code = main(["integrate", "--equation", "p6", "--side", "calogero",
+                 "--params", str(params), "--initial", str(init),
+                 "--t-end", "0.1-0.2j", "--out", str(tmp_path / "tr.json")])
+    assert code == 1
+    assert "Im tau" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from painleve_calogero import (
     painleve_residual,
 )
 from painleve_calogero.dynamics import COMPLETED, POLE_DETECTED, Trajectory
-from painleve_calogero.errors import CoordinateSingularity, TooSparse
+from painleve_calogero.errors import BadContext, CoordinateSingularity, TooSparse
 from tests.conftest import aux_for, calogero_state
 
 # (t0, t1, lambda0) arcs with comfortable residual margins
@@ -168,3 +168,10 @@ def test_painleve_ode_rhs_matches_hamiltonian_flow():
                   - lamdot(PhaseState((lam,), (mu,), t - h))) / (2 * h))
         rhs = painleve_ode_rhs(eq, lam, ldot, t, sd.painleve_params())
         assert abs(ldd - rhs) / max(1.0, abs(rhs)) < 1e-6
+
+
+def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
+    sd = SystemDescriptor("VI", "calogero", params=aux_for("VI"))
+    st = calogero_state("VI", 1, rng, time=0.1 + 0.2j)
+    with pytest.raises(BadContext):
+        integrate(sd, st, 0.1 - 0.2j, max_steps=10)

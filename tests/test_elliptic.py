@@ -349,3 +349,54 @@ def test_reduce_to_cell_idempotent(ab):
     red = reduce_to_cell(u, tau)
     assert abs(reduce_to_cell(red, tau) - red) < 1e-13
     assert abs(red - u) < 1e-12  # already in the centred cell
+
+
+def mp_sine_series(u, tau, derivative=False, dps=40):
+    """wp(u) (or wp'(u)) from the sine series at dps digits, summed until the
+    terms drop below the working precision."""
+    with mp.workdps(dps):
+        u, tau = mp.mpc(u), mp.mpc(tau)
+
+        def term(z):
+            s = mp.sin(mp.pi * z)
+            return -2 * mp.pi**3 * mp.cos(mp.pi * z) / s**3 if derivative else mp.pi**2 / s**2
+
+        total = term(u) if derivative else term(u) - mp.pi**2 / 3
+        eps = mp.mpf(10) ** (-dps - 5)
+        n = 1
+        while True:
+            t = term(u + n * tau) + term(u - n * tau)
+            if not derivative:
+                t -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
+            total += t
+            if abs(t) <= eps * abs(total):
+                return complex(total)
+            n += 1
+
+
+@pytest.mark.parametrize("im_tau", (0.3, 0.5, 1.0, 1.17, 2.0, 4.0, 8.0))
+def test_nome_series_against_mpmath_twin(im_tau):
+    tau = complex(0.13, im_tau)
+    ctx = EllipticContext(tau)
+    # (a, b) of u = a + b tau; |b| = 0.49 sits at the cell edge, where the
+    # first nome term is largest
+    for a, b in ((0.23, 0.49), (-0.37, -0.49), (0.11, 0.31), (0.42, -0.17), (-0.05, 0.12)):
+        u = a + b * tau
+        for fn, derivative in ((weierstrass_p, False), (weierstrass_p_prime, True)):
+            ref = mp_sine_series(u, tau, derivative)
+            assert abs(fn(u, ctx) - ref) <= 1e-13 * abs(ref), (fn.__name__, u)
+
+
+def test_lattice_order_caps_the_term_count():
+    u = 0.23 + 0.11j
+    full = weierstrass_p(u, EllipticContext(0.5j))
+    assert abs(weierstrass_p(u, EllipticContext(0.5j, lattice_order=2)) - full) > 1e-6
+
+
+def test_no_overflow_at_large_imtau():
+    ctx = EllipticContext(300j)
+    # at Im u = 80 the sine term's sin^3 overflows unless cot is formed first
+    for u in (0.3, 0.2 + 147j, -0.1 - 149j, 0.4 + 60j, 0.2 + 80j):
+        w, wp1 = weierstrass_p(u, ctx), weierstrass_p_prime(u, ctx)
+        assert cmath.isfinite(w) and cmath.isfinite(wp1)
+    assert abs(weierstrass_p(0.3, ctx) - (PI**2 / math.sin(0.3 * PI) ** 2 - PI**2 / 3)) < 1e-12

@@ -6,6 +6,8 @@ from painleve_calogero import (
     PhaseState,
     SystemDescriptor,
     autonomous_check,
+    canonical_field,
+    elliptic,
     hamiltonian,
     hamiltonian_gradients,
     param_to_painleve,
@@ -197,3 +199,24 @@ def test_calogero_side_accepts_painleve_params(rng):
     h_aux = hamiltonian(SystemDescriptor("V", "calogero", params=aux), st)
     h_pp = hamiltonian(SystemDescriptor("V", "calogero", params=p), st)
     assert h_aux == h_pp
+
+
+def test_pvi_rank3_field_call_counts(monkeypatch, rng):
+    # one PVI rank-3 field call: 4 shifted wp per coordinate plus wp(q_j - q_k)
+    # and wp(q_j + q_k) per pair, each with its wp', in one context
+    calls = {"wp": 0, "wp_prime": 0, "context": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(elliptic, "weierstrass_p", counted("wp", elliptic.weierstrass_p))
+    monkeypatch.setattr(elliptic, "weierstrass_p_prime",
+                        counted("wp_prime", elliptic.weierstrass_p_prime))
+    monkeypatch.setattr(EllipticContext, "__post_init__",
+                        counted("context", EllipticContext.__post_init__))
+    sd = SystemDescriptor("VI", "calogero", 3, 0.7, aux_for("VI"))
+    canonical_field(sd, calogero_state("VI", 3, rng))
+    assert calls == {"wp": 18, "wp_prime": 18, "context": 1}

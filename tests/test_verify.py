@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from painleve_calogero import EllipticContext
 from painleve_calogero.errors import ScheduleMismatch
 from painleve_calogero.verify import (
     SCHEDULES,
@@ -25,6 +26,15 @@ def test_check_report_passed_invariant():
 def test_identity_suite_passes():
     reports = run_identity_suite(seed=7, n_points=20)
     assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("seed", (4, 14, 56))
+def test_lemma3_fd_passes_at_tau_i(seed):
+    # seeds on which a 1e-3 finite-difference step in tau failed the row
+    reports = run_identity_suite(ctx_list=[EllipticContext(1j)], seed=seed)
+    assert all(r.passed for r in reports)
+    fd = [r for r in reports if r.check_id.startswith("identity.lemma3_fd")]
+    assert fd and fd[0].metadata["fd_step"] == "5e-4"
 
 
 def test_correspondence_vi_rank1():
