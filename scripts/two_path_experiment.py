@@ -3,58 +3,40 @@
 versus mapping the initial point and integrating the Painleve flow, over a
 range of arc lengths.  The endpoint discrepancy should track the
 integrator tolerance, independent of arc length, when the canonical
-transformation intertwines the two flows.
+transformation intertwines the two flows.  Each arc is one
+``run_dynamic_correspondence`` call from the same seeded initial point.
 
-Usage: python scripts/two_path_experiment.py [--equation VI..I] [--rel-tol 1e-10]
+Usage: python scripts/two_path_experiment.py [--equation VI..I] [--rel-tol 1e-10] [--seed 7]
 """
 
 import argparse
 import sys
 
-import numpy as np
-
-from painleve_calogero import EllipticContext, SystemDescriptor, integrate, multi_transform
-from painleve_calogero.transforms import time_map_pvi_inverse
-from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
+from painleve_calogero.verify.correspondence import (run_dynamic_correspondence,
+                                                     sample_calogero_state)
 from painleve_calogero.verify.report import rng_for
 
+ARCS = (0.1, 0.2, 0.3, 0.5)
 
-def main():
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--equation", default="II", choices=("VI", "V", "IV", "III", "II", "I"))
     ap.add_argument("--rel-tol", type=float, default=1e-10)
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     eq = args.equation
-    aux = default_aux(eq)
-    rng = rng_for(args.seed, f"two_path.{eq}")
-    initial = sample_calogero_state(eq, 1, rng)
-    cal = SystemDescriptor(eq, "calogero", 1, 0, aux)
-    pain = SystemDescriptor(eq, "painleve", 1, 0, aux)
-
+    initial = sample_calogero_state(eq, 1, rng_for(args.seed, f"two_path.{eq}"))
     print(f"P{eq}: initial q={initial.coords[0]:.4f} p={initial.momenta[0]:.4f} "
           f"T={initial.time:.4f}")
-    print(f"{'arc':>6} {'endpoint discrepancy':>22} {'cal steps':>10} {'pain steps':>11}")
-    direction = (1 + 0.2j) / abs(1 + 0.2j)
-    for arc in (0.1, 0.2, 0.3, 0.5):
-        ctx = EllipticContext(initial.time) if eq == "VI" else None
-        start_pain = multi_transform(eq, "to_painleve", initial, aux, ctx)
-        t_end = start_pain.time + arc * direction
-        T_end = time_map_pvi_inverse(t_end, initial.time, ctx) if eq == "VI" else t_end
-
-        traj_cal = integrate(cal, initial, T_end, args.rel_tol, args.rel_tol * 1e-2, ctx=ctx)
-        traj_pain = integrate(pain, start_pain, t_end, args.rel_tol, args.rel_tol * 1e-2)
-        if not (traj_cal.completed and traj_pain.completed):
-            print(f"{arc:6.2f}  integration stopped "
-                  f"({traj_cal.termination}/{traj_pain.termination})")
-            continue
-        ctx_end = EllipticContext(T_end) if eq == "VI" else None
-        mapped = multi_transform(eq, "to_painleve", traj_cal.samples[-1][1], aux, ctx_end)
-        end = traj_pain.samples[-1][1]
-        disc = max(abs(np.array(mapped.coords) - np.array(end.coords)).max(),
-                   abs(np.array(mapped.momenta) - np.array(end.momenta)).max())
-        print(f"{arc:6.2f} {disc:22.3e} {traj_cal.n_accepted:10d} {traj_pain.n_accepted:11d}")
+    print(f"{'arc':>6} {'max_error':>11} {'samples':>8}  termination (calogero/painleve)")
+    for arc in ARCS:
+        rep = run_dynamic_correspondence(eq, 1, initial=initial, arc_length=arc,
+                                         rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-2)
+        meta = rep.metadata
+        print(f"{arc:6.2f} {rep.max_error:11.3e} {rep.samples:8d}  "
+              f"{meta['cal_termination']}/{meta['pain_termination']}")
     return 0
 
 

@@ -18,16 +18,19 @@ and wp' term-wise from the same x.  Each sequence starts at
 e^{2 pi i (tau +- u)}, which cannot overflow, and every further term costs
 one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
 in the cell, N = ceil(1.5 + 39/(2 pi Im tau)) terms leave a tail below
-e^{-39}.  ``lattice_order`` caps N, so small Im tau is truncated at the cap.
-Q, N and the tau-only constant are cached on the context.  The slow double
-lattice sum survives only as a test oracle (tests/test_elliptic.py).
+e^{-39} at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
+tau-only constant are cached on the context, so tau is all a context
+holds.  The slow double lattice sum survives only as a test oracle
+(tests/test_elliptic.py).
 
-The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u); its
-u- and tau-derivatives are term-wise.  f(u) = (wp(u)-e1)/(e2-e1) and its
-tau-derivative f_tau are the building blocks of the sixth Painleve
-transformation; f_tau is computed analytically from the logarithmic theta
-derivative (4 pi^2 f_tau/f' identity), with finite differences kept as a
-cross-check in the test suite.
+The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u) over
+|n| <= THETA_TERMS = 16; its u- and tau-derivatives are term-wise.
+f(u) = (wp(u)-e1)/(e2-e1) and its tau-derivative f_tau are the building
+blocks of the sixth Painleve transformation; f_tau is computed analytically
+from the logarithmic theta derivative (4 pi^2 f_tau/f' identity), with
+finite differences kept as a cross-check in the test suite.  Where e2 - e1
+is lost to rounding (small Im tau) the half-period values raise
+``BadContext`` instead of feeding a meaningless denominator to f.
 """
 
 from __future__ import annotations
@@ -45,26 +48,25 @@ POLE_TOL = 1e-12
 # 1/sin^2 underflows to 0 well before |Im z| reaches this; guards overflow.
 _IM_OVERFLOW = 300.0
 
-DEFAULT_LATTICE_ORDER = 24
-DEFAULT_THETA_ORDER = 16
+THETA_TERMS = 16
+# e2 - e1 is taken as lost to rounding at or below this fraction of max|e_i|
+_E_SPLIT_TOL = 1e-13
 
 
 @dataclass
 class EllipticContext:
-    """Modular parameter plus truncation orders for the series evaluations.
+    """The modular parameter tau, with the tau-only values cached per context.
 
-    ``lattice_order`` caps the number of nome terms of the wp series.  The
+    The series term counts follow from tau (see the module docstring).  The
     half-period values (e1, e2, e3) and the tau-only series data (nome,
-    term count, constant) are cached on first use, so ``tau`` and the
-    orders must not change afterwards.  The caches are write-once/read-many:
-    concurrent writers recompute the same values, so the benign race is
-    harmless.
+    term count, constant) are cached on first use, so ``tau`` must not
+    change afterwards.  The caches are write-once/read-many: concurrent
+    writers recompute the same values, so the benign race is harmless.
     """
 
     tau: complex
-    lattice_order: int = DEFAULT_LATTICE_ORDER
-    theta_order: int = DEFAULT_THETA_ORDER
-    cached_e: tuple[complex, complex, complex] | None = field(default=None, compare=False)
+    cached_e: tuple[complex, complex, complex] | None = field(
+        default=None, init=False, repr=False, compare=False)
     cached_series: tuple[complex, int, complex] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -72,18 +74,18 @@ class EllipticContext:
         self.tau = complex(self.tau)
         if not (self.tau.imag > 0):
             raise BadContext(f"Im tau must be positive, got tau={self.tau}")
-        if self.lattice_order < 1 or self.theta_order < 1:
-            raise BadContext("truncation orders must be >= 1")
-        if self.cached_e is not None:
-            e1, e2, e3 = self.cached_e
-            scale = max(1.0, abs(e1), abs(e2), abs(e3))
-            if abs(e1 + e2 + e3) >= 1e-10 * scale:
-                raise BadContext("cached e1+e2+e3 violates the trace identity")
 
     @property
     def half_periods(self) -> tuple[complex, complex, complex, complex]:
         """(omega_0, omega_1, omega_2, omega_3) = (0, 1/2, -(1+tau)/2, tau/2)."""
         return 0j, 0.5 + 0j, -(1 + self.tau) / 2, self.tau / 2
+
+
+def context_at(tau: complex, ctx: EllipticContext | None = None) -> EllipticContext:
+    """``ctx`` if it is already at ``tau``, else a new context at ``tau``."""
+    if ctx is not None and ctx.tau == tau:
+        return ctx
+    return EllipticContext(tau)
 
 
 def reduce_to_cell(u: complex, tau: complex) -> complex:
@@ -125,7 +127,7 @@ def _series(ctx: EllipticContext) -> tuple[complex, int, complex]:
     constant c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau); cached."""
     if ctx.cached_series is None:
         tau = ctx.tau
-        n_terms = min(ctx.lattice_order, math.ceil(1.5 + 39 / (2 * PI * tau.imag)))
+        n_terms = math.ceil(1.5 + 39 / (2 * PI * tau.imag))
         tail = sum(_inv_sin2(PI * n * tau) for n in range(1, n_terms + 1))
         ctx.cached_series = (cmath.exp(TWO_PI_I * tau), n_terms, -PI * PI / 3 - 2 * PI * PI * tail)
     return ctx.cached_series
@@ -143,8 +145,8 @@ def _nome_start(u: complex, ctx: EllipticContext):
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
     """wp(u | 1, tau): the n = 0 sine term plus N nome terms per side.
 
-    N = min(lattice_order, ceil(1.5 + 39/(2 pi Im tau))); see the module
-    docstring for the series and the bound behind N.
+    N = ceil(1.5 + 39/(2 pi Im tau)); see the module docstring for the
+    series and the bound behind N.
     """
     u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
     total = 0j
@@ -169,14 +171,18 @@ def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
 
 
 def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]:
-    """(e1, e2, e3) = wp at the three half periods; cached on the context."""
+    """(e1, e2, e3) = wp at the three half periods; cached on the context.
+
+    Raises ``BadContext`` when e2 - e1, the denominator of f and of the PVI
+    time map, is lost to rounding: on the imaginary axis once Im tau drops
+    below about 0.095, where e2 and e1 agree to 1e-13 relative.
+    """
     if ctx.cached_e is None:
         _, w1, w2, w3 = ctx.half_periods
-        ctx.cached_e = (
-            weierstrass_p(w1, ctx),
-            weierstrass_p(w2, ctx),
-            weierstrass_p(w3, ctx),
-        )
+        e = (weierstrass_p(w1, ctx), weierstrass_p(w2, ctx), weierstrass_p(w3, ctx))
+        if abs(e[1] - e[0]) <= _E_SPLIT_TOL * max(map(abs, e)):
+            raise BadContext(f"e2 - e1 is lost to rounding at tau={ctx.tau}")
+        ctx.cached_e = e
     return ctx.cached_e
 
 
@@ -188,47 +194,36 @@ def shifted_p(u: complex, n: int, ctx: EllipticContext) -> complex:
     return weierstrass_p(u + omega, ctx)
 
 
-def theta(u: complex, ctx: EllipticContext) -> complex:
-    """theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u), |n| <= theta_order."""
-    tau, m = ctx.tau, ctx.theta_order
-    total = 1 + 0j
-    for n in range(1, m + 1):
+def _theta_sum(u: complex, ctx: EllipticContext, total: complex, weight,
+               odd: bool = False) -> complex:
+    """total + sum_{n=1}^{THETA_TERMS} weight(n) (E_n(u) +- E_n(-u)), with
+    E_n(u) = exp(pi i tau n^2 + 2 pi i n u) and the minus sign when ``odd``."""
+    tau = ctx.tau
+    for n in range(1, THETA_TERMS + 1):
         base = 1j * PI * tau * n * n
-        total += cmath.exp(base + TWO_PI_I * n * u) + cmath.exp(base - TWO_PI_I * n * u)
+        plus, minus = cmath.exp(base + TWO_PI_I * n * u), cmath.exp(base - TWO_PI_I * n * u)
+        total += weight(n) * (plus - minus if odd else plus + minus)
     return total
+
+
+def theta(u: complex, ctx: EllipticContext) -> complex:
+    """theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u), |n| <= THETA_TERMS."""
+    return _theta_sum(u, ctx, 1 + 0j, lambda n: 1)
 
 
 def theta_du(u: complex, ctx: EllipticContext) -> complex:
     """d theta/du by term-wise differentiation."""
-    tau, m = ctx.tau, ctx.theta_order
-    total = 0j
-    for n in range(1, m + 1):
-        base = 1j * PI * tau * n * n
-        w = TWO_PI_I * n
-        total += w * (cmath.exp(base + TWO_PI_I * n * u) - cmath.exp(base - TWO_PI_I * n * u))
-    return total
+    return _theta_sum(u, ctx, 0j, lambda n: TWO_PI_I * n, odd=True)
 
 
 def theta_du2(u: complex, ctx: EllipticContext) -> complex:
     """d^2 theta/du^2 by term-wise differentiation."""
-    tau, m = ctx.tau, ctx.theta_order
-    total = 0j
-    for n in range(1, m + 1):
-        base = 1j * PI * tau * n * n
-        w = TWO_PI_I * n
-        total += w * w * (cmath.exp(base + TWO_PI_I * n * u) + cmath.exp(base - TWO_PI_I * n * u))
-    return total
+    return _theta_sum(u, ctx, 0j, lambda n: TWO_PI_I * n * (TWO_PI_I * n))
 
 
 def theta_dtau(u: complex, ctx: EllipticContext) -> complex:
     """d theta/dtau by term-wise differentiation (= theta''/(4 pi i))."""
-    tau, m = ctx.tau, ctx.theta_order
-    total = 0j
-    for n in range(1, m + 1):
-        base = 1j * PI * tau * n * n
-        w = 1j * PI * n * n
-        total += w * (cmath.exp(base + TWO_PI_I * n * u) + cmath.exp(base - TWO_PI_I * n * u))
-    return total
+    return _theta_sum(u, ctx, 0j, lambda n: 1j * PI * n * n)
 
 
 def f_and_derivatives(u: complex, ctx: EllipticContext) -> tuple[complex, complex, complex]:
@@ -260,7 +255,7 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     n = 2: -pi^2/3 + 8 pi^2 cos(2 pi u) e^{pi i tau}
     n = 3: -pi^2/3 - 8 pi^2 cos(2 pi u) e^{pi i tau}
 
-    Used by the verification suite only.
+    Only the tests use it, as an independent check of ``weierstrass_p``.
     """
     if not (complex(tau).imag > 0):
         raise BadContext(f"Im tau must be positive, got {tau}")

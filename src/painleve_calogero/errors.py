@@ -6,7 +6,7 @@ class PainleveCalogeroError(Exception):
 
 
 class BadContext(PainleveCalogeroError):
-    """Elliptic context is invalid (e.g. Im tau <= 0 or bad truncation orders)."""
+    """Elliptic context is unusable (Im tau <= 0, or e2 - e1 lost to rounding)."""
 
 
 class PoleAt(PainleveCalogeroError):

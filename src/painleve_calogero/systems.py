@@ -25,7 +25,7 @@ side, is a plain d/dt flow.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import elliptic
 from .elliptic import TWO_PI_I, EllipticContext
@@ -78,9 +78,6 @@ class SystemDescriptor:
     def painleve_params(self) -> PainleveParams:
         return to_painleve_params(self.params, self.equation) if self.params is not None \
             else PainleveParams(self.equation)
-
-    def with_params(self, params) -> "SystemDescriptor":
-        return replace(self, params=params)
 
 
 @dataclass(frozen=True)
@@ -359,17 +356,6 @@ def _calogero_two_body(eq, qs, g4sq, ctx: EllipticContext | None):
 # public evaluation API
 # ---------------------------------------------------------------------------
 
-def _context_for(sys: SystemDescriptor, time: complex, ctx: EllipticContext | None):
-    needs = sys.equation == "VI" and sys.side == "calogero"
-    if not needs:
-        return None
-    if ctx is not None and ctx.tau == complex(time):
-        return ctx
-    orders = (ctx.lattice_order, ctx.theta_order) if ctx is not None \
-        else (elliptic.DEFAULT_LATTICE_ORDER, elliptic.DEFAULT_THETA_ORDER)
-    return EllipticContext(complex(time), *orders)
-
-
 def hamiltonian(sys: SystemDescriptor, state: PhaseState, ctx: EllipticContext | None = None) -> complex:
     """Evaluate the printed Hamiltonian of the system at the phase point."""
     h, _, _ = _evaluate(sys, state, ctx)
@@ -404,7 +390,7 @@ def _evaluate(sys, state, ctx):
         return total, tuple(dlam), tuple(dmu)
 
     pp = sys.painleve_params()
-    cc = _context_for(sys, t, ctx)
+    cc = elliptic.context_at(t, ctx) if sys.time_gauge == "tau" else None
     total = 0j
     dq = []
     for q in state.coords:

@@ -24,8 +24,8 @@ import cmath
 import math
 
 from . import elliptic
-from .elliptic import PI, TWO_PI_I, EllipticContext
-from .errors import BranchCut, MapSingularity, NoConvergence
+from .elliptic import PI, TWO_PI_I, EllipticContext, context_at
+from .errors import BadContext, BranchCut, MapSingularity, NoConvergence, TwoBodyCollision
 from .params import AuxParams, check_equation
 from .systems import PhaseState
 
@@ -40,14 +40,14 @@ _NEWTON_STEPS = 50
 
 def time_map_pvi(tau: complex, ctx: EllipticContext | None = None) -> complex:
     """t = (e3 - e1)/(e2 - e1)."""
-    ctx = _ctx_at(tau, ctx)
+    ctx = context_at(tau, ctx)
     e1, e2, e3 = elliptic.half_period_values(ctx)
     return (e3 - e1) / (e2 - e1)
 
 
 def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> complex:
     """dtau/dt = pi*i / (t(t-1)(e2-e1)), with t from the forward map."""
-    ctx = _ctx_at(tau, ctx)
+    ctx = context_at(tau, ctx)
     e1, e2, e3 = elliptic.half_period_values(ctx)
     t = (e3 - e1) / (e2 - e1)
     return PI * 1j / (t * (t - 1) * (e2 - e1))
@@ -61,24 +61,19 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
     if min(abs(t), abs(t - 1)) < 1e-12:
         raise MapSingularity(f"t={t} is a fixed singular point of the inverse map")
     tau = complex(tau_seed)
-    template = ctx
     for _ in range(_NEWTON_STEPS):
         if not tau.imag > 0:
             raise NoConvergence(f"Newton left the upper half plane from seed {tau_seed}", seed=tau_seed)
-        c = _ctx_at(tau, template)
-        val = time_map_pvi(tau, c) - t
+        c = context_at(tau, ctx)
+        try:
+            val = time_map_pvi(tau, c) - t
+        except BadContext as exc:
+            raise NoConvergence(f"Newton reached tau={tau}, where e2 - e1 is lost to rounding",
+                                seed=tau_seed) from exc
         if abs(val) < tol:
             return tau
         tau = tau - val * jacobian_dtau_dt(tau, c)
     raise NoConvergence(f"time map inversion failed from seed {tau_seed}", seed=tau_seed)
-
-
-def _ctx_at(tau, template):
-    if template is not None and template.tau == complex(tau):
-        return template
-    if template is not None:
-        return EllipticContext(complex(tau), template.lattice_order, template.theta_order)
-    return EllipticContext(complex(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +85,7 @@ def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None 
     eq = check_equation(eq)
     q = complex(q)
     if eq == "VI":
-        c = _ctx_at(time, ctx)
+        c = context_at(time, ctx)
         e1, e2, _ = elliptic.half_period_values(c)
         return (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
     if eq == "V":
@@ -183,7 +178,7 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     eq = check_equation(eq)
     lam = complex(lam)
     if eq == "VI":
-        c = _ctx_at(time, ctx)
+        c = context_at(time, ctx)
         t = time_map_pvi(c.tau, c)
         if min(abs(lam), abs(lam - 1), abs(lam - t)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PVI branch set {{0, 1, t}}")
@@ -226,7 +221,7 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     """Returns (coef, rest) with mu = coef * p + rest, and lambda(q)."""
     if eq == "VI":
-        c = _ctx_at(time, ctx)
+        c = context_at(time, ctx)
         e1, e2, e3 = elliptic.half_period_values(c)
         wp = elliptic.weierstrass_p(q, c)
         _, _, ftau = elliptic.f_and_derivatives(q, c)
@@ -307,7 +302,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     if direction == "to_painleve":
         T = state.time
         if eq == "VI":
-            c = _ctx_at(T, ctx)
+            c = context_at(T, ctx)
             t_out = time_map_pvi(T, c)
         else:
             c, t_out = ctx, T
@@ -322,7 +317,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
         if ctx is None:
             raise ValueError("VI inversion needs ctx.tau as the Newton seed for the time map")
         T = time_map_pvi_inverse(t, ctx.tau, ctx)
-        c = _ctx_at(T, ctx)
+        c = context_at(T, ctx)
     else:
         T, c = t, ctx
     hints = branch_hints if branch_hints is not None else (None,) * state.rank
@@ -338,7 +333,5 @@ def _check_pairwise(coords):
     for j in range(n):
         for k in range(j + 1, n):
             if abs(coords[j] - coords[k]) < 1e-12:
-                from .errors import TwoBodyCollision
-
                 raise TwoBodyCollision(f"components {j} and {k} collide after transform")
 

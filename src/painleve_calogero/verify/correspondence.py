@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .. import transforms
 from ..dynamics import integrate
-from ..elliptic import EllipticContext
+from ..elliptic import EllipticContext, context_at
 from ..params import AuxParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
 from .report import CheckReport, cbox, rng_for
@@ -98,7 +98,7 @@ def _pushforward_error(eq: str, rank: int, aux: AuxParams, state: PhaseState,
 
     def phi_flat(x):
         st = PhaseState(tuple(x[:rank]), tuple(x[rank:2 * rank]), x[2 * rank])
-        c = EllipticContext(st.time, ctx.lattice_order, ctx.theta_order) if eq == "VI" else None
+        c = context_at(st.time, ctx) if eq == "VI" else None
         img = transforms.multi_transform(eq, "to_painleve", st, aux, c)
         return list(img.coords) + list(img.momenta) + [img.time]
 

@@ -144,7 +144,7 @@ def _potential_defect_elliptic(eps: float, seed: int) -> float:
                             0.27 - 0.09j, 0.13 + 0.05j)
     tt = 1.0 + 0.2j
     tau = cmath.log(eps * tt / 16) / (1j * PI)
-    ctx = EllipticContext(tau, lattice_order=30)
+    ctx = EllipticContext(tau)
     g2sq = g2t / eps + g3t / eps**2
     g3sq = g3t / eps**2
     q2_fixed = 0.55 + 0.07j

@@ -130,7 +130,7 @@ def _identities_for(ctx: EllipticContext, tag: str, seed: int, n_points: int):
     h = 5e-4
     for u in _sample_u(rng, tau, max(10, n_points // 3)):
         def f_of_tau(delta):
-            c = EllipticContext(tau + delta, ctx.lattice_order, ctx.theta_order)
+            c = EllipticContext(tau + delta)
             ee1, ee2, _ = elliptic.half_period_values(c)
             return (elliptic.weierstrass_p(u, c) - ee1) / (ee2 - ee1)
         ft_fd = (8 * (f_of_tau(h) - f_of_tau(-h)) - (f_of_tau(2 * h) - f_of_tau(-2 * h))) / (12 * h)

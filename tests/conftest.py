@@ -1,49 +1,7 @@
 import numpy as np
 import pytest
 
-from painleve_calogero import AuxParams, PhaseState
-
-AUX = {
-    "VI": dict(kappa0=0.31 + 0.12j, kappa1=0.27 - 0.08j, theta=0.43 + 0.05j, kappa=0.17 + 0.09j),
-    "V": dict(kappa0=0.31 + 0.12j, theta1=0.22 - 0.11j, eta1=0.35 + 0.07j, kappa=0.17 + 0.09j),
-    "IV": dict(theta_inf=0.19 + 0.14j, kappa0=0.31 + 0.12j),
-    "III": dict(eta_inf=0.41 - 0.06j, theta_inf=0.19 + 0.14j, eta0=0.28 + 0.1j, theta0=0.33 - 0.04j),
-    "II": dict(alpha=0.37 + 0.21j),
-    "I": dict(),
-}
-
-# Calogero-side base times (tau for VI, t otherwise)
-BASE_TIME = {
-    "VI": 0.13 + 1.17j,
-    "V": 0.83 + 0.21j,
-    "IV": 0.62 + 0.18j,
-    "III": 0.91 + 0.24j,
-    "II": 0.54 + 0.13j,
-    "I": 0.47 + 0.22j,
-}
-
-
-def aux_for(eq):
-    return AuxParams(eq, **AUX[eq])
-
-
-def calogero_state(eq, rank, rng, time=None):
-    """Generic Calogero phase point away from poles and collisions."""
-    T = BASE_TIME[eq] if time is None else time
-    qs, ps = [], []
-    for j in range(rank):
-        if eq == "VI":
-            a = 0.10 + 0.09 * j + 0.04 * rng.uniform()
-            b = 0.12 + 0.08 * j + 0.04 * rng.uniform()
-            qs.append(complex(a + b * T.real, b * T.imag))
-        elif eq == "V":
-            qs.append(complex(0.45 + 0.5 * j + 0.1 * rng.uniform(), 0.15 + 0.1 * rng.uniform()))
-        elif eq == "IV":
-            qs.append(complex(0.6 + 0.55 * j + 0.1 * rng.uniform(), 0.12 + 0.1 * rng.uniform()))
-        else:
-            qs.append(complex(-0.4 + 0.5 * j + 0.1 * rng.uniform(), 0.1 + 0.15 * rng.uniform()))
-        ps.append(complex(rng.uniform(0.25, 0.75), rng.uniform(-0.3, 0.3)))
-    return PhaseState(tuple(qs), tuple(ps), T)
+from painleve_calogero import PhaseState
 
 
 def painleve_state(eq, rank, rng, time=None):

@@ -26,7 +26,8 @@ from painleve_calogero.verify import (
     run_suite,
     schedule_defect,
 )
-from tests.conftest import aux_for, calogero_state, painleve_state
+from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
+from tests.conftest import painleve_state
 
 PI = math.pi
 EQS = ("VI", "V", "IV", "III", "II", "I")
@@ -94,9 +95,9 @@ def test_criterion_3_gradient_checks():
         for side in ("painleve", "calogero"):
             for rank in (1, 3):
                 g4 = 0.7 + 0j if rank == 3 else 0j
-                sd = SystemDescriptor(eq, side, rank, g4, aux_for(eq))
+                sd = SystemDescriptor(eq, side, rank, g4, default_aux(eq))
                 for _ in range(30):
-                    st = calogero_state(eq, rank, rng) if side == "calogero" \
+                    st = sample_calogero_state(eq, rank, rng) if side == "calogero" \
                         else painleve_state(eq, rank, rng)
                     ctx = EllipticContext(st.time) if (eq, side) == ("VI", "calogero") else None
                     dc, dm = hamiltonian_gradients(sd, st, ctx)
@@ -185,7 +186,7 @@ def test_criterion_7_painleve_residuals():
     worst = 0.0
     worst_eq = ""
     for eq, (t0, t1, lam0) in arcs.items():
-        sd = SystemDescriptor(eq, "painleve", params=aux_for(eq))
+        sd = SystemDescriptor(eq, "painleve", params=default_aux(eq))
         st = PhaseState((lam0,), (0.4 - 0.1j,) if eq != "I" else (0.3,), t0)
         traj = integrate(sd, st, t1, 1e-10, 1e-12, max_step=abs(t1 - t0) / 30)
         assert traj.completed, eq

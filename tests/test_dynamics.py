@@ -11,7 +11,7 @@ from painleve_calogero import (
 )
 from painleve_calogero.dynamics import COMPLETED, POLE_DETECTED, Trajectory
 from painleve_calogero.errors import BadContext, CoordinateSingularity, TooSparse
-from tests.conftest import aux_for, calogero_state
+from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
 
 # (t0, t1, lambda0) arcs with comfortable residual margins
 RESIDUAL_CASES = {
@@ -56,7 +56,7 @@ def test_pi_second_difference_residual():
 
 
 def test_tolerance_scaling_on_pii():
-    sd = SystemDescriptor("II", "painleve", params=aux_for("II"))
+    sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
     st = PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j)
     t_end = 1.2 + 0.3j
     ref = _endpoint(integrate(sd, st, t_end, 1e-12, 1e-14))
@@ -74,7 +74,7 @@ def test_tolerance_scaling_on_pii():
 @pytest.mark.parametrize("eq", sorted(RESIDUAL_CASES))
 def test_painleve_residuals(eq):
     t0, t1, lam0 = RESIDUAL_CASES[eq]
-    sd = SystemDescriptor(eq, "painleve", params=aux_for(eq))
+    sd = SystemDescriptor(eq, "painleve", params=default_aux(eq))
     st = PhaseState((lam0,), (0.4 - 0.1j,) if eq != "I" else (0.3,), t0)
     traj = integrate(sd, st, t1, 1e-10, 1e-12, max_step=abs(t1 - t0) / 30)
     assert traj.termination == COMPLETED
@@ -129,16 +129,16 @@ def test_max_steps_tag():
 
 
 def test_fixed_singularity_guard():
-    sd = SystemDescriptor("V", "painleve", params=aux_for("V"))
+    sd = SystemDescriptor("V", "painleve", params=default_aux("V"))
     st = PhaseState((1.45 + 0.35j,), (0.4,), -0.5 + 0j)
     with pytest.raises(CoordinateSingularity):
         integrate(sd, st, 0.5)  # segment passes through t = 0
 
 
 def test_calogero_vi_integration_runs(rng):
-    aux = aux_for("VI")
+    aux = default_aux("VI")
     sd = SystemDescriptor("VI", "calogero", params=aux)
-    st = calogero_state("VI", 1, rng)
+    st = sample_calogero_state("VI", 1, rng)
     ctx = EllipticContext(st.time)
     traj = integrate(sd, st, st.time + 0.1j, 1e-9, 1e-11, ctx=ctx)
     assert traj.termination == COMPLETED
@@ -150,7 +150,7 @@ def test_painleve_ode_rhs_matches_hamiltonian_flow():
     from painleve_calogero import hamiltonian_gradients
 
     for eq in ("VI", "V", "IV", "III", "II", "I"):
-        sd = SystemDescriptor(eq, "painleve", params=aux_for(eq))
+        sd = SystemDescriptor(eq, "painleve", params=default_aux(eq))
         st = PhaseState((1.45 + 0.35j,), (0.4 - 0.1j,), 0.83 + 0.21j)
 
         def lamdot(state):
@@ -171,7 +171,7 @@ def test_painleve_ode_rhs_matches_hamiltonian_flow():
 
 
 def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
-    sd = SystemDescriptor("VI", "calogero", params=aux_for("VI"))
-    st = calogero_state("VI", 1, rng, time=0.1 + 0.2j)
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    st = sample_calogero_state("VI", 1, rng, time=0.1 + 0.2j)
     with pytest.raises(BadContext):
         integrate(sd, st, 0.1 - 0.2j, max_steps=10)

@@ -13,7 +13,8 @@ from painleve_calogero import (
     param_to_painleve,
 )
 from painleve_calogero.errors import TwoBodyCollision, UnsupportedEquation
-from tests.conftest import BASE_TIME, aux_for, calogero_state, painleve_state
+from painleve_calogero.verify.correspondence import BASE_TIME, default_aux, sample_calogero_state
+from tests.conftest import painleve_state
 
 EQS = ("VI", "V", "IV", "III", "II", "I")
 
@@ -41,7 +42,7 @@ def test_param_to_painleve_rejects_ii_i():
 
 
 def test_param_round_trip():
-    aux = aux_for("VI")
+    aux = default_aux("VI")
     p = param_to_painleve(aux)
     p2 = param_to_painleve(aux)
     assert p == p2  # relations are evaluated exactly, not fitted
@@ -67,7 +68,7 @@ def test_rank2_pii_calogero_hand_value():
 
 
 def test_pvi_calogero_momentum_gradient():
-    aux = aux_for("VI")
+    aux = default_aux("VI")
     sd = SystemDescriptor("VI", "calogero", params=aux)
     st = PhaseState((0.21 + 0.24j,), (0.5 - 0.25j,), BASE_TIME["VI"])
     _, dmu = hamiltonian_gradients(sd, st)
@@ -103,9 +104,9 @@ def _fd_gradients(sd, st, ctx=None, h=1e-6):
 @pytest.mark.parametrize("rank", (1, 3))
 def test_gradients_match_finite_differences(eq, side, rank, rng):
     g4 = 0.7 + 0j if rank == 3 else 0j
-    sd = SystemDescriptor(eq, side, rank, g4, aux_for(eq))
+    sd = SystemDescriptor(eq, side, rank, g4, default_aux(eq))
     for _ in range(5):
-        st = calogero_state(eq, rank, rng) if side == "calogero" \
+        st = sample_calogero_state(eq, rank, rng) if side == "calogero" \
             else painleve_state(eq, rank, rng)
         ctx = EllipticContext(st.time) if (eq, side) == ("VI", "calogero") else None
         dc, dm = hamiltonian_gradients(sd, st, ctx)
@@ -116,7 +117,7 @@ def test_gradients_match_finite_differences(eq, side, rank, rng):
 
 def test_rank1_two_body_is_inert():
     # same code path: rank 1 with g4 != 0 equals rank 1 with g4 = 0
-    aux = aux_for("V")
+    aux = default_aux("V")
     st = PhaseState((0.6 + 0.2j,), (0.4,), 0.9)
     h0 = hamiltonian(SystemDescriptor("V", "calogero", 1, 0, aux), st)
     h1 = hamiltonian(SystemDescriptor("V", "calogero", 1, 5.0, aux), st)
@@ -125,8 +126,8 @@ def test_rank1_two_body_is_inert():
 
 @pytest.mark.parametrize("eq", EQS)
 def test_permutation_invariance(eq, rng):
-    sd = SystemDescriptor(eq, "calogero", 3, 0.7, aux_for(eq))
-    st = calogero_state(eq, 3, rng)
+    sd = SystemDescriptor(eq, "calogero", 3, 0.7, default_aux(eq))
+    st = sample_calogero_state(eq, 3, rng)
     perm = (2, 0, 1)
     st_p = PhaseState(tuple(st.coords[i] for i in perm),
                       tuple(st.momenta[i] for i in perm), st.time)
@@ -138,8 +139,8 @@ def test_permutation_invariance(eq, rng):
 @pytest.mark.parametrize("eq", ("VI", "V", "IV"))
 def test_parity_invariance(eq, rng):
     # even one- and two-body potentials: q -> -q with p -> -p preserves H
-    sd = SystemDescriptor(eq, "calogero", 3, 0.7, aux_for(eq))
-    st = calogero_state(eq, 3, rng)
+    sd = SystemDescriptor(eq, "calogero", 3, 0.7, default_aux(eq))
+    st = sample_calogero_state(eq, 3, rng)
     st_m = PhaseState(tuple(-c for c in st.coords),
                       tuple(-m for m in st.momenta), st.time)
     ctx = EllipticContext(st.time) if eq == "VI" else None
@@ -156,7 +157,7 @@ def test_two_body_collision_raises():
 def test_one_body_pole_raises():
     from painleve_calogero.errors import CoordinateSingularity
 
-    sd = SystemDescriptor("VI", "painleve", params=aux_for("VI"))
+    sd = SystemDescriptor("VI", "painleve", params=default_aux("VI"))
     t = 0.83 + 0.21j
     for lam in (0, 1, t):
         with pytest.raises(CoordinateSingularity):
@@ -170,32 +171,32 @@ def test_autonomous_check_pi():
 
 
 def test_autonomous_check_pv_calogero(rng):
-    sd = SystemDescriptor("V", "calogero", params=aux_for("V"))
-    res = autonomous_check(sd, calogero_state("V", 1, rng))
+    sd = SystemDescriptor("V", "calogero", params=default_aux("V"))
+    res = autonomous_check(sd, sample_calogero_state("V", 1, rng))
     assert abs(res) < 1e-6
 
 
 def test_autonomous_check_pvi_calogero(rng):
-    sd = SystemDescriptor("VI", "calogero", params=aux_for("VI"))
-    st = calogero_state("VI", 1, rng)
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    st = sample_calogero_state("VI", 1, rng)
     res = autonomous_check(sd, st, EllipticContext(st.time))
     assert abs(res) < 1e-5
 
 
 def test_time_gauges():
-    aux = aux_for("V")
-    assert SystemDescriptor("VI", "calogero", params=aux_for("VI")).time_gauge == "tau"
+    aux = default_aux("V")
+    assert SystemDescriptor("VI", "calogero", params=default_aux("VI")).time_gauge == "tau"
     assert SystemDescriptor("V", "calogero", params=aux).time_gauge == "log_t"
-    assert SystemDescriptor("III", "calogero", params=aux_for("III")).time_gauge == "log_t"
-    assert SystemDescriptor("IV", "calogero", params=aux_for("IV")).time_gauge == "t"
+    assert SystemDescriptor("III", "calogero", params=default_aux("III")).time_gauge == "log_t"
+    assert SystemDescriptor("IV", "calogero", params=default_aux("IV")).time_gauge == "t"
     for eq in EQS:
-        assert SystemDescriptor(eq, "painleve", params=aux_for(eq)).time_gauge == "t"
+        assert SystemDescriptor(eq, "painleve", params=default_aux(eq)).time_gauge == "t"
 
 
 def test_calogero_side_accepts_painleve_params(rng):
-    aux = aux_for("V")
+    aux = default_aux("V")
     p = param_to_painleve(aux)
-    st = calogero_state("V", 1, rng)
+    st = sample_calogero_state("V", 1, rng)
     h_aux = hamiltonian(SystemDescriptor("V", "calogero", params=aux), st)
     h_pp = hamiltonian(SystemDescriptor("V", "calogero", params=p), st)
     assert h_aux == h_pp
@@ -217,6 +218,6 @@ def test_pvi_rank3_field_call_counts(monkeypatch, rng):
                         counted("wp_prime", elliptic.weierstrass_p_prime))
     monkeypatch.setattr(EllipticContext, "__post_init__",
                         counted("context", EllipticContext.__post_init__))
-    sd = SystemDescriptor("VI", "calogero", 3, 0.7, aux_for("VI"))
-    canonical_field(sd, calogero_state("VI", 3, rng))
+    sd = SystemDescriptor("VI", "calogero", 3, 0.7, default_aux("VI"))
+    canonical_field(sd, sample_calogero_state("VI", 3, rng))
     assert calls == {"wp": 18, "wp_prime": 18, "context": 1}

@@ -25,7 +25,7 @@ from painleve_calogero import (
 )
 from painleve_calogero.elliptic import TWO_PI_I, reduce_to_cell
 from painleve_calogero.errors import BranchCut
-from tests.conftest import aux_for, calogero_state
+from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
 
 PI = math.pi
 EQS = ("VI", "V", "IV", "III", "II", "I")
@@ -153,12 +153,12 @@ def test_abel_map_quadrature_oracle():
 # ---------------------------------------------------------------------------
 
 def test_mu_pii_value():
-    aux = aux_for("II")
+    aux = default_aux("II")
     assert mu_of_pq("II", 1, 0, 2, aux) == 2  # 0 + 1 + 1
 
 
 def test_mu_piv_value():
-    aux = aux_for("IV").__class__("IV", kappa0=0.5)
+    aux = default_aux("IV").__class__("IV", kappa0=0.5)
     mu = mu_of_pq("IV", 2, 0, 0, aux)
     assert abs(mu - 0.5) < 1e-15  # (1/4)(1 + 0 + 1)
 
@@ -166,7 +166,7 @@ def test_mu_piv_value():
 def test_mu_pvi_termwise_oracle():
     tau = 0.13 + 1.17j
     ctx = EllipticContext(tau)
-    aux = aux_for("VI")
+    aux = default_aux("VI")
     q, p = 0.21 + 0.26 * tau, 0.5 - 0.25j
     e1, e2, e3 = half_period_values(ctx)
     wp = weierstrass_p(q, ctx)
@@ -182,8 +182,8 @@ def test_mu_pvi_termwise_oracle():
 
 @pytest.mark.parametrize("eq", EQS)
 def test_pq_round_trip(eq, rng):
-    aux = aux_for(eq)
-    st = calogero_state(eq, 1, rng)
+    aux = default_aux(eq)
+    st = sample_calogero_state(eq, 1, rng)
     q, p, T = st.coords[0], st.momenta[0], st.time
     ctx = EllipticContext(T) if eq == "VI" else None
     lam = lambda_of_q(eq, q, T, ctx)
@@ -194,13 +194,13 @@ def test_pq_round_trip(eq, rng):
 
 
 def test_pq_of_lambdamu_pii_value():
-    aux = aux_for("II")
+    aux = default_aux("II")
     q, p = pq_of_lambdamu("II", 1, 2, 2, aux)
     assert q == 1 and abs(p) < 1e-15
 
 
 def test_pq_round_trip_pv_with_hint(rng):
-    aux = aux_for("V")
+    aux = default_aux("V")
     for _ in range(5):
         q = complex(rng.uniform(0.4, 1.4), rng.uniform(0.1, 0.6))
         p = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3))
@@ -217,8 +217,8 @@ def test_pq_round_trip_pv_with_hint(rng):
 
 def test_multi_transform_rank1_matches_componentwise(rng):
     for eq in EQS:
-        aux = aux_for(eq)
-        st = calogero_state(eq, 1, rng)
+        aux = default_aux(eq)
+        st = sample_calogero_state(eq, 1, rng)
         ctx = EllipticContext(st.time) if eq == "VI" else None
         out = multi_transform(eq, "to_painleve", st, aux, ctx)
         lam = lambda_of_q(eq, st.coords[0], st.time, ctx)
@@ -228,8 +228,8 @@ def test_multi_transform_rank1_matches_componentwise(rng):
 
 
 def test_multi_transform_permutation_equivariance(rng):
-    aux = aux_for("IV")
-    st = calogero_state("IV", 3, rng)
+    aux = default_aux("IV")
+    st = sample_calogero_state("IV", 3, rng)
     perm = (1, 2, 0)
     st_p = PhaseState(tuple(st.coords[i] for i in perm),
                       tuple(st.momenta[i] for i in perm), st.time)
@@ -241,8 +241,8 @@ def test_multi_transform_permutation_equivariance(rng):
 
 
 def test_multi_transform_round_trip_vi(rng):
-    aux = aux_for("VI")
-    st = calogero_state("VI", 2, rng)
+    aux = default_aux("VI")
+    st = sample_calogero_state("VI", 2, rng)
     ctx = EllipticContext(st.time)
     img = multi_transform("VI", "to_painleve", st, aux, ctx)
     seed_ctx = EllipticContext(st.time + 0.03j)
@@ -293,9 +293,9 @@ def test_canonical_factors():
 @pytest.mark.parametrize("rank", (1, 3))
 def test_round_trip_invariant(eq, rank, rng):
     """(lambda, mu) <-> (q, p) round trips to 1e-9 at generic random points."""
-    aux = aux_for(eq)
+    aux = default_aux(eq)
     for _ in range(50):
-        st = calogero_state(eq, rank, rng)
+        st = sample_calogero_state(eq, rank, rng)
         ctx = EllipticContext(st.time) if eq == "VI" else None
         img = multi_transform(eq, "to_painleve", st, aux, ctx)
         seed_ctx = EllipticContext(st.time + 0.02j) if eq == "VI" else None
@@ -309,7 +309,7 @@ def test_round_trip_invariant(eq, rank, rng):
 def test_multi_transform_collision_raises():
     from painleve_calogero.errors import TwoBodyCollision
 
-    aux = aux_for("II")
+    aux = default_aux("II")
     st = PhaseState((0.4, 0.4), (0.1, 0.2), 0.5)
     with pytest.raises(TwoBodyCollision):
         multi_transform("II", "to_painleve", st, aux)
@@ -333,9 +333,19 @@ def test_time_map_inverse_failure_modes():
         time_map_pvi_inverse(1e6, 0.001 + 0.05j)
 
 
+def test_time_map_refuses_lost_e2_minus_e1():
+    from painleve_calogero.errors import BadContext
+
+    # e2 and e1 agree to about 1e-35 relative at tau = 0.05i
+    with pytest.raises(BadContext):
+        time_map_pvi(0.05j)
+    with pytest.raises(BadContext):
+        jacobian_dtau_dt(0.05j)
+
+
 def test_multi_transform_argument_validation(rng):
-    aux = aux_for("VI")
-    st = calogero_state("VI", 1, rng)
+    aux = default_aux("VI")
+    st = sample_calogero_state("VI", 1, rng)
     with pytest.raises(ValueError):
         multi_transform("VI", "sideways", st, aux)
     img = multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time))
@@ -347,7 +357,7 @@ def test_bad_context_for_calogero_vi():
     from painleve_calogero import SystemDescriptor, hamiltonian
     from painleve_calogero.errors import BadContext
 
-    sd = SystemDescriptor("VI", "calogero", params=aux_for("VI"))
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
     with pytest.raises(BadContext):
         hamiltonian(sd, PhaseState((0.2 + 0.3j,), (0.1,), 0.5))  # Im tau <= 0
 

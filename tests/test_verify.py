@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -71,18 +73,28 @@ def test_dynamic_correspondence_rank2_with_coupling(eq):
     assert rep.passed, rep.metadata
 
 
+def test_two_path_experiment_script(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "two_path_experiment.py"
+    ns = runpy.run_path(str(script))
+    assert ns["main"](["--equation", "II"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [float(r.split()[0]) for r in rows] == list(ns["ARCS"])
+    for row in rows:
+        _, max_error, _, termination = row.split()
+        assert float(max_error) < 1e-6 and termination == "completed/completed"
+
+
 def test_dynamic_correspondence_vi_tau_arc():
     from painleve_calogero import EllipticContext
-    from painleve_calogero.verify.correspondence import sample_calogero_state
+    from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
     from painleve_calogero.verify.report import rng_for
 
     # tau-arc variant of the two-path comparison
     from painleve_calogero import SystemDescriptor, integrate, multi_transform
-    from tests.conftest import aux_for
 
     rng = rng_for(7, "test.vi_tau_arc")
     st = sample_calogero_state("VI", 1, rng)
-    aux = aux_for("VI")
+    aux = default_aux("VI")
     ctx = EllipticContext(st.time)
     tau_end = st.time + 0.1j
     cal = SystemDescriptor("VI", "calogero", 1, 0, aux)
