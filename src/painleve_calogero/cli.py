@@ -4,8 +4,10 @@ Complex numbers serialize as two-element [re, im] arrays in JSON and as
 paired re_/im_ columns in CSV.  Parameter files are flat JSON objects
 keyed by the Hamiltonian symbol names (kappa0, kappa1, theta, kappa,
 theta1, eta1, theta_inf, eta_inf, theta0, eta0, alpha) plus optional
-g4sq.  Exit codes: 0 success, 1 usage error, 2 integration stopped at a
-movable pole.
+g4sq.  Exit codes: 0 success, 1 usage error (bad tolerances included), 2
+integration stopped at a movable pole.  ``integrate --stats`` prints the
+step counters to stderr; the trajectory output is the same with or without
+it.
 
     painleve-calogero integrate --equation p1 --side painleve \
         --initial i0.json --t-end 1 --out tr.csv
@@ -109,6 +111,7 @@ def _trajectory_json(traj) -> str:
         "abs_tol": traj.abs_tol,
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
+        "n_rejected_singular": traj.n_rejected_singular,
         "n_rhs": traj.n_rhs,
         "samples": [
             {
@@ -150,6 +153,10 @@ def cmd_integrate(args) -> int:
                      rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     text = _trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj)
     _write(args.out, text)
+    if args.stats:
+        print(f"stats: n_rhs={traj.n_rhs} n_accepted={traj.n_accepted} "
+              f"n_rejected={traj.n_rejected} n_rejected_singular={traj.n_rejected_singular} "
+              f"termination={traj.termination}", file=sys.stderr)
     if traj.termination != COMPLETED:
         print(f"integration stopped: {traj.termination} at {traj.samples[-1][0]}",
               file=sys.stderr)
@@ -203,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--abs-tol", type=float, default=1e-10)
     p_int.add_argument("--out", default=None)
     p_int.add_argument("--format", default="csv", choices=("csv", "json"))
+    p_int.add_argument("--stats", action="store_true",
+                       help="print the step counters and the termination to stderr")
     p_int.set_defaults(func=cmd_integrate)
 
     p_ver = sub.add_parser("verify", help="run verification suites")

@@ -3,9 +3,13 @@
 The integrator is the Dormand-Prince 5(4) embedded pair with PI step-size
 control, propagating the complex state along a straight segment in the
 system's own time variable (tau for the PVI Calogero flow, t otherwise).
+The pair is first-same-as-last (its seventh stage is the field at the
+accepted point), so a step costs six field calls.  Bad tolerances raise
+ValueError before any field call.
 Movable poles are detected (state magnitude blow-up or step underflow) and
 stop the integration with a tagged, partial trajectory; there is no
-automatic path deformation around them.
+automatic path deformation around them.  Rejected steps are counted, the
+singular ones (a stage raised or went non-finite) also on their own.
 
 ``painleve_residual`` resamples a Painleve-side trajectory through the
 cubic-Hermite dense output and measures how well lambda(t) satisfies the
@@ -15,6 +19,7 @@ stencils.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +60,9 @@ class Trajectory:
     ``samples`` holds (time, PhaseState) at accepted steps; times are
     strictly monotone in the path parameter.  ``termination`` is one of
     'completed', 'pole_detected', 'step_underflow', 'max_steps' (the pole
-    time, when detected, is the last sample time).
+    time, when detected, is the last sample time).  ``n_rejected_singular``
+    counts the rejected steps where a stage raised or went non-finite; the
+    other rejections failed the error estimate.
     """
 
     system: SystemDescriptor
@@ -65,6 +72,7 @@ class Trajectory:
     termination: str
     n_accepted: int = 0
     n_rejected: int = 0
+    n_rejected_singular: int = 0
     n_rhs: int = 0
     # dense segments: (s0, s1, y0, y1, f0, f1) in the path parameter
     _dense: list[tuple] = field(default_factory=list, repr=False)
@@ -76,7 +84,8 @@ class Trajectory:
     def interpolate(self, s: float) -> np.ndarray:
         """Cubic-Hermite dense output at path parameter s in [0, s_last]."""
         if not self._dense:
-            return _pack(self.samples[0][1])
+            st = self.samples[0][1]
+            return np.array(st.coords + st.momenta, dtype=complex)
         lo, hi = 0, len(self._dense) - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -84,7 +93,8 @@ class Trajectory:
                 lo = mid + 1
             else:
                 hi = mid
-        s0, s1, y0, y1, f0, f1 = self._dense[lo]
+        s0, s1, *vectors = self._dense[lo]
+        y0, y1, f0, f1 = (np.asarray(v, dtype=complex) for v in vectors)
         h = s1 - s0
         x = (s - s0) / h
         h00 = (1 + 2 * x) * (1 - x) ** 2
@@ -104,13 +114,28 @@ class Trajectory:
         return times, states
 
 
-def _pack(state: PhaseState) -> np.ndarray:
-    return np.array(list(state.coords) + list(state.momenta), dtype=complex)
+def _check_tolerances(rel_tol, abs_tol, max_step) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    if not (math.isfinite(abs_tol) and abs_tol >= 0):
+        raise ValueError(f"abs_tol must be finite and >= 0, got {abs_tol!r}")
+    if max_step is not None and not (math.isfinite(max_step) and max_step > 0):
+        raise ValueError(f"max_step must be None or finite and > 0, got {max_step!r}")
 
 
-def _unpack(y: np.ndarray, time: complex) -> PhaseState:
-    n = len(y) // 2
-    return PhaseState(tuple(y[:n]), tuple(y[n:]), time)
+def _sums(coeffs: tuple, k: list) -> list:
+    """coeffs[0] k[0] + coeffs[1] k[1] + ..., componentwise over the stages k.
+
+    Left to right from 0j, zero coefficients kept: the same sum on numpy
+    arrays rounds identically (float-times-complex products, complex adds).
+    """
+    out = []
+    for col in zip(*k):
+        acc = 0j
+        for a, kc in zip(coeffs, col):
+            acc += a * kc
+        out.append(acc)
+    return out
 
 
 def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
@@ -123,12 +148,19 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     The segment runs from initial.time to t_end in the system's own time
     variable; it must keep distance > 1e-3 from the fixed singularities
     (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at
-    Im tau > 0 (``BadContext`` otherwise, raised before any step).  Movable
-    poles terminate the trajectory with a 'pole_detected' or
-    'step_underflow' tag instead of raising.
-    ``max_step`` caps |dt| per accepted step (useful to force dense
-    sampling for post-processing).
+    Im tau > 0 (``BadContext`` otherwise, raised before any step).
+    ``rel_tol`` must be finite and > 0, ``abs_tol`` finite and >= 0, and
+    ``max_step``, which caps |dt| per accepted step (useful to force dense
+    sampling for post-processing), None or finite and > 0; anything else
+    raises ``ValueError`` before any field call.  Movable poles terminate
+    the trajectory with a 'pole_detected' or 'step_underflow' tag instead
+    of raising.
+
+    The seventh stage is the field at the accepted point and is reused as
+    the next step's first (first same as last), so a run without singular
+    rejections makes 1 + 6 * (n_accepted + n_rejected) field calls.
     """
+    _check_tolerances(rel_tol, abs_tol, max_step)
     check_state(sys, initial)
     t0 = complex(initial.time)
     t1 = complex(t_end)
@@ -138,21 +170,22 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     traj = Trajectory(sys, [(t0, initial)], rel_tol, abs_tol, COMPLETED)
     if span == 0:
         return traj
-    h_cap = max_step / abs(span) if max_step else 1.0
+    h_cap = max_step / abs(span) if max_step is not None else 1.0
+    n = sys.rank
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+    def rhs(s: float, y: list) -> list:
         time = t0 + s * span
-        state = _unpack(y, time)
-        dq, dp = canonical_field(sys, state, ctx)
+        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time), ctx)
         traj.n_rhs += 1
-        return span * np.array(list(dq) + list(dp), dtype=complex)
+        # a numpy product: CPython's complex product rounds differently
+        return (span * np.array(dq + dp, dtype=complex)).tolist()
 
-    y = _pack(initial)
+    y = list(initial.coords + initial.momenta)
+    abs_y = np.abs(np.array(y, dtype=complex))
     s = 0.0
     h = min(1e-2, h_cap)
     err_prev = 1.0
     f_now = rhs(s, y)
-    k = [np.zeros_like(y) for _ in range(7)]
 
     for _ in range(max_steps):
         if s >= 1.0:
@@ -161,37 +194,38 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
         if h < _MIN_STEP_FRACTION:
             traj.termination = STEP_UNDERFLOW
             return traj
-        k[0] = f_now
-        failed = False
+        k = [f_now]
+        singular = False
         try:
             for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = rhs(s + _C[i] * h, yi)
-            y_new = y + h * sum(b * ki for b, ki in zip(_B5, k))
-            err_vec = h * sum(e * ki for e, ki in zip(_E, k))
+                yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
+                k.append(rhs(s + _C[i] * h, yi))
         except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
-            failed = True
-        if not failed and np.all(np.isfinite(y_new.view(float))):
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+            singular = True
+        if not singular:
+            y_new = [yc + h * d for yc, d in zip(y, _sums(_B5, k))]
+            new_arr = np.array(y_new, dtype=complex)
+            singular = not np.isfinite(new_arr).all()
+        if singular:
+            err = math.inf
         else:
-            err = np.inf
+            # RMS of the scaled error; sum() / size is np.mean's own reduction
+            err_vec = np.array([h * d for d in _sums(_E, k)], dtype=complex)
+            abs_new = np.abs(new_arr)
+            ratio = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
+            err = math.sqrt((ratio * ratio).sum() / ratio.size)
         if err <= 1.0:
-            if np.max(np.abs(y_new)) > BLOWUP_LIMIT:
+            if abs_new.max() > BLOWUP_LIMIT:
                 traj.termination = POLE_DETECTED
                 return traj
             s_new = s + h
             t_new = t0 + s_new * span
-            try:
-                f_new = rhs(s_new, y_new)
-            except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
-                traj.termination = POLE_DETECTED
-                return traj
-            # rhs already returns dy/ds in the path parameter
+            # stage 7 ran at (s + h, y_new): _A[6] is _B5[:6] and _C[6] is 1
+            f_new = k[6]
             traj._dense.append((s, s_new, y, y_new, f_now, f_new))
-            traj.samples.append((t_new, _unpack(y_new, t_new)))
+            traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
             traj.n_accepted += 1
-            y, s, f_now = y_new, s_new, f_new
+            y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
             # PI controller (order 5: exponents 0.7/5 and 0.4/5)
             if err == 0:
                 fac = 5.0
@@ -201,7 +235,9 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
             h *= min(5.0, max(0.2, fac))
         else:
             traj.n_rejected += 1
-            if not np.isfinite(err):
+            if singular:
+                traj.n_rejected_singular += 1
+            if not math.isfinite(err):
                 h *= 0.2
             else:
                 h *= min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))

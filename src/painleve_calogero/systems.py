@@ -25,7 +25,7 @@ side, is a plain d/dt flow.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import elliptic
 from .elliptic import TWO_PI_I, EllipticContext
@@ -43,7 +43,8 @@ class SystemDescriptor:
     ``params`` holds AuxParams (required on the Painleve side for VI..III)
     or PainleveParams (accepted on the Calogero side, whose potentials are
     written in the alpha..delta vocabulary).  ``g4sq`` is the two-body
-    coupling g_4^2; it only acts for rank > 1.
+    coupling g_4^2; it only acts for rank > 1.  The PainleveParams and the
+    AuxParams of the one-body Painleve terms are derived once, here.
     """
 
     equation: str
@@ -51,6 +52,8 @@ class SystemDescriptor:
     rank: int = 1
     g4sq: complex = 0j
     params: AuxParams | PainleveParams | None = None
+    _painleve: PainleveParams = field(init=False, repr=False, compare=False)
+    _aux: AuxParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_equation(self.equation)
@@ -64,6 +67,11 @@ class SystemDescriptor:
             raise ValueError(f"P{self.equation} Painleve side requires AuxParams")
         if self.side == "painleve" and self.equation == "II" and self.params is None:
             raise ValueError("PII Painleve side requires parameters (alpha)")
+        pp = to_painleve_params(self.params, self.equation) if self.params is not None \
+            else PainleveParams(self.equation)
+        object.__setattr__(self, "_painleve", pp)
+        object.__setattr__(self, "_aux", self.params if isinstance(self.params, AuxParams)
+                           else AuxParams(self.equation, alpha=pp.alpha))
 
     @property
     def time_gauge(self) -> str:
@@ -76,8 +84,7 @@ class SystemDescriptor:
         return "t"
 
     def painleve_params(self) -> PainleveParams:
-        return to_painleve_params(self.params, self.equation) if self.params is not None \
-            else PainleveParams(self.equation)
+        return self._painleve
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,8 @@ class PhaseState:
     time: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
-        object.__setattr__(self, "momenta", tuple(complex(m) for m in self.momenta))
+        object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
+        object.__setattr__(self, "momenta", tuple(map(complex, self.momenta)))
         object.__setattr__(self, "time", complex(self.time))
         if len(self.coords) != len(self.momenta):
             raise ValueError("coords and momenta must have equal length")
@@ -374,8 +381,7 @@ def _evaluate(sys, state, ctx):
     check_state(sys, state)
     t = state.time
     if sys.side == "painleve":
-        aux = sys.params if isinstance(sys.params, AuxParams) else \
-            AuxParams(sys.equation, alpha=sys.painleve_params().alpha)
+        aux = sys._aux
         total = 0j
         dlam = []
         dmu = []
@@ -389,7 +395,7 @@ def _evaluate(sys, state, ctx):
         dlam = [a + b for a, b in zip(dlam, tb_grad)]
         return total, tuple(dlam), tuple(dmu)
 
-    pp = sys.painleve_params()
+    pp = sys._painleve
     cc = elliptic.context_at(t, ctx) if sys.time_gauge == "tau" else None
     total = 0j
     dq = []

@@ -190,3 +190,42 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_exits_1(tmp_path, capsys)
                  "--t-end", "0.1-0.2j", "--out", str(tmp_path / "tr.json")])
     assert code == 1
     assert "Im tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol=0", "--rel-tol=nan", "--rel-tol=-1e-8",
+                                  "--abs-tol=-1e-10", "--abs-tol=inf"])
+def test_bad_tolerance_exits_1(tmp_path, capsys, i0, flag):
+    out = tmp_path / "tr.csv"
+    code = main(["integrate", "--equation", "p1", "--side", "painleve",
+                 "--initial", i0, "--t-end", "1", flag, "--out", str(out)])
+    assert code == 1
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_line_leaves_output_unchanged(tmp_path, capsys, i0):
+    base = ["integrate", "--equation", "p1", "--side", "painleve", "--initial", i0,
+            "--t-end", "0.8"]
+    plain, with_stats = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(base + ["--out", str(with_stats), "--stats"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert plain.read_bytes() == with_stats.read_bytes()
+    assert len(err) == 1 and err[0].startswith("stats: ")
+    fields = dict(tok.split("=") for tok in err[0].split()[1:])
+    assert set(fields) == {"n_rhs", "n_accepted", "n_rejected", "n_rejected_singular",
+                           "termination"}
+    assert fields["termination"] == "completed"
+
+
+def test_stats_to_stderr_keeps_stdout_json(capsys, i0):
+    argv = ["integrate", "--equation", "p1", "--side", "painleve", "--initial", i0,
+            "--t-end", "0.5", "--format", "json"]
+    main(argv)
+    plain = capsys.readouterr().out
+    main(argv + ["--stats"])
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert json.loads(plain)["n_rejected_singular"] == 0
+    assert captured.err.startswith("stats: ")

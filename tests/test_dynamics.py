@@ -9,8 +9,10 @@ from painleve_calogero import (
     painleve_ode_rhs,
     painleve_residual,
 )
+from painleve_calogero import dynamics
 from painleve_calogero.dynamics import COMPLETED, POLE_DETECTED, Trajectory
-from painleve_calogero.errors import BadContext, CoordinateSingularity, TooSparse
+from painleve_calogero.errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
+from painleve_calogero.systems import canonical_field
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
 
 # (t0, t1, lambda0) arcs with comfortable residual margins
@@ -175,3 +177,115 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
     st = sample_calogero_state("VI", 1, rng, time=0.1 + 0.2j)
     with pytest.raises(BadContext):
         integrate(sd, st, 0.1 - 0.2j, max_steps=10)
+
+
+def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol, ctx=None):
+    """Reference: the Dormand-Prince loop on numpy arrays, with a second field
+    call at every accepted point.  Returns (samples, n_accepted, n_rejected,
+    n_rhs, termination)."""
+    A, B5, C, E = dynamics._A, dynamics._B5, dynamics._C, dynamics._E
+    t0, n = complex(initial.time), len(initial.coords)
+    span = complex(t_end) - t0
+    samples, counts = [(t0, initial)], {"acc": 0, "rej": 0, "rhs": 0}
+
+    def rhs(s, y):
+        dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span), ctx)
+        counts["rhs"] += 1
+        return span * np.array(list(dq) + list(dp), dtype=complex)
+
+    def done(termination):
+        return samples, counts["acc"], counts["rej"], counts["rhs"], termination
+
+    y = np.array(list(initial.coords) + list(initial.momenta), dtype=complex)
+    s, h, err_prev, f_now = 0.0, 1e-2, 1.0, rhs(0.0, y)
+    k = [None] * 7
+    while s < 1.0:
+        h = min(h, 1.0 - s)
+        if h < dynamics._MIN_STEP_FRACTION:
+            return done(dynamics.STEP_UNDERFLOW)
+        k[0], failed = f_now, False
+        try:
+            for i in range(1, 7):
+                k[i] = rhs(s + C[i] * h, y + h * sum(a * k[j] for j, a in enumerate(A[i])))
+            y_new = y + h * sum(b * ki for b, ki in zip(B5, k))
+            err_vec = h * sum(e * ki for e, ki in zip(E, k))
+        except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
+            failed = True
+        err = np.inf
+        if not failed and np.all(np.isfinite(y_new)):
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+        if err <= 1.0:
+            if np.max(np.abs(y_new)) > dynamics.BLOWUP_LIMIT:
+                return done(POLE_DETECTED)
+            s += h
+            f_now, y = rhs(s, y_new), y_new
+            samples.append((t0 + s * span, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span)))
+            counts["acc"] += 1
+            fac = 5.0 if err == 0 else 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5)
+            err_prev = max(err, 1e-10)
+            h *= min(5.0, max(0.2, fac))
+        else:
+            counts["rej"] += 1
+            h *= 0.2 if not np.isfinite(err) else min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))
+    return done(COMPLETED)
+
+
+def _oracle_cases(rng):
+    pii = SystemDescriptor("II", "painleve", params=default_aux("II"))
+    yield pii, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 1.2 + 0.3j, 1e-10, 1e-12
+    # a long first step that the error estimate rejects
+    yield pii, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 40.4 + 0.1j, 1e-8, 1e-10
+    # movable pole of PI
+    yield SystemDescriptor("I", "painleve"), PhaseState((1,), (1,), 0), 6.0, 1e-9, 1e-11
+    pvi = SystemDescriptor("VI", "calogero", 3, 0.7, default_aux("VI"))
+    st = sample_calogero_state("VI", 3, rng)
+    yield pvi, st, st.time + 0.01 * (1 + 0.2j), 1e-10, 1e-10
+
+
+def test_step_loop_matches_numpy_reference(rng):
+    rejected = 0
+    for sd, st, t_end, rel_tol, abs_tol in _oracle_cases(rng):
+        traj = integrate(sd, st, t_end, rel_tol, abs_tol)
+        samples, n_acc, n_rej, n_rhs, termination = _numpy_step_loop(sd, st, t_end, rel_tol, abs_tol)
+        assert traj.termination == termination
+        assert traj.samples == samples
+        assert (traj.n_accepted, traj.n_rejected) == (n_acc, n_rej)
+        # the reference evaluates the field once more per accepted step
+        assert traj.n_rhs == n_rhs - traj.n_accepted
+        rejected += n_rej
+    assert rejected > 0
+
+
+def test_fsal_field_call_count():
+    sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
+    traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 40.4 + 0.1j)
+    assert traj.completed and traj.n_rejected > 0 and traj.n_rejected_singular == 0
+    assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
+def test_singular_rejections_are_counted():
+    # the first steps of this span overflow inside the stages; they are
+    # rejected as singular until the step underflows
+    sd = SystemDescriptor("I", "painleve")
+    traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 + 0.1j,), 0.5 + 0.1j), 1e20)
+    assert traj.termination == "step_underflow"
+    assert 0 < traj.n_rejected_singular <= traj.n_rejected
+    # a stage that raises ends its step early
+    assert traj.n_rhs < 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rel_tol=0, abs_tol=0), dict(rel_tol=float("nan")), dict(rel_tol=-1e-8),
+    dict(rel_tol=float("inf")), dict(abs_tol=-1e-10), dict(abs_tol=float("nan")),
+    dict(max_step=0), dict(max_step=-0.1), dict(max_step=float("inf")),
+])
+def test_bad_tolerances_are_refused(kwargs, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dynamics, "canonical_field", lambda *args: calls.append(args))
+    sd = SystemDescriptor("I", "painleve")
+    st = PhaseState((0.2,), (0.3,), 0.0)
+    for t_end in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            integrate(sd, st, t_end, **kwargs)
+    assert not calls
