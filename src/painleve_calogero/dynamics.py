@@ -154,7 +154,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     sampling for post-processing), None or finite and > 0; anything else
     raises ``ValueError`` before any field call.  Movable poles terminate
     the trajectory with a 'pole_detected' or 'step_underflow' tag instead
-    of raising.
+    of raising; an overflowing step is rejected without a numpy warning.
 
     The seventh stage is the field at the accepted point and is reused as
     the next step's first (first same as last), so a run without singular
@@ -185,63 +185,66 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     s = 0.0
     h = min(1e-2, h_cap)
     err_prev = 1.0
-    f_now = rhs(s, y)
+    # overflow in a step leaves inf or nan, which rejects it: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_now = rhs(s, y)
 
-    for _ in range(max_steps):
-        if s >= 1.0:
-            return traj
-        h = min(h, 1.0 - s, h_cap)
-        if h < _MIN_STEP_FRACTION:
-            traj.termination = STEP_UNDERFLOW
-            return traj
-        k = [f_now]
-        singular = False
-        try:
-            for i in range(1, 7):
-                yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
-                k.append(rhs(s + _C[i] * h, yi))
-        except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
-            singular = True
-        if not singular:
-            y_new = [yc + h * d for yc, d in zip(y, _sums(_B5, k))]
-            new_arr = np.array(y_new, dtype=complex)
-            singular = not np.isfinite(new_arr).all()
-        if singular:
-            err = math.inf
-        else:
-            # RMS of the scaled error; sum() / size is np.mean's own reduction
-            err_vec = np.array([h * d for d in _sums(_E, k)], dtype=complex)
-            abs_new = np.abs(new_arr)
-            ratio = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
-            err = math.sqrt((ratio * ratio).sum() / ratio.size)
-        if err <= 1.0:
-            if abs_new.max() > BLOWUP_LIMIT:
-                traj.termination = POLE_DETECTED
+        for _ in range(max_steps):
+            if s >= 1.0:
                 return traj
-            s_new = s + h
-            t_new = t0 + s_new * span
-            # stage 7 ran at (s + h, y_new): _A[6] is _B5[:6] and _C[6] is 1
-            f_new = k[6]
-            traj._dense.append((s, s_new, y, y_new, f_now, f_new))
-            traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
-            traj.n_accepted += 1
-            y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
-            # PI controller (order 5: exponents 0.7/5 and 0.4/5)
-            if err == 0:
-                fac = 5.0
-            else:
-                fac = 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5)
-            err_prev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            traj.n_rejected += 1
+            h = min(h, 1.0 - s, h_cap)
+            if h < _MIN_STEP_FRACTION:
+                traj.termination = STEP_UNDERFLOW
+                return traj
+            k = [f_now]
+            singular = False
+            try:
+                for i in range(1, 7):
+                    yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
+                    k.append(rhs(s + _C[i] * h, yi))
+            except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
+                singular = True
+            if not singular:
+                y_new = [yc + h * d for yc, d in zip(y, _sums(_B5, k))]
+                new_arr = np.array(y_new, dtype=complex)
+                singular = not np.isfinite(new_arr).all()
             if singular:
-                traj.n_rejected_singular += 1
-            if not math.isfinite(err):
-                h *= 0.2
+                err = math.inf
             else:
-                h *= min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))
-    traj.termination = MAX_STEPS
+                # RMS of the scaled error; sum() / size is np.mean's own reduction
+                err_vec = np.array([h * d for d in _sums(_E, k)], dtype=complex)
+                abs_new = np.abs(new_arr)
+                ratio = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
+                err = math.sqrt((ratio * ratio).sum() / ratio.size)
+            if err <= 1.0:
+                if abs_new.max() > BLOWUP_LIMIT:
+                    traj.termination = POLE_DETECTED
+                    return traj
+                s_new = s + h
+                t_new = t0 + s_new * span
+                # stage 7 ran at (s + h, y_new): _A[6] is _B5[:6] and _C[6] is 1
+                f_new = k[6]
+                traj._dense.append((s, s_new, y, y_new, f_now, f_new))
+                traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
+                traj.n_accepted += 1
+                y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
+                # PI controller (order 5: exponents 0.7/5 and 0.4/5)
+                if err == 0:
+                    fac = 5.0
+                else:
+                    fac = 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5)
+                err_prev = max(err, 1e-10)
+                h *= min(5.0, max(0.2, fac))
+            else:
+                traj.n_rejected += 1
+                if singular:
+                    traj.n_rejected_singular += 1
+                if not math.isfinite(err):
+                    h *= 0.2
+                else:
+                    h *= min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))
+    if s < 1.0:
+        traj.termination = MAX_STEPS
     return traj
 
 

@@ -38,7 +38,7 @@ class BranchCut(MapSingularity):
 
 
 class NoConvergence(PainleveCalogeroError):
-    """Newton iteration failed to converge."""
+    """The PVI time map's Newton failed, or PVI q(lambda) its residual check."""
 
     def __init__(self, message, seed=None):
         super().__init__(message)

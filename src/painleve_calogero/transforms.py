@@ -9,10 +9,10 @@ Coordinate maps (q primary; branches of sqrt(lambda) are induced by q):
     II, I: lambda = q
 
 The momentum maps are affine in p, so the inverse transformation solves
-them exactly once q is recovered from lambda.  The PVI inversion is a
-Newton iteration on f(q) - lambda with multistart over the fundamental
-cell; an adaptive-quadrature Abel-map oracle cross-checks it in the test
-suite but is not the production path.
+them exactly once q is recovered from lambda.  PVI's q is the elliptic
+logarithm R_F(x - e1, x - e2, x - e3) of x = wp(q) (DLMF 19.25.35), checked
+by one wp evaluation and cross-checked in the tests by an Abel-map
+quadrature; its time map t(tau) is inverted by Newton iteration.
 
 Every map multiplies the 1-form pair by a constant factor c (1, 1/2, 1/4,
 1/2, 1, 1 for VI..I); ``CANONICAL_FACTORS`` exposes these for reporting.
@@ -32,6 +32,9 @@ from .systems import PhaseState
 CANONICAL_FACTORS = {"VI": 1.0, "V": 0.5, "IV": 0.25, "III": 0.5, "II": 1.0, "I": 1.0}
 
 _NEWTON_STEPS = 50
+# accepted residual of an inverse: |t(tau) - t|, and |wp(q) - x|/max(1, |x|)
+INVERSE_TOL = 1e-11
+_RF_TOL = (3 * 2.0**-53) ** (1 / 6)  # Carlson's (3 r)^(1/6) at r = one rounding
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,8 @@ def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> comple
 
 
 def time_map_pvi_inverse(t: complex, tau_seed: complex,
-                         ctx: EllipticContext | None = None,
-                         tol: float = 1e-11) -> complex:
-    """Solve t = time_map_pvi(tau) by Newton iteration from tau_seed."""
+                         ctx: EllipticContext | None = None) -> complex:
+    """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed."""
     t = complex(t)
     if min(abs(t), abs(t - 1)) < 1e-12:
         raise MapSingularity(f"t={t} is a fixed singular point of the inverse map")
@@ -70,7 +72,7 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
         except BadContext as exc:
             raise NoConvergence(f"Newton reached tau={tau}, where e2 - e1 is lost to rounding",
                                 seed=tau_seed) from exc
-        if abs(val) < tol:
+        if abs(val) < INVERSE_TOL:
             return tau
         tau = tau - val * jacobian_dtau_dt(tau, c)
     raise NoConvergence(f"time map inversion failed from seed {tau_seed}", seed=tau_seed)
@@ -120,52 +122,45 @@ def _nearest_in_lattice(cands, hint, tau):
     return best
 
 
-def _newton_wp(q, target, ctx, step_cap):
-    """Newton on wp(q) = target from q: the root, or None if it stalls."""
-    for _ in range(_NEWTON_STEPS):
-        try:
-            val = elliptic.weierstrass_p(q, ctx) - target
-            dp = elliptic.weierstrass_p_prime(q, ctx)
-        except elliptic.PoleAt:
-            return None
-        if abs(val) < 1e-11 * max(1.0, abs(target)):
-            return q
-        if abs(dp) < 1e-13:
-            return None
-        step = val / dp
-        if abs(step) > step_cap:
-            step *= step_cap / abs(step)
-        q = q - step
-    return None
+def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_F(x, y, z) by duplication (Numer. Algorithms 10 (1995) 13-26),
+    accurate to rounding off the square root's cut (-inf, 0], at most one zero."""
+    a0 = a = (x + y + z) / 3
+    dx, dy = a0 - x, a0 - y
+    spread = max(abs(dx), abs(dy), abs(a0 - z)) / _RF_TOL
+    scale = 1.0  # 4^-m after m duplications
+    while scale * spread >= abs(a):
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        scale /= 4
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
 
 
 def _q_of_lambda_pvi(lam, ctx, branch_hint):
-    """Newton multistart over the fundamental cell for wp(q) = target.
+    """q = R_F(x - e1, x - e2, x - e3): the integral of dx/sqrt(4 prod(x - e_i))
+    from x = wp(q) to infinity, along whatever path the square roots pick.
 
-    A supplied branch hint seeds a direct Newton run first; the cell-wide
-    multistart is the fallback and stops at the first seed that converges.
+    Turning the arguments by c = i^k keeps them off R_F's cut, where it
+    loses accuracy; sqrt(c) R_F(c args) is the same integral on a turned path.
     """
-    e1, e2, _ = elliptic.half_period_values(ctx)
-    target = e1 + (e2 - e1) * lam
-    tau = ctx.tau
+    e1, e2, e3 = elliptic.half_period_values(ctx)
+    x = e1 + (e2 - e1) * lam
+    args = (x - e1, x - e2, x - e3)
+    c = next(c for c in (1, 1j, -1, -1j)  # each argument rules out at most one
+             if all(abs(cmath.phase(c * a)) <= 0.75 * PI for a in args))
+    q = cmath.sqrt(c) * _carlson_rf(*(c * a for a in args))
+    if not abs(elliptic.weierstrass_p(q, ctx) - x) <= INVERSE_TOL * max(1.0, abs(x)):
+        raise NoConvergence(f"PVI inversion of lambda={lam} failed its wp residual check")
     if branch_hint is not None:
-        q = _newton_wp(complex(branch_hint), target, ctx, 0.5)
-        if q is not None:
-            return _nearest_in_lattice((q, -q), complex(branch_hint), tau)
-    seeds = ((ia / 6.0) + (ib / 6.0) * tau for ia in range(1, 6) for ib in range(1, 6))
-    attempts = (_newton_wp(q, target, ctx, 1.0) for q in seeds)
-    root = next((q for q in attempts if q is not None), None)
-    if root is None:
-        raise NoConvergence(f"PVI inversion found no preimage of lambda={lam}")
-    root = elliptic.reduce_to_cell(root, tau)
-    cands = (root, -root)
-    if branch_hint is not None:
-        return _nearest_in_lattice(cands, complex(branch_hint), tau)
-    # deterministic principal choice: cell representative with the larger
-    # imaginary part (ties broken by real part)
-    reps = [elliptic.reduce_to_cell(c, tau) for c in cands]
-    reps.sort(key=lambda z: (-z.imag, z.real))
-    return reps[0]
+        return _nearest_in_lattice((q, -q), complex(branch_hint), ctx.tau)
+    # principal choice: the cell representative with the larger imaginary
+    # part, then the smaller real part
+    reps = (elliptic.reduce_to_cell(z, ctx.tau) for z in (q, -q))
+    return max(reps, key=lambda z: (z.imag, -z.real))
 
 
 def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | None = None,
@@ -173,10 +168,14 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     """Invert the coordinate map: a q with lambda_of_q(q) = lam.
 
     The branch is chosen nearest to ``branch_hint`` when given, otherwise a
-    deterministic principal branch.
+    deterministic principal branch.  A non-finite lam raises ``ValueError``;
+    VI raises ``NoConvergence`` if its wp residual check fails, and
+    ``PoleAt`` for q within ``POLE_TOL`` of a pole.
     """
     eq = check_equation(eq)
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if eq == "VI":
         c = context_at(time, ctx)
         t = time_map_pvi(c.tau, c)
@@ -202,16 +201,11 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     if branch_hint is None:
         return cands[0]
     hint = complex(branch_hint)
-    period = 2 * PI * 1j if eq in ("V", "III") else None
-    best, best_d = cands[0], abs(cands[0] - hint)
-    for q0 in cands:
-        shifts = range(-3, 4) if period is not None else (0,)
-        for k in shifts:
-            cand = q0 + (k * period if period is not None else 0)
-            d = abs(cand - hint)
-            if d < best_d:
-                best, best_d = cand, d
-    return best
+    if eq in ("V", "III"):
+        # period shifts in a window centred on the hint
+        cands = [q0 + (round((hint - q0).imag / (2 * PI)) + k) * TWO_PI_I
+                 for q0 in cands for k in (-1, 0, 1)]
+    return min(cands, key=lambda c: abs(c - hint))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,19 @@ def test_max_steps_tag():
     assert traj.n_accepted + traj.n_rejected == 3  # step attempts are budgeted
 
 
+def test_run_ending_on_its_last_attempt_is_completed():
+    sd = SystemDescriptor("I", "painleve")
+    st = PhaseState((0.2,), (0.3,), 0.0)
+    free = integrate(sd, st, 0.05)
+    attempts = free.n_accepted + free.n_rejected
+    assert free.completed and attempts == 8
+    last = integrate(sd, st, 0.05, max_steps=attempts)
+    assert last.termination == COMPLETED
+    assert last.samples == free.samples
+    short = integrate(sd, st, 0.05, max_steps=attempts - 1)
+    assert short.termination == "max_steps" and short.samples[-1][0] != 0.05
+
+
 def test_fixed_singularity_guard():
     sd = SystemDescriptor("V", "painleve", params=default_aux("V"))
     st = PhaseState((1.45 + 0.35j,), (0.4,), -0.5 + 0j)
@@ -273,6 +286,16 @@ def test_singular_rejections_are_counted():
     assert 0 < traj.n_rejected_singular <= traj.n_rejected
     # a stage that raises ends its step early
     assert traj.n_rhs < 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
+def test_numpy_overflow_in_a_step_is_a_singular_rejection():
+    # the stages overflow in numpy (the span product), not in CPython; the
+    # suite turns RuntimeWarning into an error, so a warning would raise here
+    sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
+    traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 + 0.1j,), 0.5 + 0.1j), 1e50,
+                     max_steps=5)
+    assert traj.termination == "max_steps"
+    assert traj.n_rejected == traj.n_rejected_singular == 5
 
 
 @pytest.mark.parametrize("kwargs", [

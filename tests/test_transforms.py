@@ -23,6 +23,7 @@ from painleve_calogero import (
     weierstrass_p,
     weierstrass_p_prime,
 )
+from painleve_calogero import transforms
 from painleve_calogero.elliptic import TWO_PI_I, reduce_to_cell
 from painleve_calogero.errors import BranchCut
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
@@ -96,6 +97,14 @@ def test_q_of_lambda_vi_at_t_is_omega3():
     assert abs(q - tau / 2) < 1e-4  # wp is critical at omega_3, so sqrt-accuracy
 
 
+@pytest.mark.parametrize("eq", EQS)
+@pytest.mark.parametrize("lam", (complex("nan"), complex("inf"), complex(1, float("-inf"))))
+def test_nonfinite_lambda_is_refused(eq, lam):
+    tau = 0.13 + 1.17j
+    with pytest.raises(ValueError):
+        q_of_lambda(eq, lam, tau, EllipticContext(tau) if eq == "VI" else None)
+
+
 def test_branch_cuts_raise():
     with pytest.raises(BranchCut):
         q_of_lambda("V", 1, 0.5)
@@ -146,6 +155,78 @@ def test_abel_map_quadrature_oracle():
                 for n in (-1, 0, 1):
                     best = min(best, abs(diff + m + n * tau))
     assert best < 1e-6
+
+
+def _invert_unhinted(q, tau, ctx):
+    """The un-hinted VI inverse of lambda(q), its wp residual checked
+    against the stated bound."""
+    e1, e2, _ = half_period_values(ctx)
+    lam = lambda_of_q("VI", q, tau, ctx)
+    x = e1 + (e2 - e1) * lam
+    got = q_of_lambda("VI", lam, tau, ctx)
+    assert abs(weierstrass_p(got, ctx) - x) <= 1e-11 * max(1.0, abs(x))
+    return got
+
+
+def _principal(q, tau):
+    """The cell representative of +-q with the larger imaginary part."""
+    return max((reduce_to_cell(z, tau) for z in (q, -q)), key=lambda z: (z.imag, -z.real))
+
+
+@pytest.mark.parametrize("radius", (0.02, 0.05))
+def test_unhinted_vi_inversion_near_the_pole(radius):
+    tau = 0.13 + 1.17j
+    ctx = EllipticContext(tau)
+    for k in range(24):
+        q = radius * cmath.exp(2j * PI * (k + 0.5) / 24)
+        assert abs(_invert_unhinted(q, tau, ctx) - _principal(q, tau)) < 1e-9
+
+
+@pytest.mark.parametrize("tau", (0.13 + 1.17j, -0.4 + 0.5j, 0.3 + 2j))
+def test_unhinted_vi_inversion_over_the_cell(tau, rng):
+    ctx = EllipticContext(tau)
+    for k in range(500):
+        if k % 5 == 0:  # near the pole, down to |q| = 1e-4
+            q = 10 ** rng.uniform(-4, -1) * cmath.exp(2j * PI * rng.uniform())
+        else:
+            q = rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
+        assert abs(_invert_unhinted(q, tau, ctx) - _principal(q, tau)) < 1e-9
+
+
+@pytest.mark.parametrize("tau", (0.3j, 2j))
+def test_vi_inversion_on_the_real_lines(tau, rng):
+    """At imaginary tau, wp is real on the axes and on the half-period
+    lines, so some x - e_i sit on the cut of the square root in R_F.  The
+    principal pick is a tie there, so the check is +-q modulo the lattice."""
+    ctx = EllipticContext(tau)
+    for _ in range(100):
+        a, b = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        for q in (complex(a), b * tau, 0.5 + b * tau, a + tau / 2):
+            got = _invert_unhinted(q, tau, ctx)
+            assert min(abs(reduce_to_cell(got - s * q, tau)) for s in (1, -1)) < 1e-9
+
+
+def test_carlson_rf_against_mpmath_twin(rng):
+    import mpmath as mp
+
+    worst = 0.0
+    for _ in range(500):
+        args = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)]
+        ref = complex(mp.elliprf(*args))
+        worst = max(worst, abs(transforms._carlson_rf(*args) - ref) / abs(ref))
+    assert worst < 2e-15
+    # one zero argument and the equal-argument case R_F(x, x, x) = x^(-1/2)
+    assert abs(transforms._carlson_rf(0, 1, 2) - complex(mp.elliprf(0, 1, 2))) < 1e-15
+    assert transforms._carlson_rf(4 + 0j, 4 + 0j, 4 + 0j) == 0.5
+
+
+@pytest.mark.parametrize("eq", ("V", "III"))
+@pytest.mark.parametrize("periods", (0, 4, 6, -5))
+def test_periodic_branch_hint_far_away(eq, periods):
+    q = 0.7 + 0.3j + periods * TWO_PI_I
+    t = 0.8 + 0.2j
+    lam = lambda_of_q(eq, q, t)
+    assert abs(q_of_lambda(eq, lam, t, branch_hint=q) - q) < 1e-9
 
 
 # ---------------------------------------------------------------------------
