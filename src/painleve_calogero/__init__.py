@@ -14,6 +14,7 @@ from .elliptic import (
     theta_dtau,
     theta_du,
     weierstrass_p,
+    weierstrass_p_and_prime,
     weierstrass_p_prime,
 )
 from .params import AuxParams, PainleveParams, param_to_painleve
@@ -71,5 +72,6 @@ __all__ = [
     "time_map_pvi",
     "time_map_pvi_inverse",
     "weierstrass_p",
+    "weierstrass_p_and_prime",
     "weierstrass_p_prime",
 ]

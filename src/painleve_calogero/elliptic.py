@@ -20,17 +20,24 @@ one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
 in the cell, N = ceil(1.5 + 39/(2 pi Im tau)) terms leave a tail below
 e^{-39} at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
 tau-only constant are cached on the context, so tau is all a context
-holds.  The slow double lattice sum survives only as a test oracle
+holds.  ``weierstrass_p_and_prime`` sums both series from one run of the
+same x.  The slow double lattice sum survives only as a test oracle
 (tests/test_elliptic.py).
 
 The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u) over
-|n| <= THETA_TERMS = 16; its u- and tau-derivatives are term-wise.
-f(u) = (wp(u)-e1)/(e2-e1) and its tau-derivative f_tau are the building
-blocks of the sixth Painleve transformation; f_tau is computed analytically
-from the logarithmic theta derivative (4 pi^2 f_tau/f' identity), with
-finite differences kept as a cross-check in the test suite.  Where e2 - e1
-is lost to rounding (small Im tau) the half-period values raise
-``BadContext`` instead of feeding a meaningless denominator to f.
+|n| <= N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1: the terms peak
+near n = |Im u|/Im tau and fall off like e^{-pi Im tau k^2} at k terms
+past it, so the tail is below e^{-40} of the largest term, with no cap.
+Its u- and tau-derivatives are term-wise, and one run of terms gives all
+of them.  f(u) = (wp(u)-e1)/(e2-e1) and its tau-derivative f_tau are the
+building blocks of the sixth Painleve transformation; f_tau is computed
+analytically from the logarithmic theta derivative (4 pi^2 f_tau/f'
+identity), with finite differences kept as a cross-check in the test
+suite.  ``f_and_derivatives`` reduces u to the cell first and costs one
+joint wp/wp' pass and one theta pass.  Where e2 - e1 is lost to rounding
+(small Im tau) the half-period values raise ``BadContext`` instead of
+feeding a meaningless denominator to f.  Non-finite arguments raise
+``ValueError``, a non-finite tau ``BadContext``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ POLE_TOL = 1e-12
 # 1/sin^2 underflows to 0 well before |Im z| reaches this; guards overflow.
 _IM_OVERFLOW = 300.0
 
-THETA_TERMS = 16
 # e2 - e1 is taken as lost to rounding at or below this fraction of max|e_i|
 _E_SPLIT_TOL = 1e-13
 
@@ -72,8 +78,8 @@ class EllipticContext:
 
     def __post_init__(self):
         self.tau = complex(self.tau)
-        if not (self.tau.imag > 0):
-            raise BadContext(f"Im tau must be positive, got tau={self.tau}")
+        if not (self.tau.imag > 0 and cmath.isfinite(self.tau)):
+            raise BadContext(f"tau must be finite with Im tau > 0, got tau={self.tau}")
 
     @property
     def half_periods(self) -> tuple[complex, complex, complex, complex]:
@@ -92,9 +98,12 @@ def reduce_to_cell(u: complex, tau: complex) -> complex:
     """Reduce u modulo Z + tau*Z to the cell centred at the origin.
 
     Returns a + b*tau with a, b in [-1/2, 1/2), which keeps every term of
-    the sine series uniformly away from its poles.
+    the sine series uniformly away from its poles.  A non-finite u raises
+    ``ValueError``.
     """
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got u={u}")
     b = u.imag / tau.imag
     a = u.real - b * tau.real
     a -= math.floor(a + 0.5)
@@ -170,6 +179,23 @@ def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
     return -2 * PI**3 * _inv_sin3_cos(PI * u) - 8j * PI**3 * total
 
 
+def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, complex]:
+    """(wp(u), wp'(u)) from one run of the nome terms: the sums of
+    ``weierstrass_p`` and ``weierstrass_p_prime``, taken together and
+    rounded as they are."""
+    u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
+    total = total_prime = 0j
+    for _ in range(n_terms):
+        dp, dm = 1 - xp, 1 - xm
+        dp2, dm2 = dp * dp, dm * dm
+        total += xp / dp2 + xm / dm2
+        total_prime += xp * (1 + xp) / (dp2 * dp) - xm * (1 + xm) / (dm2 * dm)
+        xp *= q
+        xm *= q
+    return (const + PI * PI * _inv_sin2(PI * u) - 4 * PI * PI * total,
+            -2 * PI**3 * _inv_sin3_cos(PI * u) - 8j * PI**3 * total_prime)
+
+
 def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]:
     """(e1, e2, e3) = wp at the three half periods; cached on the context.
 
@@ -194,36 +220,44 @@ def shifted_p(u: complex, n: int, ctx: EllipticContext) -> complex:
     return weierstrass_p(u + omega, ctx)
 
 
-def _theta_sum(u: complex, ctx: EllipticContext, total: complex, weight,
-               odd: bool = False) -> complex:
-    """total + sum_{n=1}^{THETA_TERMS} weight(n) (E_n(u) +- E_n(-u)), with
-    E_n(u) = exp(pi i tau n^2 + 2 pi i n u) and the minus sign when ``odd``."""
+def _theta_sums(u: complex, ctx: EllipticContext) -> tuple[complex, complex, complex]:
+    """(S_0, S_1, S_2), S_k = sum_{n=1}^N n^k (E_n(u) + (-1)^k E_n(-u)), with
+    E_n(u) = exp(pi i tau n^2 + 2 pi i n u) and
+    N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1."""
+    u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got u={u}")
     tau = ctx.tau
-    for n in range(1, THETA_TERMS + 1):
+    n_terms = math.ceil(abs(u.imag) / tau.imag + math.sqrt(40 / (PI * tau.imag))) + 1
+    s0 = s1 = s2 = 0j
+    for n in range(1, n_terms + 1):
         base = 1j * PI * tau * n * n
         plus, minus = cmath.exp(base + TWO_PI_I * n * u), cmath.exp(base - TWO_PI_I * n * u)
-        total += weight(n) * (plus - minus if odd else plus + minus)
-    return total
+        even = plus + minus
+        s0 += even
+        s1 += n * (plus - minus)
+        s2 += n * n * even
+    return s0, s1, s2
 
 
 def theta(u: complex, ctx: EllipticContext) -> complex:
-    """theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u), |n| <= THETA_TERMS."""
-    return _theta_sum(u, ctx, 1 + 0j, lambda n: 1)
+    """theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u), |n| <= N (see ``_theta_sums``)."""
+    return 1 + _theta_sums(u, ctx)[0]
 
 
 def theta_du(u: complex, ctx: EllipticContext) -> complex:
     """d theta/du by term-wise differentiation."""
-    return _theta_sum(u, ctx, 0j, lambda n: TWO_PI_I * n, odd=True)
+    return TWO_PI_I * _theta_sums(u, ctx)[1]
 
 
 def theta_du2(u: complex, ctx: EllipticContext) -> complex:
     """d^2 theta/du^2 by term-wise differentiation."""
-    return _theta_sum(u, ctx, 0j, lambda n: TWO_PI_I * n * (TWO_PI_I * n))
+    return TWO_PI_I * TWO_PI_I * _theta_sums(u, ctx)[2]
 
 
 def theta_dtau(u: complex, ctx: EllipticContext) -> complex:
     """d theta/dtau by term-wise differentiation (= theta''/(4 pi i))."""
-    return _theta_sum(u, ctx, 0j, lambda n: 1j * PI * n * n)
+    return 1j * PI * _theta_sums(u, ctx)[2]
 
 
 def f_and_derivatives(u: complex, ctx: EllipticContext) -> tuple[complex, complex, complex]:
@@ -234,17 +268,20 @@ def f_and_derivatives(u: complex, ctx: EllipticContext) -> tuple[complex, comple
         f_tau(u) = f'(u) * theta'(u + 1/2) / (2 pi i * theta(u + 1/2)),
 
     which is exact (not a finite difference) and valid away from the half
-    periods, where wp'(u) = 0 makes the quotient f_tau/f' singular.
+    periods, where wp'(u) = 0 makes the quotient f_tau/f' singular.  u is
+    first reduced to the cell, u = u0 + m + n tau, so that the theta sum
+    cannot overflow: f and f' are periodic and f_tau(u) = f_tau(u0) - n f'(u0).
+    One joint wp/wp' pass and one theta pass at u0 + 1/2 give all three.
     """
     e1, e2, _ = half_period_values(ctx)
-    pp = weierstrass_p_prime(u, ctx)
+    u0 = reduce_to_cell(u, ctx.tau)
+    n = round((u - u0).imag / ctx.tau.imag)
+    wp, pp = weierstrass_p_and_prime(u0, ctx)
     if abs(pp) < 1e-12:
         raise HalfPeriodSingularity(f"wp'({u}) ~ 0; u is a half period")
-    f_val = (weierstrass_p(u, ctx) - e1) / (e2 - e1)
     f_u = pp / (e2 - e1)
-    shifted = u + 0.5
-    f_tau = f_u * theta_du(shifted, ctx) / (TWO_PI_I * theta(shifted, ctx))
-    return f_val, f_u, f_tau
+    s0, s1, _ = _theta_sums(u0 + 0.5, ctx)
+    return (wp - e1) / (e2 - e1), f_u, f_u * (s1 / (1 + s0) - n)
 
 
 def asymptotic_p(u: complex, n: int, tau: complex) -> complex:

@@ -8,8 +8,16 @@ Coordinate maps (q primary; branches of sqrt(lambda) are induced by q):
     III: lambda = e^q
     II, I: lambda = q
 
-The momentum maps are affine in p, so the inverse transformation solves
-them exactly once q is recovered from lambda.  PVI's q is the elliptic
+The momentum maps are affine in p.  PVI's is written in f(q) = lambda and
+its derivatives f_u, f_tau (``elliptic.f_and_derivatives``),
+
+    mu = p/f_u + 2 pi i f_tau/f_u^2
+         + (kappa0/lambda + kappa1/(lambda - 1) + (theta - 1)/(lambda - t))/2,
+
+so that the forward map costs one f evaluation per coordinate and
+``multi_transform`` takes lambda and mu from it together.  The inverse
+transformation solves the momentum maps exactly once q is recovered from
+lambda.  PVI's q is the elliptic
 logarithm R_F(x - e1, x - e2, x - e3) of x = wp(q) (DLMF 19.25.35), checked
 by one wp evaluation and cross-checked in the tests by an Abel-map
 quadrature; its time map t(tau) is inverted by Newton iteration.
@@ -37,6 +45,12 @@ INVERSE_TOL = 1e-11
 _RF_TOL = (3 * 2.0**-53) ** (1 / 6)  # Carlson's (3 r)^(1/6) at r = one rounding
 
 
+def _require_finite(names: str, *values: complex) -> None:
+    """Raise ``ValueError`` unless every value is finite."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{names} must be finite, got {', '.join(map(str, values))}")
+
+
 # ---------------------------------------------------------------------------
 # PVI time map t(tau) and its Jacobian
 # ---------------------------------------------------------------------------
@@ -60,6 +74,7 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
                          ctx: EllipticContext | None = None) -> complex:
     """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed."""
     t = complex(t)
+    _require_finite("t and tau_seed", t, tau_seed)
     if min(abs(t), abs(t - 1)) < 1e-12:
         raise MapSingularity(f"t={t} is a fixed singular point of the inverse map")
     tau = complex(tau_seed)
@@ -83,9 +98,11 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
 # ---------------------------------------------------------------------------
 
 def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None = None) -> complex:
-    """Evaluate the printed coordinate map q -> lambda."""
+    """Evaluate the printed coordinate map q -> lambda; non-finite q or time
+    raise ``ValueError``."""
     eq = check_equation(eq)
     q = complex(q)
+    _require_finite("q and time", q, time)
     if eq == "VI":
         c = context_at(time, ctx)
         e1, e2, _ = elliptic.half_period_values(c)
@@ -174,8 +191,7 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     """
     eq = check_equation(eq)
     lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    _require_finite("lambda", lam)
     if eq == "VI":
         c = context_at(time, ctx)
         t = time_map_pvi(c.tau, c)
@@ -216,17 +232,11 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     """Returns (coef, rest) with mu = coef * p + rest, and lambda(q)."""
     if eq == "VI":
         c = context_at(time, ctx)
-        e1, e2, e3 = elliptic.half_period_values(c)
-        wp = elliptic.weierstrass_p(q, c)
-        _, _, ftau = elliptic.f_and_derivatives(q, c)
-        pp = elliptic.weierstrass_p_prime(q, c)
-        lam = (wp - e1) / (e2 - e1)
-        coef = (e2 - e1) / pp
-        rest = (TWO_PI_I * (e2 - e1) ** 2 / pp**2 * ftau
-                + (e2 - e1) / 2 * (aux.kappa0 / (wp - e1)
-                                   + aux.kappa1 / (wp - e2)
-                                   + (aux.theta - 1) / (wp - e3)))
-        return coef, rest, lam
+        lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
+        t = time_map_pvi(c.tau, c)
+        rest = (TWO_PI_I * f_tau / (f_u * f_u)
+                + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
+        return 1 / f_u, rest, lam
     if eq == "V":
         s = cmath.sinh(q / 2)
         if abs(s) < 1e-12:
@@ -258,10 +268,13 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
 
 def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams,
              ctx: EllipticContext | None = None) -> complex:
-    """Evaluate the printed momentum map mu(q, p, T)."""
+    """Evaluate the printed momentum map mu(q, p, T); non-finite q, p or time
+    raise ``ValueError``."""
     eq = check_equation(eq)
-    coef, rest, _ = _mu_pieces(eq, complex(q), complex(time), aux, ctx)
-    return coef * complex(p) + rest
+    q, p, time = complex(q), complex(p), complex(time)
+    _require_finite("q, p and time", q, p, time)
+    coef, rest, _ = _mu_pieces(eq, q, time, aux, ctx)
+    return coef * p + rest
 
 
 def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxParams,
@@ -272,6 +285,7 @@ def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxPa
     For VI, ``time`` is tau (the Calogero-side time of the target point).
     """
     eq = check_equation(eq)
+    _require_finite("mu and time", mu, time)
     q = q_of_lambda(eq, lam, time, ctx, branch_hint)
     coef, rest, _ = _mu_pieces(eq, q, complex(time), aux, ctx)
     return q, (complex(mu) - rest) / coef
@@ -288,11 +302,13 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
 
     direction 'to_painleve' takes a Calogero state (q, p, T) to (lambda,
     mu, t); 'to_calogero' inverts.  For VI 'to_calogero' the target tau is
-    found from t by Newton, seeded by ``ctx.tau`` (required).
+    found from t by Newton, seeded by ``ctx.tau`` (required).  A non-finite
+    entry of the state raises ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
         raise ValueError(f"direction must be to_painleve|to_calogero, got {direction!r}")
+    _require_finite("the state", *state.coords, *state.momenta, state.time)
     if direction == "to_painleve":
         T = state.time
         if eq == "VI":
@@ -300,9 +316,9 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
             t_out = time_map_pvi(T, c)
         else:
             c, t_out = ctx, T
-        lams = tuple(lambda_of_q(eq, qj, T, c) for qj in state.coords)
-        mus = tuple(mu_of_pq(eq, qj, pj, T, aux, c)
-                    for qj, pj in zip(state.coords, state.momenta))
+        pieces = [_mu_pieces(eq, qj, T, aux, c) for qj in state.coords]
+        lams = tuple(lam for _, _, lam in pieces)
+        mus = tuple(coef * pj + rest for (coef, rest, _), pj in zip(pieces, state.momenta))
         _check_pairwise(lams)
         return PhaseState(lams, mus, t_out)
 

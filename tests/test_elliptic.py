@@ -16,6 +16,7 @@ from painleve_calogero import (
     theta_dtau,
     theta_du,
     weierstrass_p,
+    weierstrass_p_and_prime,
     weierstrass_p_prime,
 )
 from painleve_calogero.elliptic import asymptotic_p23_sum, reduce_to_cell, theta_du2
@@ -196,6 +197,18 @@ def test_f_tau_matches_finite_difference(rng):
         assert abs(ft - fd) / max(1.0, abs(fd)) < 1e-6
 
 
+@pytest.mark.parametrize("n", (14, 20, 40, -14, -40))
+def test_f_and_derivatives_far_from_the_cell(n):
+    # the theta sum overflowed here before u was reduced to the cell first
+    ctx = EllipticContext(0.13 + 1.17j)
+    u = 0.21 + 0.17j
+    f0, fu0, ft0 = f_and_derivatives(u, ctx)
+    f, fu, ft = f_and_derivatives(u + 3 + n * ctx.tau, ctx)
+    assert abs(f - f0) <= 1e-13 * abs(f0)
+    assert abs(fu - fu0) <= 1e-13 * abs(fu0)
+    assert abs(ft - (ft0 - n * fu0)) <= 1e-13 * abs(ft0 - n * fu0)
+
+
 def test_g_quasi_periodicity(rng):
     ctx = EllipticContext(1.25j)
     for _ in range(10):
@@ -292,6 +305,21 @@ def test_pole_and_context_errors():
         f_and_derivatives(0.5, ctx)
 
 
+@pytest.mark.parametrize("tau", (complex(0, math.inf), complex(math.nan, math.inf),
+                                 complex(math.inf, 1), complex(math.nan, 1)))
+def test_nonfinite_tau_is_refused(tau):
+    with pytest.raises(BadContext):
+        EllipticContext(tau)
+
+
+@pytest.mark.parametrize("fn", (weierstrass_p, weierstrass_p_prime, weierstrass_p_and_prime,
+                                f_and_derivatives, theta))
+@pytest.mark.parametrize("u", (math.inf, math.nan, complex(0.2, math.inf)))
+def test_nonfinite_argument_is_refused(fn, u):
+    with pytest.raises(ValueError, match="u must be finite"):
+        fn(u, EllipticContext(1.2j))
+
+
 def test_cache_roundtrip():
     ctx = EllipticContext(1.5j)
     first = half_period_values(ctx)
@@ -308,14 +336,24 @@ def test_cache_is_thread_safe():
     assert all(r == results[0] for r in results)
 
 
-@pytest.mark.parametrize("tau", (0.5j, 0.2 + 0.4j))
+# bound by tau: at small Im tau the phases pi Re tau n^2 reach ~10^3 and
+# their rounding, not the truncation, sets the error
+THETA_TWIN_BOUND = {0.5j: 1e-13, 0.2 + 0.4j: 1e-13, 0.5 + 0.03j: 1e-12, 0.5 + 0.02j: 1e-11}
+
+
+@pytest.mark.parametrize("tau", THETA_TWIN_BOUND)
 def test_theta_against_mpmath_twin(tau):
     # theta(u) = jtheta(3, pi u, e^{pi i tau}); each u-derivative brings a factor pi
-    ctx, q = EllipticContext(tau), mp.exp(1j * mp.pi * tau)
+    ctx, q, bound = EllipticContext(tau), mp.exp(1j * mp.pi * tau), THETA_TWIN_BOUND[tau]
     for u in (0.23 + 0.11j, 0.41 + 0.2j * tau.imag):
         for k, fn in enumerate((theta, theta_du, theta_du2)):
             ref = complex(mp.jtheta(3, mp.pi * u, q, k) * mp.pi**k)
-            assert abs(fn(u, ctx) - ref) <= 1e-13 * max(1.0, abs(ref)), (fn.__name__, u)
+            assert abs(fn(u, ctx) - ref) <= bound * max(1.0, abs(ref)), (fn.__name__, u)
+        # f_tau/f' = theta'(u + 1/2)/(2 pi i theta(u + 1/2))
+        w = mp.pi * (u + 0.5)
+        ref = complex(mp.jtheta(3, w, q, 1) / (2j * mp.jtheta(3, w, q)))
+        _, fu, ft = f_and_derivatives(u, ctx)
+        assert abs(ft / fu - ref) <= bound * max(1.0, abs(ref)), ("f_tau/f'", u)
 
 
 @st.composite
@@ -379,9 +417,14 @@ def test_nome_series_against_mpmath_twin(im_tau):
     # first nome term is largest
     for a, b in ((0.23, 0.49), (-0.37, -0.49), (0.11, 0.31), (0.42, -0.17), (-0.05, 0.12)):
         u = a + b * tau
-        for fn, derivative in ((weierstrass_p, False), (weierstrass_p_prime, True)):
+        joint = weierstrass_p_and_prime(u, ctx)
+        assert joint == (weierstrass_p(u, ctx), weierstrass_p_prime(u, ctx))  # same sums
+        for name, value, derivative in (("wp", weierstrass_p(u, ctx), False),
+                                        ("wp'", weierstrass_p_prime(u, ctx), True),
+                                        ("joint wp", joint[0], False),
+                                        ("joint wp'", joint[1], True)):
             ref = mp_sine_series(u, tau, derivative)
-            assert abs(fn(u, ctx) - ref) <= 1e-13 * abs(ref), (fn.__name__, u)
+            assert abs(value - ref) <= 1e-13 * abs(ref), (name, u)
 
 
 def test_no_overflow_at_large_imtau():

@@ -308,6 +308,45 @@ def test_multi_transform_rank1_matches_componentwise(rng):
         assert abs(out.momenta[0] - mu) < 1e-14
 
 
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("eq", EQS)
+def test_fused_forward_map_matches_componentwise(eq, rank, rng):
+    aux = default_aux(eq)
+    st = sample_calogero_state(eq, rank, rng)
+    ctx = EllipticContext(st.time) if eq == "VI" else None
+    out = multi_transform(eq, "to_painleve", st, aux, ctx)
+    lams = tuple(lambda_of_q(eq, q, st.time, ctx) for q in st.coords)
+    mus = tuple(mu_of_pq(eq, q, p, st.time, aux, ctx) for q, p in zip(st.coords, st.momenta))
+    if eq != "VI":
+        assert (out.coords, out.momenta) == (lams, mus)
+        return
+    for got, want in zip(out.coords + out.momenta, lams + mus):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("eq", EQS)
+def test_nonfinite_arguments_are_refused(eq):
+    aux = default_aux(eq)
+    st = sample_calogero_state(eq, 1, np.random.default_rng(3))
+    q, p, T = st.coords[0], st.momenta[0], st.time
+    ctx = EllipticContext(T) if eq == "VI" else None
+    for bad in (math.nan, math.inf, complex(0.1, -math.inf)):
+        with pytest.raises(ValueError):
+            lambda_of_q(eq, bad, T, ctx)
+        with pytest.raises(ValueError):
+            lambda_of_q(eq, q, bad, ctx)
+        with pytest.raises(ValueError):
+            mu_of_pq(eq, bad, p, T, aux, ctx)
+        with pytest.raises(ValueError):
+            mu_of_pq(eq, q, bad, T, aux, ctx)
+        with pytest.raises(ValueError):
+            mu_of_pq(eq, q, p, bad, aux, ctx)
+        with pytest.raises(ValueError):
+            multi_transform(eq, "to_painleve", PhaseState((q,), (bad,), T), aux, ctx)
+    with pytest.raises(ValueError):
+        time_map_pvi_inverse(math.nan, 1.2j)
+
+
 def test_multi_transform_permutation_equivariance(rng):
     aux = default_aux("IV")
     st = sample_calogero_state("IV", 3, rng)
