@@ -223,20 +223,27 @@ def shifted_p(u: complex, n: int, ctx: EllipticContext) -> complex:
 def _theta_sums(u: complex, ctx: EllipticContext) -> tuple[complex, complex, complex]:
     """(S_0, S_1, S_2), S_k = sum_{n=1}^N n^k (E_n(u) + (-1)^k E_n(-u)), with
     E_n(u) = exp(pi i tau n^2 + 2 pi i n u) and
-    N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1."""
+    N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1.  A u so far off the
+    real axis that a term or a sum leaves the double range (|Im u| about
+    14 Im tau at tau = 0.13+1.17i) raises ``ValueError``."""
     u = complex(u)
     if not cmath.isfinite(u):
         raise ValueError(f"u must be finite, got u={u}")
     tau = ctx.tau
     n_terms = math.ceil(abs(u.imag) / tau.imag + math.sqrt(40 / (PI * tau.imag))) + 1
     s0 = s1 = s2 = 0j
-    for n in range(1, n_terms + 1):
-        base = 1j * PI * tau * n * n
-        plus, minus = cmath.exp(base + TWO_PI_I * n * u), cmath.exp(base - TWO_PI_I * n * u)
-        even = plus + minus
-        s0 += even
-        s1 += n * (plus - minus)
-        s2 += n * n * even
+    try:
+        for n in range(1, n_terms + 1):
+            base = 1j * PI * tau * n * n
+            plus, minus = cmath.exp(base + TWO_PI_I * n * u), cmath.exp(base - TWO_PI_I * n * u)
+            even = plus + minus
+            s0 += even
+            s1 += n * (plus - minus)
+            s2 += n * n * even
+        if not (cmath.isfinite(s0) and cmath.isfinite(s1) and cmath.isfinite(s2)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"the theta sum overflows at u={u} (tau={tau})") from None
     return s0, s1, s2
 
 

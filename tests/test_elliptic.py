@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -318,6 +319,17 @@ def test_nonfinite_tau_is_refused(tau):
 def test_nonfinite_argument_is_refused(fn, u):
     with pytest.raises(ValueError, match="u must be finite"):
         fn(u, EllipticContext(1.2j))
+
+
+@pytest.mark.parametrize("fn", (theta, theta_du, theta_du2, theta_dtau))
+def test_theta_overflow_is_refused(fn):
+    # the terms grow like exp(pi Im tau n^2); fourteen periods up they leave
+    # the double range, ten periods up the value (about 1e164) is still finite
+    ctx = EllipticContext(0.13 + 1.17j)
+    assert cmath.isfinite(fn(0.21 + 0.17j + 10 * ctx.tau, ctx))
+    u = 0.21 + 0.17j + 14 * ctx.tau
+    with pytest.raises(ValueError, match=f"overflows at u={re.escape(str(u))}"):
+        fn(u, ctx)
 
 
 def test_cache_roundtrip():

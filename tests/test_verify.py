@@ -4,9 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from painleve_calogero import EllipticContext
+from painleve_calogero import (
+    EllipticContext,
+    PhaseState,
+    SystemDescriptor,
+    canonical_field,
+    jacobian_dtau_dt,
+    multi_transform,
+    transforms,
+)
 from painleve_calogero.errors import ScheduleMismatch
 from painleve_calogero.verify import (
+    RANK3_G4SQ,
     SCHEDULES,
     CheckReport,
     DegenerationSchedule,
@@ -18,6 +27,14 @@ from painleve_calogero.verify import (
     run_suite,
     schedule_defect,
 )
+from painleve_calogero.verify.correspondence import (
+    BASE_TIME,
+    TOL_PUSHFORWARD,
+    _pushed_field,
+    default_aux,
+    sample_calogero_state,
+)
+from painleve_calogero.verify.report import rng_for
 
 
 def test_check_report_passed_invariant():
@@ -42,17 +59,100 @@ def test_lemma3_fd_passes_at_tau_i(seed):
 def test_correspondence_vi_rank1():
     rep = run_correspondence_suite("VI", 1, n_points=10, seed=7)
     assert rep.passed
-    assert rep.max_error < 1e-7  # far below the 1e-5 gate
+    assert rep.max_error < 2e-11  # far below the 1e-5 gate
 
 
 def test_correspondence_v_rank3_with_coupling():
     rep = run_correspondence_suite("V", 3, n_points=5, seed=7, g4sq=0.7)
     assert rep.passed
+    assert rep.max_error < 2e-11
 
 
 def test_correspondence_identity_case_machine_precision():
     rep = run_correspondence_suite("I", 1, n_points=10, seed=7)
-    assert rep.max_error < 1e-9  # Phi is the identity; only FD noise remains
+    assert rep.max_error < 1e-11  # Phi is the identity; only stencil rounding remains
+
+
+_EQUATIONS = ("VI", "V", "IV", "III", "II", "I")
+
+
+def _g4sq(rank):
+    return 0j if rank == 1 else RANK3_G4SQ
+
+
+def _columnwise_pushed_field(cal, state, ctx, step=1e-6):
+    """J_Phi . v from the full Jacobian, one central difference per column."""
+    eq, rank, aux = cal.equation, cal.rank, cal.params
+    qdot, pdot = canonical_field(cal, state, ctx)
+    dT_dt = jacobian_dtau_dt(state.time, ctx) if eq == "VI" else 1.0 + 0j
+    vel = [v * dT_dt for v in qdot] + [v * dT_dt for v in pdot] + [dT_dt]
+
+    def phi_flat(x):
+        st = PhaseState(tuple(x[:rank]), tuple(x[rank:2 * rank]), x[2 * rank])
+        c = EllipticContext(st.time) if eq == "VI" else None
+        img = multi_transform(eq, "to_painleve", st, aux, c)
+        return list(img.coords) + list(img.momenta) + [img.time]
+
+    x0 = list(state.coords) + list(state.momenta) + [state.time]
+    n = 2 * rank + 1
+    pushed = [0j] * n
+    for i in range(n):
+        xp, xm = list(x0), list(x0)
+        xp[i] += step
+        xm[i] -= step
+        fp, fm = phi_flat(xp), phi_flat(xm)
+        for k in range(n):
+            pushed[k] += (fp[k] - fm[k]) / (2 * step) * vel[i]
+    return pushed
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("eq", _EQUATIONS)
+def test_circle_rule_matches_columnwise_jacobian(eq, rank):
+    cal = SystemDescriptor(eq, "calogero", rank, _g4sq(rank), default_aux(eq))
+    ctx = EllipticContext(BASE_TIME[eq]) if eq == "VI" else None
+    rng = rng_for(3, f"test.circle_rule.{eq}.{rank}")
+    for _ in range(3):
+        state = sample_calogero_state(eq, rank, rng)
+        pushed = _pushed_field(cal, state, ctx)
+        oracle = _columnwise_pushed_field(cal, state, ctx)
+        for a, b in zip(pushed, oracle):
+            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+@pytest.fixture
+def scaled_momentum_map(monkeypatch):
+    # mu = coef * p + rest with coef off by 1e-4: no longer a canonical map
+    mu_pieces = transforms._mu_pieces
+
+    def scaled(*args):
+        coef, rest, lam = mu_pieces(*args)
+        return coef * (1 + 1e-4), rest, lam
+
+    monkeypatch.setattr(transforms, "_mu_pieces", scaled)
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("eq", _EQUATIONS)
+def test_correspondence_fails_on_a_wrong_momentum_map(scaled_momentum_map, eq, rank):
+    rep = run_correspondence_suite(eq, rank, n_points=3, seed=7, g4sq=_g4sq(rank))
+    assert rep.max_error > TOL_PUSHFORWARD and not rep.passed
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("eq", _EQUATIONS)
+def test_correspondence_maps_five_times_per_point(monkeypatch, eq, rank):
+    # four stencil points and the image, at every rank
+    calls = []
+    mt = transforms.multi_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mt(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "multi_transform", counted)
+    run_correspondence_suite(eq, rank, n_points=2, seed=7, g4sq=_g4sq(rank))
+    assert len(calls) == 5 * 2
 
 
 def test_dynamic_correspondence_pii():
