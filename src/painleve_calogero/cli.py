@@ -4,7 +4,8 @@ Complex numbers serialize as two-element [re, im] arrays in JSON and as
 paired re_/im_ columns in CSV.  Parameter files are flat JSON objects
 keyed by the Hamiltonian symbol names (kappa0, kappa1, theta, kappa,
 theta1, eta1, theta_inf, eta_inf, theta0, eta0, alpha) plus optional
-g4sq.  Exit codes: 0 success, 1 usage error (bad tolerances included), 2
+g4sq.  Exit codes: 0 success, 1 usage error (bad tolerances, non-finite
+input, unknown parameter keys and malformed input files included), 2
 integration stopped at a movable pole.  ``integrate --stats`` prints the
 step counters to stderr; the trajectory output is the same with or without
 it.
@@ -25,7 +26,7 @@ from .dynamics import COMPLETED, integrate
 from .errors import PainleveCalogeroError
 from .params import AUX_KEYS, AuxParams, param_to_painleve
 from .systems import PhaseState, SystemDescriptor
-from .verify import SUITE_NAMES, reports_to_json, run_suite
+from .verify import SUITE_NAMES, reports_to_json, run_suite, sort_reports
 
 EQUATION_FLAGS = {"p6": "VI", "p5": "V", "p4": "IV", "p3": "III", "p2": "II", "p1": "I"}
 
@@ -37,16 +38,34 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
-def _complex_from_json(value) -> complex:
+def _complex_from_json(value, name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2:
+    if isinstance(value, list) and len(value) == 2 \
+            and all(isinstance(x, (int, float)) for x in value):
         return complex(value[0], value[1])
-    raise ValueError(f"expected number or [re, im] pair, got {value!r}")
+    raise ValueError(f"{name}: expected number or [re, im] pair, got {value!r}")
 
 
 def _complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _aux_value(key: str, value) -> complex:
+    if not isinstance(value, str):
+        return _complex_from_json(value, key)
+    try:
+        return _parse_complex(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _read_object(path: str, what: str) -> dict:
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
@@ -54,8 +73,7 @@ def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
     if isinstance(source, dict):
         raw = source
     elif len(source) == 1 and "=" not in source[0]:
-        with open(source[0]) as fh:
-            raw = json.load(fh)
+        raw = _read_object(source[0], "parameter file")
     else:
         raw = {}
         for tok in source:
@@ -63,11 +81,12 @@ def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
             if not _:
                 raise ValueError(f"expected key=value, got {tok!r}")
             raw[key] = val
-    g4_raw = raw.pop("g4sq", 0)
-    g4sq = _parse_complex(g4_raw) if isinstance(g4_raw, str) else _complex_from_json(g4_raw)
-    kw = {}
-    for key, val in raw.items():
-        kw[key] = _parse_complex(val) if isinstance(val, str) else _complex_from_json(val)
+    g4sq = _aux_value("g4sq", raw.pop("g4sq", 0))
+    known = {k for keys in AUX_KEYS.values() for k in keys}
+    unknown = [k for k in raw if k not in known]
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown}; expected {sorted(known)} or g4sq")
+    kw = {key: _aux_value(key, val) for key, val in raw.items()}
     missing = [k for k in AUX_KEYS[equation] if k not in kw]
     if missing:
         raise ValueError(f"P{equation} needs parameters {list(AUX_KEYS[equation])}; "
@@ -76,11 +95,14 @@ def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
 
 
 def _load_initial(path: str) -> PhaseState:
-    with open(path) as fh:
-        raw = json.load(fh)
-    coords = [_complex_from_json(c) for c in raw["coords"]]
-    momenta = [_complex_from_json(m) for m in raw["momenta"]]
-    return PhaseState(tuple(coords), tuple(momenta), _complex_from_json(raw["time"]))
+    raw = _read_object(path, "initial state")
+
+    def vector(key):
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{key}: expected a list, got {raw[key]!r}")
+        return tuple(_complex_from_json(z, f"{key}[{j}]") for j, z in enumerate(raw[key]))
+
+    return PhaseState(vector("coords"), vector("momenta"), _complex_from_json(raw["time"], "time"))
 
 
 def _trajectory_csv(traj) -> str:
@@ -168,7 +190,7 @@ def cmd_verify(args) -> int:
     reports = run_suite(args.suite, seed=args.seed)
     _write(args.out, reports_to_json(reports) + "\n")
     all_passed = True
-    for rep in sorted(reports, key=lambda r: r.check_id):
+    for rep in sort_reports(reports):
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.check_id}: max_error={rep.max_error:.3e} "
               f"tolerance={rep.tolerance:.3e}")

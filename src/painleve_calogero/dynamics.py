@@ -4,8 +4,8 @@ The integrator is the Dormand-Prince 5(4) embedded pair with PI step-size
 control, propagating the complex state along a straight segment in the
 system's own time variable (tau for the PVI Calogero flow, t otherwise).
 The pair is first-same-as-last (its seventh stage is the field at the
-accepted point), so a step costs six field calls.  Bad tolerances raise
-ValueError before any field call.
+accepted point), so a step costs six field calls.  Bad tolerances and a
+non-finite initial state or end time raise ValueError before any field call.
 Movable poles are detected (state magnitude blow-up or step underflow) and
 stop the integration with a tagged, partial trajectory; there is no
 automatic path deformation around them.  Rejected steps are counted, the
@@ -19,6 +19,7 @@ stencils.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -123,6 +124,13 @@ def _check_tolerances(rel_tol, abs_tol, max_step) -> None:
         raise ValueError(f"max_step must be None or finite and > 0, got {max_step!r}")
 
 
+def _check_finite(initial: PhaseState, t_end) -> None:
+    if not all(cmath.isfinite(v) for v in (*initial.coords, *initial.momenta, initial.time)):
+        raise ValueError(f"initial state must be finite, got {initial}")
+    if not cmath.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+
+
 def _sums(coeffs: tuple, k: list) -> list:
     """coeffs[0] k[0] + coeffs[1] k[1] + ..., componentwise over the stages k.
 
@@ -151,16 +159,18 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     Im tau > 0 (``BadContext`` otherwise, raised before any step).
     ``rel_tol`` must be finite and > 0, ``abs_tol`` finite and >= 0, and
     ``max_step``, which caps |dt| per accepted step (useful to force dense
-    sampling for post-processing), None or finite and > 0; anything else
-    raises ``ValueError`` before any field call.  Movable poles terminate
-    the trajectory with a 'pole_detected' or 'step_underflow' tag instead
-    of raising; an overflowing step is rejected without a numpy warning.
+    sampling for post-processing), None or finite and > 0; anything else,
+    or a non-finite entry in ``initial`` or ``t_end``, raises ``ValueError``
+    before any field call.  Movable poles terminate the trajectory with a
+    'pole_detected' or 'step_underflow' tag instead of raising; an
+    overflowing step is rejected without a numpy warning.
 
     The seventh stage is the field at the accepted point and is reused as
     the next step's first (first same as last), so a run without singular
     rejections makes 1 + 6 * (n_accepted + n_rejected) field calls.
     """
     _check_tolerances(rel_tol, abs_tol, max_step)
+    _check_finite(initial, t_end)
     check_state(sys, initial)
     t0 = complex(initial.time)
     t1 = complex(t_end)

@@ -51,7 +51,3 @@ class UnsupportedEquation(PainleveCalogeroError):
 
 class TooSparse(PainleveCalogeroError):
     """Trajectory has too few samples for finite-difference post-processing."""
-
-
-class ScheduleMismatch(PainleveCalogeroError):
-    """Degeneration schedule references symbols absent from the source model."""

@@ -13,40 +13,33 @@ from .degeneration import SCHEDULES, DegenerationSchedule, run_degeneration_suit
 from .identities import DEFAULT_TAUS, asymptotics_checks, run_identity_suite
 from .report import CheckReport, reports_to_json, sort_reports
 
-_CORRESPONDENCE_CASES = tuple(
-    (eq, rank) for eq in ("VI", "V", "IV", "III", "II", "I") for rank in (1, 3)
-)
-_DYNAMIC_EQUATIONS = ("VI", "V", "IV", "III", "II", "I")
+_EQUATIONS = ("VI", "V", "IV", "III", "II", "I")
 RANK3_G4SQ = 0.7 + 0j
+
+# 'all' runs the suites in this order; each looks the run_* names up at call
+# time, so a replacement set on this module sees every call
+_SUITES = {
+    "identities": lambda seed: run_identity_suite(seed=seed),
+    "correspondence": lambda seed: [
+        run_correspondence_suite(eq, rank, n_points=100 if rank == 1 else 50, seed=seed,
+                                 g4sq=0j if rank == 1 else RANK3_G4SQ)
+        for eq in _EQUATIONS for rank in (1, 3)],
+    "dynamic": lambda seed: [run_dynamic_correspondence(eq, 1, seed=seed)
+                             for eq in _EQUATIONS],
+    "degeneration": lambda seed: [r for sched in SCHEDULES.values()
+                                  for r in run_degeneration_suite(sched, seed=seed)],
+}
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 7) -> list[CheckReport]:
     """Run one named suite: identities|correspondence|dynamic|degeneration|all."""
-    if name == "identities":
-        return run_identity_suite(seed=seed)
-    if name == "correspondence":
-        reports = []
-        for eq, rank in _CORRESPONDENCE_CASES:
-            n = 100 if rank == 1 else 50
-            g4 = 0j if rank == 1 else RANK3_G4SQ
-            reports.append(run_correspondence_suite(eq, rank, n_points=n, seed=seed, g4sq=g4))
-        return reports
-    if name == "dynamic":
-        return [run_dynamic_correspondence(eq, 1, seed=seed) for eq in _DYNAMIC_EQUATIONS]
-    if name == "degeneration":
-        reports = []
-        for sched in SCHEDULES.values():
-            reports.extend(run_degeneration_suite(sched, seed=seed))
-        return reports
     if name == "all":
-        out = []
-        for part in ("identities", "correspondence", "dynamic", "degeneration"):
-            out.extend(run_suite(part, seed))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        return [r for suite in _SUITES.values() for r in suite(seed)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](seed)
 
-
-SUITE_NAMES = ("identities", "correspondence", "dynamic", "degeneration", "all")
 
 __all__ = [
     "CheckReport",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .. import transforms
 from ..dynamics import integrate
-from ..elliptic import EllipticContext, context_at
+from ..elliptic import EllipticContext
 from ..params import AuxParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
 from .report import CheckReport, cbox, rng_for
@@ -100,8 +100,7 @@ def _pushed_field(cal: SystemDescriptor, state: PhaseState,
         hw = FD_STEP * w
         x = [a + hw * v for a, v in zip(x0, vel)]
         st = PhaseState(tuple(x[:rank]), tuple(x[rank:2 * rank]), x[2 * rank])
-        c = context_at(st.time, ctx) if eq == "VI" else None
-        img = transforms.multi_transform(eq, "to_painleve", st, aux, c)
+        img = transforms.multi_transform(eq, "to_painleve", st, aux, ctx)
         for i, y in enumerate(list(img.coords) + list(img.momenta) + [img.time]):
             pushed[i] += y / (4 * hw)
     return pushed
@@ -178,8 +177,7 @@ def run_dynamic_correspondence(eq: str, rank: int = 1, aux: AuxParams | None = N
         return CheckReport(check_id, float("inf"), TOL_DYNAMIC, 1, metadata=meta)
 
     end_cal = traj_cal.samples[-1][1]
-    ctx_end = EllipticContext(T_end) if eq == "VI" else None
-    mapped = transforms.multi_transform(eq, "to_painleve", end_cal, aux, ctx_end)
+    mapped = transforms.multi_transform(eq, "to_painleve", end_cal, aux, ctx)
     end_pain = traj_pain.samples[-1][1]
     err = max(
         max(abs(a - b) for a, b in zip(mapped.coords, end_pain.coords)),

@@ -231,27 +231,31 @@ def asymptotics_checks() -> list[CheckReport]:
     return out
 
 
+def _wp_twin(u, tau, n: int):
+    """mpmath twin of the sine series for wp(u), |k| <= n, at the caller's workdps."""
+    import mpmath as mp
+
+    val = -mp.pi**2 / 3
+    for k in range(-n, n + 1):
+        val += mp.pi**2 / mp.sin(mp.pi * (u + k * tau)) ** 2
+    for k in range(1, n + 1):
+        val -= 2 * mp.pi**2 / mp.sin(mp.pi * k * tau) ** 2
+    return val
+
+
 def _wp_decay_check() -> CheckReport:
     """log-error slope of wp(u) vs pi^2/sin^2(pi u) - pi^2/3 over Im tau 4,6,8.
 
     The gap at Im tau = 8 is ~1e-19, below double precision, so the slope
-    is measured on an mpmath high-precision twin of the same sine series;
-    a double-precision variant at smaller Im tau lives in the test suite.
+    is measured on the mpmath twin of the same sine series; a
+    double-precision variant at smaller Im tau lives in the test suite.
     """
     import mpmath as mp
 
     u0 = 0.31
-    errs = []
     with mp.workdps(40):
-        for im in (4, 6, 8):
-            tau = mp.mpc(0, im)
-            wp_val = -mp.pi**2 / 3
-            for n in range(-30, 31):
-                wp_val += mp.pi**2 / mp.sin(mp.pi * (u0 + n * tau)) ** 2
-            for n in range(1, 31):
-                wp_val -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
-            approx = mp.pi**2 / mp.sin(mp.pi * u0) ** 2 - mp.pi**2 / 3
-            errs.append(float(abs(wp_val - approx)))
+        approx = mp.pi**2 / mp.sin(mp.pi * u0) ** 2 - mp.pi**2 / 3
+        errs = [float(abs(_wp_twin(u0, mp.mpc(0, im), 30) - approx)) for im in (4, 6, 8)]
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     expected = math.exp(2 * PI * 2)  # e^{2 pi i tau} decay per Delta Im tau = 2
@@ -271,17 +275,8 @@ def _p23_coefficient_check() -> CheckReport:
     u0 = 0.31
     with mp.workdps(50):
         tau = mp.mpc(0.0, 6.0)
-
-        def wp_mp(u):
-            val = -mp.pi**2 / 3
-            for n in range(-40, 41):
-                val += mp.pi**2 / mp.sin(mp.pi * (u + n * tau)) ** 2
-            for n in range(1, 41):
-                val -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
-            return val
-
-        w2 = wp_mp(u0 - (1 + tau) / 2)
-        w3 = wp_mp(u0 + tau / 2)
+        w2 = _wp_twin(u0 - (1 + tau) / 2, tau, 40)
+        w3 = _wp_twin(u0 + tau / 2, tau, 40)
         q2 = mp.e ** (2j * mp.pi * tau)
         coeff = (w2 + w3 + 2 * mp.pi**2 / 3) / q2
         target = 16 * mp.pi**2 - 32 * mp.pi**2 * mp.cos(4 * mp.pi * u0)

@@ -19,6 +19,7 @@ from painleve_calogero import (
 )
 from painleve_calogero.verify import (
     SCHEDULES,
+    asymptotics_checks,
     reports_to_json,
     run_correspondence_suite,
     run_dynamic_correspondence,
@@ -52,7 +53,7 @@ def test_criterion_1_elliptic_identity_suite():
 
 
 def test_criterion_2_large_imtau_asymptotics():
-    """e_k and t expansions at Im tau = 8 plus the wp decay-slope test."""
+    """e_k and t expansions at Im tau = 8 plus the wp decay-slope row."""
     ctx = EllipticContext(8j)
     e1, e2, e3 = half_period_values(ctx)
     t = time_map_pvi(8j, ctx)
@@ -63,25 +64,12 @@ def test_criterion_2_large_imtau_asymptotics():
     }
     ok = all(err < tol for err, tol in checks.values())
 
-    # log-error slope of wp vs pi^2/sin^2 - pi^2/3 across Im tau in {4, 6, 8};
-    # measured on a 40-digit twin of the sine series (the gap at Im tau = 8
-    # is ~1e-19, below double resolution)
-    import mpmath as mp
-    errs = []
-    with mp.workdps(40):
-        for im in (4, 6, 8):
-            tau = mp.mpc(0, im)
-            val = -mp.pi**2 / 3
-            for n in range(-30, 31):
-                val += mp.pi**2 / mp.sin(mp.pi * (0.31 + n * tau)) ** 2
-            for n in range(1, 31):
-                val -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
-            errs.append(float(abs(val - (mp.pi**2 / mp.sin(mp.pi * 0.31) ** 2 - mp.pi**2 / 3))))
-    expected = math.exp(4 * PI)
-    slope_ok = all(expected / 3 < errs[i] / errs[i + 1] < expected * 3 for i in range(2))
+    # log-error slope of wp vs pi^2/sin^2 - pi^2/3 across Im tau in {4, 6, 8},
+    # as the identity suite measures it: passed <=> |log(r / e^{4 pi})| <= log 3
+    slope = next(r for r in asymptotics_checks() if r.check_id == "asymptotic.wp_decay_slope")
     detail = ", ".join(f"{k}={v[0]:.1e}" for k, v in checks.items())
-    _report("criterion 2 (large-Im-tau asymptotics)", ok and slope_ok,
-            detail + f", slope ratios {errs[0]/errs[1]:.3g}/{errs[1]/errs[2]:.3g}")
+    _report("criterion 2 (large-Im-tau asymptotics)", ok and slope.passed,
+            detail + f", slope ratios {slope.metadata['ratios']}")
 
 
 def test_criterion_3_gradient_checks():

@@ -229,3 +229,46 @@ def test_stats_to_stderr_keeps_stdout_json(capsys, i0):
     assert captured.out == plain
     assert json.loads(plain)["n_rejected_singular"] == 0
     assert captured.err.startswith("stats: ")
+
+
+@pytest.mark.parametrize("t_end", ["nan", "1e400", "1+1e400j"])
+def test_non_finite_t_end_exits_1(tmp_path, capsys, i0, t_end):
+    out = tmp_path / "tr.csv"
+    code = main(["integrate", "--equation", "p1", "--side", "painleve",
+                 "--initial", i0, "--t-end", t_end, "--out", str(out)])
+    assert code == 1
+    assert "t_end must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_initial_state_exits_1(tmp_path, capsys):
+    init = tmp_path / "nan.json"
+    init.write_text(json.dumps({"coords": [[0.2, 0.1]], "momenta": [[0.3, 0.0]],
+                                "time": [float("nan"), 0.0]}))
+    code = main(["integrate", "--equation", "p1", "--initial", str(init), "--t-end", "1"])
+    assert code == 1
+    assert "initial state must be finite" in capsys.readouterr().err
+
+
+def test_unknown_aux_key_exits_1(capsys):
+    code = main(["params", "--equation", "p2", "--aux", "alpha=1", "bogus=2"])
+    assert code == 1
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_params_file_that_is_not_an_object_exits_1(tmp_path, capsys):
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps([{"alpha": 1}]))
+    code = main(["params", "--equation", "p2", "--aux", str(aux)])
+    assert code == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("time", ["a", 0]), ("coords", 5),
+                                        ("momenta", [["0.3", 0]])])
+def test_malformed_initial_state_exits_1(tmp_path, capsys, key, value):
+    init = tmp_path / "bad.json"
+    init.write_text(json.dumps({**I0, key: value}))
+    code = main(["integrate", "--equation", "p1", "--initial", str(init), "--t-end", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")

@@ -312,3 +312,27 @@ def test_bad_tolerances_are_refused(kwargs, monkeypatch):
         with pytest.raises(ValueError):
             integrate(sd, st, t_end, **kwargs)
     assert not calls
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("state, t_end", [
+    (PhaseState((0.2,), (0.3,), 0), NAN),
+    (PhaseState((0.2,), (0.3,), 0), INF),
+    (PhaseState((0.2,), (0.3,), 0), complex(1, NAN)),
+    (PhaseState((NAN,), (0.3,), 0), 1.0),
+    (PhaseState((0.2,), (complex(0.3, INF),), 0), 1.0),
+    (PhaseState((0.2,), (0.3,), NAN), 1.0),
+])
+@pytest.mark.parametrize("equation, side", [("I", "painleve"), ("VI", "calogero")])
+def test_non_finite_input_is_refused(state, t_end, equation, side, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dynamics, "canonical_field", lambda *args: calls.append(args))
+    sd = SystemDescriptor(equation, side, params=default_aux(equation))
+    if side == "calogero":  # move the finite base time into Im tau > 0
+        state = PhaseState(state.coords, state.momenta, state.time + 1j)
+        t_end = t_end + 1j
+    with pytest.raises(ValueError, match="finite"):
+        integrate(sd, state, t_end)
+    assert not calls

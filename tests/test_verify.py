@@ -13,12 +13,10 @@ from painleve_calogero import (
     multi_transform,
     transforms,
 )
-from painleve_calogero.errors import ScheduleMismatch
 from painleve_calogero.verify import (
     RANK3_G4SQ,
     SCHEDULES,
     CheckReport,
-    DegenerationSchedule,
     reports_to_json,
     run_correspondence_suite,
     run_degeneration_suite,
@@ -226,12 +224,6 @@ def test_degeneration_suite_reports():
 def test_elliptic_to_hyperbolic_potential_residual():
     d = schedule_defect(SCHEDULES["elliptic_to_hyperbolic"], 1e-4)
     assert d < 1e-3
-
-
-def test_schedule_mismatch():
-    with pytest.raises(ScheduleMismatch):
-        DegenerationSchedule("bad", "PII-calogero", "PI-calogero",
-                            (("gamma", "1/eps"),), 0.1, (0.1, 0.01), (3.3, 30), 1.0)
 
 
 def test_all_schedules_reference_valid_symbols():
