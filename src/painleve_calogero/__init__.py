@@ -21,7 +21,6 @@ from .params import AuxParams, PainleveParams, param_to_painleve
 from .systems import (
     PhaseState,
     SystemDescriptor,
-    autonomous_check,
     canonical_field,
     hamiltonian,
     hamiltonian_gradients,
@@ -49,7 +48,6 @@ __all__ = [
     "SystemDescriptor",
     "Trajectory",
     "asymptotic_p",
-    "autonomous_check",
     "canonical_field",
     "f_and_derivatives",
     "half_period_values",

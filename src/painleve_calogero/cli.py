@@ -2,13 +2,13 @@
 
 Complex numbers serialize as two-element [re, im] arrays in JSON and as
 paired re_/im_ columns in CSV.  Parameter files are flat JSON objects
-keyed by the Hamiltonian symbol names (kappa0, kappa1, theta, kappa,
-theta1, eta1, theta_inf, eta_inf, theta0, eta0, alpha) plus optional
-g4sq.  Exit codes: 0 success, 1 usage error (bad tolerances, non-finite
-input, unknown parameter keys and malformed input files included), 2
-integration stopped at a movable pole.  ``integrate --stats`` prints the
-step counters to stderr; the trajectory output is the same with or without
-it.
+keyed by the Hamiltonian symbol names of the chosen equation
+(``params.AUX_KEYS``: kappa0, kappa1, theta, kappa for p6, ..., alpha for
+p2, none for p1) plus optional g4sq.  Exit codes: 0 success, 1 usage error
+(bad tolerances, non-finite input, a parameter key the equation does not
+use and malformed input files included), 2 integration stopped at a
+movable pole.  ``integrate --stats`` prints the step counters to stderr;
+the trajectory output is the same with or without it.
 
     painleve-calogero integrate --equation p1 --side painleve \
         --initial i0.json --t-end 1 --out tr.csv
@@ -82,10 +82,10 @@ def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
                 raise ValueError(f"expected key=value, got {tok!r}")
             raw[key] = val
     g4sq = _aux_value("g4sq", raw.pop("g4sq", 0))
-    known = {k for keys in AUX_KEYS.values() for k in keys}
-    unknown = [k for k in raw if k not in known]
+    unknown = [k for k in raw if k not in AUX_KEYS[equation]]
     if unknown:
-        raise ValueError(f"unknown parameters {unknown}; expected {sorted(known)} or g4sq")
+        raise ValueError(f"unknown parameters {unknown} for P{equation}; "
+                         f"expected {list(AUX_KEYS[equation])} and optional g4sq")
     kw = {key: _aux_value(key, val) for key, val in raw.items()}
     missing = [k for k in AUX_KEYS[equation] if k not in kw]
     if missing:

@@ -259,17 +259,10 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
 
 def _check_segment(sys, t0, t1):
-    if sys.time_gauge == "tau":
-        # Im tau is linear along the segment and check_state has vetted t0
-        if not (t1.imag > 0):
-            raise BadContext(f"PVI Calogero segment leaves Im tau > 0 at tau={t1}")
-        return
-    bad_points = []
-    if sys.equation == "VI" and sys.side == "painleve":
-        bad_points = [0j, 1 + 0j]
-    elif sys.equation in ("V", "III"):
-        bad_points = [0j]
-    for b in bad_points:
+    # Im tau is linear along the segment and check_state has vetted t0
+    if sys.time_gauge == "tau" and not (t1.imag > 0):
+        raise BadContext(f"PVI Calogero segment leaves Im tau > 0 at tau={t1}")
+    for b in sys.singular_times:
         if _segment_distance(t0, t1, b) < 1e-3:
             raise CoordinateSingularity(
                 f"integration segment passes within 1e-3 of the fixed singularity t={b}")

@@ -63,10 +63,15 @@ def time_map_pvi(tau: complex, ctx: EllipticContext | None = None) -> complex:
 
 
 def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> complex:
-    """dtau/dt = pi*i / (t(t-1)(e2-e1)), with t from the forward map."""
+    """dtau/dt = pi*i / (t(t-1)(e2-e1)), with t from the forward map.
+
+    Raises ``BadContext`` where t(t-1) rounds to 0, as it does once t(tau)
+    rounds to 1 at large Im tau."""
     ctx = context_at(tau, ctx)
     e1, e2, e3 = elliptic.half_period_values(ctx)
     t = (e3 - e1) / (e2 - e1)
+    if t * (t - 1) == 0:
+        raise BadContext(f"t(tau) = {t} at tau={tau} is a fixed singular point to rounding")
     return PI * 1j / (t * (t - 1) * (e2 - e1))
 
 
@@ -84,12 +89,12 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
         c = context_at(tau, ctx)
         try:
             val = time_map_pvi(tau, c) - t
+            if abs(val) < INVERSE_TOL:
+                return tau
+            tau = tau - val * jacobian_dtau_dt(tau, c)
         except BadContext as exc:
-            raise NoConvergence(f"Newton reached tau={tau}, where e2 - e1 is lost to rounding",
+            raise NoConvergence(f"Newton reached tau={tau}, where rounding loses e2 - e1 or t(t-1)",
                                 seed=tau_seed) from exc
-        if abs(val) < INVERSE_TOL:
-            return tau
-        tau = tau - val * jacobian_dtau_dt(tau, c)
     raise NoConvergence(f"time map inversion failed from seed {tau_seed}", seed=tau_seed)
 
 

@@ -3,17 +3,17 @@ identity and degeneration limit as a pass/fail check with a JSON report."""
 
 from __future__ import annotations
 
+from ..params import EQUATIONS
 from .correspondence import (
     DEFAULT_AUX,
     default_aux,
     run_correspondence_suite,
     run_dynamic_correspondence,
 )
-from .degeneration import SCHEDULES, DegenerationSchedule, run_degeneration_suite, schedule_defect
+from .degeneration import SCHEDULES, DegenerationSchedule, run_degeneration_suite
 from .identities import DEFAULT_TAUS, asymptotics_checks, run_identity_suite
 from .report import CheckReport, reports_to_json, sort_reports
 
-_EQUATIONS = ("VI", "V", "IV", "III", "II", "I")
 RANK3_G4SQ = 0.7 + 0j
 
 # 'all' runs the suites in this order; each looks the run_* names up at call
@@ -23,9 +23,9 @@ _SUITES = {
     "correspondence": lambda seed: [
         run_correspondence_suite(eq, rank, n_points=100 if rank == 1 else 50, seed=seed,
                                  g4sq=0j if rank == 1 else RANK3_G4SQ)
-        for eq in _EQUATIONS for rank in (1, 3)],
+        for eq in EQUATIONS for rank in (1, 3)],
     "dynamic": lambda seed: [run_dynamic_correspondence(eq, 1, seed=seed)
-                             for eq in _EQUATIONS],
+                             for eq in EQUATIONS],
     "degeneration": lambda seed: [r for sched in SCHEDULES.values()
                                   for r in run_degeneration_suite(sched, seed=seed)],
 }
@@ -57,6 +57,5 @@ __all__ = [
     "run_dynamic_correspondence",
     "run_identity_suite",
     "run_suite",
-    "schedule_defect",
     "sort_reports",
 ]

@@ -50,11 +50,8 @@ BASE_TIME = {
 }
 
 
-def default_aux(eq: str, overrides: dict | None = None) -> AuxParams:
-    kw = dict(DEFAULT_AUX[eq])
-    if overrides:
-        kw.update(overrides)
-    return AuxParams(eq, **kw)
+def default_aux(eq: str) -> AuxParams:
+    return AuxParams(eq, **DEFAULT_AUX[eq])
 
 
 def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:

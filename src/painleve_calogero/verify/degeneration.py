@@ -268,10 +268,6 @@ SCHEDULES: dict[str, DegenerationSchedule] = {s.name: s for s in (
 )}
 
 
-def schedule_defect(sched: DegenerationSchedule, eps: float, seed: int = 7) -> float:
-    return sched.defect(eps, seed)
-
-
 def run_degeneration_suite(sched: DegenerationSchedule, seed: int = 7) -> list[CheckReport]:
     """Per-eps defect reports plus the shrink-ratio report for the eps pair."""
     defects = {}

@@ -256,6 +256,14 @@ def test_unknown_aux_key_exits_1(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_aux_key_of_another_equation_exits_1(capsys):
+    # theta_inf is a PIV/PIII symbol: PVI must not drop it silently
+    code = main(["params", "--equation", "p6", "--aux",
+                 "kappa0=1", "kappa1=1", "theta=1", "kappa=0", "theta_inf=5"])
+    assert code == 1
+    assert "theta_inf" in capsys.readouterr().err
+
+
 def test_params_file_that_is_not_an_object_exits_1(tmp_path, capsys):
     aux = tmp_path / "aux.json"
     aux.write_text(json.dumps([{"alpha": 1}]))

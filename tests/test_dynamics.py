@@ -10,10 +10,11 @@ from painleve_calogero import (
     painleve_residual,
 )
 from painleve_calogero import dynamics
-from painleve_calogero.dynamics import COMPLETED, POLE_DETECTED, Trajectory
+from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, Trajectory
 from painleve_calogero.errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
 from painleve_calogero.systems import canonical_field
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
+from tests.conftest import painleve_state
 
 # (t0, t1, lambda0) arcs with comfortable residual margins
 RESIDUAL_CASES = {
@@ -143,11 +144,32 @@ def test_run_ending_on_its_last_attempt_is_completed():
     assert short.termination == "max_steps" and short.samples[-1][0] != 0.05
 
 
-def test_fixed_singularity_guard():
-    sd = SystemDescriptor("V", "painleve", params=default_aux("V"))
-    st = PhaseState((1.45 + 0.35j,), (0.4,), -0.5 + 0j)
-    with pytest.raises(CoordinateSingularity):
-        integrate(sd, st, 0.5)  # segment passes through t = 0
+# fixed singular times of the time variable per (equation, side); none elsewhere
+SINGULAR_TIMES = {("VI", "painleve"): (0, 1), ("V", "painleve"): (0,), ("V", "calogero"): (0,),
+                  ("III", "painleve"): (0,), ("III", "calogero"): (0,)}
+
+
+@pytest.mark.parametrize("eq", ("VI", "V", "IV", "III", "II", "I"))
+@pytest.mark.parametrize("side", ("painleve", "calogero"))
+def test_fixed_singularity_guard(eq, side, rng):
+    sd = SystemDescriptor(eq, side, params=default_aux(eq))
+    expected = SINGULAR_TIMES.get((eq, side), ())
+    assert sd.singular_times == expected
+
+    def start(time):
+        return painleve_state(eq, 1, rng, time) if side == "painleve" \
+            else sample_calogero_state(eq, 1, rng, time)
+
+    for b in expected:
+        with pytest.raises(CoordinateSingularity):
+            integrate(sd, start(b - 0.5 + 0j), b + 0.5)  # segment passes through t = b
+    if (eq, side) == ("VI", "calogero"):
+        # the time variable is tau: a segment through tau = 0 leaves Im tau > 0
+        with pytest.raises(BadContext):
+            integrate(sd, start(-0.5 + 0.5j), 0.5 - 0.5j)
+    elif not expected:
+        traj = integrate(sd, start(-0.5 + 0j), 0.5, max_steps=1)
+        assert traj.termination == MAX_STEPS
 
 
 def test_calogero_vi_integration_runs(rng):

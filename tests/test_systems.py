@@ -1,3 +1,5 @@
+import cmath
+
 import pytest
 
 from painleve_calogero import (
@@ -5,14 +7,15 @@ from painleve_calogero import (
     EllipticContext,
     PhaseState,
     SystemDescriptor,
-    autonomous_check,
     canonical_field,
     elliptic,
     hamiltonian,
     hamiltonian_gradients,
     param_to_painleve,
+    systems,
 )
 from painleve_calogero.errors import TwoBodyCollision, UnsupportedEquation
+from painleve_calogero.systems import gauge_factor
 from painleve_calogero.verify.correspondence import BASE_TIME, default_aux, sample_calogero_state
 from tests.conftest import painleve_state
 
@@ -164,6 +167,32 @@ def test_one_body_pole_raises():
             hamiltonian(sd, PhaseState((lam,), (0.2,), t))
 
 
+def autonomous_check(sys, state, ctx=None, dt=1e-6):
+    """Chain-rule consistency diagnostic of the analytic gradients.
+
+    Returns (dH/dT along the canonical flow, by central differences) minus
+    (explicit dH/dT at frozen phase coordinates, by central differences).
+    The difference vanishes identically when the analytic gradients match
+    the Hamiltonian, so its magnitude measures gradient consistency.
+    """
+    qdot, pdot = canonical_field(sys, state, ctx)
+
+    def h_at(s):
+        st = PhaseState(
+            tuple(c + s * v for c, v in zip(state.coords, qdot)),
+            tuple(m + s * v for m, v in zip(state.momenta, pdot)),
+            state.time + s,
+        )
+        return hamiltonian(sys, st, ctx)
+
+    def h_time(s):
+        return hamiltonian(sys, PhaseState(state.coords, state.momenta, state.time + s), ctx)
+
+    along_flow = (h_at(dt) - h_at(-dt)) / (2 * dt)
+    explicit = (h_time(dt) - h_time(-dt)) / (2 * dt)
+    return along_flow - explicit
+
+
 def test_autonomous_check_pi():
     sd = SystemDescriptor("I", "painleve")
     res = autonomous_check(sd, PhaseState((1,), (1,), 1))
@@ -221,3 +250,168 @@ def test_pvi_rank3_field_call_counts(monkeypatch, rng):
     sd = SystemDescriptor("VI", "calogero", 3, 0.7, default_aux("VI"))
     canonical_field(sd, sample_calogero_state("VI", 3, rng))
     assert calls == {"wp": 18, "wp_prime": 18, "context": 1}
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-side evaluation with one pair loop per side, as it stood
+# before both sides shared one pair loop
+# ---------------------------------------------------------------------------
+
+def _oracle_painleve_two_body(eq, lams, t, g4sq):
+    n = len(lams)
+    total = 0j
+    grad = [0j] * n
+    if n == 1 or g4sq == 0:
+        return total, grad
+
+    def add_pair(j, k, val, dj, dk):
+        nonlocal total
+        total += val
+        grad[j] += dj
+        grad[k] += dk
+
+    for j in range(n):
+        for k in range(j + 1, n):
+            lj, lk = lams[j], lams[k]
+            d = systems._guard(lj - lk, "lambda_j - lambda_k")
+            if eq == "VI":
+                Pj = lj * (lj - 1) * (lj - t)
+                Pk = lk * (lk - 1) * (lk - t)
+                dPj = 3 * lj * lj - 2 * (1 + t) * lj + t
+                dPk = 3 * lk * lk - 2 * (1 + t) * lk + t
+                c = g4sq / (2 * t * (t - 1))
+                val = c * (2 * (Pj + Pk) / d**2 - 2 * (lj + lk))
+                dj = c * (2 * dPj / d**2 - 4 * (Pj + Pk) / d**3 - 2)
+                dk = c * (2 * dPk / d**2 + 4 * (Pj + Pk) / d**3 - 2)
+            elif eq == "V":
+                c = g4sq / t
+                num = (lj - 1) * (lk - 1) * (lj + lk)
+                val = c * num / d**2
+                dj = c * (((lk - 1) * (lj + lk) + (lj - 1) * (lk - 1)) / d**2 - 2 * num / d**3)
+                dk = c * (((lj - 1) * (lj + lk) + (lj - 1) * (lk - 1)) / d**2 + 2 * num / d**3)
+            elif eq == "IV":
+                c = g4sq / 8
+                val = c * (lj + lk) / d**2
+                dj = c * (1 / d**2 - 2 * (lj + lk) / d**3)
+                dk = c * (1 / d**2 + 2 * (lj + lk) / d**3)
+            elif eq == "III":
+                c = 2 * g4sq / t
+                val = c * lj * lk / d**2
+                dj = c * (lk / d**2 - 2 * lj * lk / d**3)
+                dk = c * (lj / d**2 + 2 * lj * lk / d**3)
+            else:  # II, I
+                val = g4sq / d**2
+                dj = -2 * g4sq / d**3
+                dk = 2 * g4sq / d**3
+            add_pair(j, k, val, dj, dk)
+    return total, grad
+
+
+def _oracle_calogero_two_body(eq, qs, g4sq, ctx):
+    n = len(qs)
+    total = 0j
+    grad = [0j] * n
+    if n == 1 or g4sq == 0:
+        return total, grad
+
+    def inv_sinh2(z):
+        s = cmath.sinh(z)
+        if abs(s) < 1e-12:
+            raise TwoBodyCollision("sinh of pair separation vanishes")
+        return 1 / s**2
+
+    def d_inv_sinh2(z):
+        s = cmath.sinh(z)
+        return -2 * cmath.cosh(z) / s**3
+
+    for j in range(n):
+        for k in range(j + 1, n):
+            dq = qs[j] - qs[k]
+            sq = qs[j] + qs[k]
+            if abs(dq) < 1e-12:
+                raise TwoBodyCollision(f"q_{j} = q_{k}")
+            if eq == "VI":
+                val = g4sq * (elliptic.weierstrass_p(dq, ctx) + elliptic.weierstrass_p(sq, ctx))
+                gd = g4sq * elliptic.weierstrass_p_prime(dq, ctx)
+                gs = g4sq * elliptic.weierstrass_p_prime(sq, ctx)
+                dj, dk = gd + gs, -gd + gs
+            elif eq == "V":
+                val = g4sq * (inv_sinh2(dq / 2) + inv_sinh2(sq / 2))
+                gd = g4sq * d_inv_sinh2(dq / 2) / 2
+                gs = g4sq * d_inv_sinh2(sq / 2) / 2
+                dj, dk = gd + gs, -gd + gs
+            elif eq == "IV":
+                if abs(sq) < 1e-12:
+                    raise TwoBodyCollision(f"q_{j} = -q_{k}")
+                val = g4sq * (1 / dq**2 + 1 / sq**2)
+                gd = -2 * g4sq / dq**3
+                gs = -2 * g4sq / sq**3
+                dj, dk = gd + gs, -gd + gs
+            elif eq == "III":
+                val = g4sq * inv_sinh2(dq / 2)
+                gd = g4sq * d_inv_sinh2(dq / 2) / 2
+                dj, dk = gd, -gd
+            else:  # II, I
+                val = g4sq / dq**2
+                gd = -2 * g4sq / dq**3
+                dj, dk = gd, -gd
+            total += val
+            grad[j] += dj
+            grad[k] += dk
+    return total, grad
+
+
+def _oracle_evaluate(sys, state, ctx):
+    """(H, dH/dcoords, dH/dmomenta) summed the way each side once did.
+
+    The one-body terms are the module's; the Calogero one is taken at
+    p = 0, which leaves the potential V1 and its gradient.
+    """
+    systems.check_state(sys, state)
+    t = state.time
+    if sys.side == "painleve":
+        total = 0j
+        dlam = []
+        dmu = []
+        for lam, mu in zip(state.coords, state.momenta):
+            h1, dl, dm = systems._painleve_one_body(sys.equation, lam, mu, t, sys._aux)
+            total += h1
+            dlam.append(dl)
+            dmu.append(dm)
+        tb, tb_grad = _oracle_painleve_two_body(sys.equation, state.coords, t, sys.g4sq)
+        total += tb
+        dlam = [a + b for a, b in zip(dlam, tb_grad)]
+        return total, tuple(dlam), tuple(dmu)
+
+    cc = elliptic.context_at(t, ctx) if sys.time_gauge == "tau" else None
+    total = 0j
+    dq = []
+    for q in state.coords:
+        v1, dv1, _ = systems._calogero_one_body(sys.equation, q, 0j, t, sys._painleve, cc)
+        total += v1
+        dq.append(dv1)
+    for p in state.momenta:
+        total += p * p / 2
+    tb, tb_grad = _oracle_calogero_two_body(sys.equation, state.coords, sys.g4sq, cc)
+    total += tb
+    dq = [a + b for a, b in zip(dq, tb_grad)]
+    return total, tuple(dq), tuple(state.momenta)
+
+
+@pytest.mark.parametrize("eq", EQS)
+@pytest.mark.parametrize("side", ("painleve", "calogero"))
+@pytest.mark.parametrize("rank", (1, 3))
+def test_shared_pair_loop_matches_oracle(eq, side, rank, rng):
+    # the gradients and the field are unchanged bit for bit; the value moves
+    # only by the order in which p^2/2 is summed on the Calogero side
+    sd = SystemDescriptor(eq, side, rank, 0.7, default_aux(eq))
+    for _ in range(20):
+        st = sample_calogero_state(eq, rank, rng) if side == "calogero" \
+            else painleve_state(eq, rank, rng)
+        ctx = EllipticContext(st.time) if (eq, side) == ("VI", "calogero") else None
+        h, dc, dm = _oracle_evaluate(sd, st, ctx)
+        g = gauge_factor(sd, st.time)
+        assert hamiltonian_gradients(sd, st, ctx) == (dc, dm)
+        assert canonical_field(sd, st, ctx) == (tuple(d / g for d in dm),
+                                                tuple(-d / g for d in dc))
+        assert abs(hamiltonian(sd, st, ctx) - h) <= 1e-15 * abs(h)

@@ -463,6 +463,23 @@ def test_time_map_refuses_lost_e2_minus_e1():
         jacobian_dtau_dt(0.05j)
 
 
+def test_jacobian_refuses_t_rounded_to_one():
+    from painleve_calogero.errors import BadContext
+
+    # t(20i) is 1 to rounding, so t(t-1) is 0
+    with pytest.raises(BadContext):
+        jacobian_dtau_dt(20j)
+
+
+@pytest.mark.parametrize("tau_seed", (3j, 20j))
+def test_time_map_inverse_where_t_rounds_to_one(tau_seed):
+    from painleve_calogero.errors import NoConvergence
+
+    # Newton from 3i reaches, and from 20i starts at, a tau where t(tau) rounds to 1
+    with pytest.raises(NoConvergence):
+        time_map_pvi_inverse(0.5, tau_seed)
+
+
 def test_multi_transform_argument_validation(rng):
     aux = default_aux("VI")
     st = sample_calogero_state("VI", 1, rng)

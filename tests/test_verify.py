@@ -23,7 +23,6 @@ from painleve_calogero.verify import (
     run_dynamic_correspondence,
     run_identity_suite,
     run_suite,
-    schedule_defect,
 )
 from painleve_calogero.verify.correspondence import (
     BASE_TIME,
@@ -210,8 +209,8 @@ def test_dynamic_correspondence_vi_tau_arc():
 
 def test_degeneration_pvi_to_pv_bracket():
     sched = SCHEDULES["pvi_to_pv"]
-    d1 = schedule_defect(sched, 1e-2)
-    d2 = schedule_defect(sched, 1e-3)
+    d1 = sched.defect(1e-2, 7)
+    d2 = sched.defect(1e-3, 7)
     assert 3.3 <= d1 / d2 <= 30
 
 
@@ -222,7 +221,7 @@ def test_degeneration_suite_reports():
 
 
 def test_elliptic_to_hyperbolic_potential_residual():
-    d = schedule_defect(SCHEDULES["elliptic_to_hyperbolic"], 1e-4)
+    d = SCHEDULES["elliptic_to_hyperbolic"].defect(1e-4, 7)
     assert d < 1e-3
 
 
