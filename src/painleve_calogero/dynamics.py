@@ -314,7 +314,8 @@ def painleve_ode_rhs(eq: str, lam: complex, dlam: complex, t: complex,
 
 
 def painleve_residual(eq: str, traj: Trajectory, n_grid: int = 41) -> float:
-    """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points.
+    """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points,
+    inf if any of them is NaN.
 
     The trajectory must be on the Painleve side with at least 20 accepted
     samples; lambda(t) is resampled to a uniform grid through the dense
@@ -340,5 +341,7 @@ def painleve_residual(eq: str, traj: Trajectory, n_grid: int = 41) -> float:
             d2 = (-lam[i - 2] + 16 * lam[i - 1] - 30 * lam[i]
                   + 16 * lam[i + 1] - lam[i + 2]) / (12 * h * h)
             res = abs(d2 - painleve_ode_rhs(eq, lam[i], d1, times[i], pparams))
+            if math.isnan(res):
+                return math.inf
             worst = max(worst, res)
     return worst

@@ -77,7 +77,10 @@ def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> comple
 
 def time_map_pvi_inverse(t: complex, tau_seed: complex,
                          ctx: EllipticContext | None = None) -> complex:
-    """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed."""
+    """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed.
+
+    A step longer than Im tau, which would leave the neighbourhood of the
+    current tau, raises ``NoConvergence`` naming the tau it starts from."""
     t = complex(t)
     _require_finite("t and tau_seed", t, tau_seed)
     if min(abs(t), abs(t - 1)) < 1e-12:
@@ -91,10 +94,14 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
             val = time_map_pvi(tau, c) - t
             if abs(val) < INVERSE_TOL:
                 return tau
-            tau = tau - val * jacobian_dtau_dt(tau, c)
+            step = -val * jacobian_dtau_dt(tau, c)
         except BadContext as exc:
             raise NoConvergence(f"Newton reached tau={tau}, where rounding loses e2 - e1 or t(t-1)",
                                 seed=tau_seed) from exc
+        if abs(step) > tau.imag:
+            raise NoConvergence(f"Newton step {step:.4g} from tau={tau} exceeds Im tau "
+                                f"(seed {tau_seed})", seed=tau_seed)
+        tau += step
     raise NoConvergence(f"time map inversion failed from seed {tau_seed}", seed=tau_seed)
 
 
@@ -102,9 +109,13 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
 # lambda(q) and q(lambda)
 # ---------------------------------------------------------------------------
 
+def _out_of_range(eq: str, q: complex) -> MapSingularity:
+    return MapSingularity(f"q={q} takes the P{eq} map out of the double range")
+
+
 def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None = None) -> complex:
     """Evaluate the printed coordinate map q -> lambda; non-finite q or time
-    raise ``ValueError``."""
+    raise ``ValueError``, a q whose lambda overflows ``MapSingularity``."""
     eq = check_equation(eq)
     q = complex(q)
     _require_finite("q and time", q, time)
@@ -112,16 +123,19 @@ def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None 
         c = context_at(time, ctx)
         e1, e2, _ = elliptic.half_period_values(c)
         return (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
-    if eq == "V":
-        s = cmath.sinh(q / 2)
-        if abs(s) < 1e-12:
-            raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
-        r = cmath.cosh(q / 2) / s
-        return r * r
-    if eq == "IV":
-        return (q / 2) ** 2
-    if eq == "III":
-        return cmath.exp(q)
+    try:
+        if eq == "V":
+            s = cmath.sinh(q / 2)
+            if abs(s) < 1e-12:
+                raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
+            r = cmath.cosh(q / 2) / s
+            return r * r
+        if eq == "IV":
+            return (q / 2) ** 2
+        if eq == "III":
+            return cmath.exp(q)
+    except OverflowError as exc:
+        raise _out_of_range(eq, q) from exc
     return q  # II, I
 
 
@@ -234,7 +248,11 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 # ---------------------------------------------------------------------------
 
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
-    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q)."""
+    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q).
+
+    Off VI, raises ``MapSingularity`` where q takes the map out of the
+    double range: a term overflows, e^q underflows to 0, or rest is not
+    finite."""
     if eq == "VI":
         c = context_at(time, ctx)
         lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
@@ -242,33 +260,36 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
         rest = (TWO_PI_I * f_tau / (f_u * f_u)
                 + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
         return 1 / f_u, rest, lam
-    if eq == "V":
-        s = cmath.sinh(q / 2)
-        if abs(s) < 1e-12:
-            raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
-        sqrt_lam = -cmath.cosh(q / 2) / s  # branch induced by q
-        lam = sqrt_lam * sqrt_lam
-        coef = 1 / (2 * sqrt_lam * (lam - 1))
-        rest = (aux.kappa0 / lam + aux.theta1 / (lam - 1)
-                - aux.eta1 * time / (lam - 1) ** 2) / 2
-        return coef, rest, lam
-    if eq == "IV":
-        if abs(q) < 1e-12:
-            raise MapSingularity("q=0 is singular for the PIV momentum map")
-        sqrt_lam = q / 2  # branch induced by q
-        lam = sqrt_lam * sqrt_lam
-        coef = 1 / (4 * sqrt_lam)
-        rest = (lam + 2 * time + 2 * aux.kappa0 / lam) / 4
-        return coef, rest, lam
-    if eq == "III":
-        lam = cmath.exp(q)
-        coef = 1 / (2 * lam)
-        rest = (aux.eta_inf + aux.theta0 / lam - aux.eta0 * time / lam**2) / 2
-        return coef, rest, lam
-    if eq == "II":
-        lam = q
-        return 1.0 + 0j, lam * lam + time / 2, lam
-    return 1.0 + 0j, 0j, q  # PI: mu = p
+    try:
+        if eq == "V":
+            s = cmath.sinh(q / 2)
+            if abs(s) < 1e-12:
+                raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
+            sqrt_lam = -cmath.cosh(q / 2) / s  # branch induced by q
+            lam = sqrt_lam * sqrt_lam
+            coef = 1 / (2 * sqrt_lam * (lam - 1))
+            rest = (aux.kappa0 / lam + aux.theta1 / (lam - 1)
+                    - aux.eta1 * time / (lam - 1) ** 2) / 2
+        elif eq == "IV":
+            if abs(q) < 1e-12:
+                raise MapSingularity("q=0 is singular for the PIV momentum map")
+            sqrt_lam = q / 2  # branch induced by q
+            lam = sqrt_lam * sqrt_lam
+            coef = 1 / (4 * sqrt_lam)
+            rest = (lam + 2 * time + 2 * aux.kappa0 / lam) / 4
+        elif eq == "III":
+            lam = cmath.exp(q)
+            coef = 1 / (2 * lam)
+            rest = (aux.eta_inf + aux.theta0 / lam - aux.eta0 * time / lam**2) / 2
+        elif eq == "II":
+            lam, coef, rest = q, 1.0 + 0j, q * q + time / 2
+        else:  # PI: mu = p
+            lam, coef, rest = q, 1.0 + 0j, 0j
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(eq, q) from exc
+    if not cmath.isfinite(rest):
+        raise _out_of_range(eq, q)
+    return coef, rest, lam
 
 
 def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams,

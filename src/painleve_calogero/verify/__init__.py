@@ -1,5 +1,9 @@
 """Numerical verification harness: every transformation theorem, elliptic
-identity and degeneration limit as a pass/fail check with a JSON report."""
+identity and degeneration limit as a pass/fail check with a JSON report.
+
+A check reduces its per-point errors with ``report.worst`` (or
+``report.worst_over`` for seeded draws): the largest error, and inf as soon
+as one error is NaN, so a NaN fails its row instead of vanishing."""
 
 from __future__ import annotations
 

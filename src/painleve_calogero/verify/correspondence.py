@@ -23,7 +23,7 @@ from ..dynamics import integrate
 from ..elliptic import EllipticContext
 from ..params import AuxParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
-from .report import CheckReport, cbox, rng_for
+from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 FD_STEP = 3e-4
 TOL_PUSHFORWARD = 1e-5
@@ -105,39 +105,31 @@ def _pushed_field(cal: SystemDescriptor, state: PhaseState,
 
 def _pushforward_error(cal: SystemDescriptor, pain: SystemDescriptor, state: PhaseState,
                        ctx: EllipticContext | None) -> float:
-    """Max componentwise relative defect of the pushed-forward field."""
-    rank = cal.rank
+    """Max componentwise relative defect of the pushed-forward field
+    against the Painleve field (dH/dmu, -dH/dlambda, dt/dt = 1)."""
     pushed = _pushed_field(cal, state, ctx)
     img = transforms.multi_transform(cal.equation, "to_painleve", state, cal.params, ctx)
     dH_dlam, dH_dmu = hamiltonian_gradients(pain, img)
-    worst = 0.0
-    for j in range(rank):
-        worst = max(worst, abs(pushed[j] - dH_dmu[j]) / max(1.0, abs(dH_dmu[j])))
-        worst = max(worst, abs(pushed[rank + j] + dH_dlam[j]) / max(1.0, abs(dH_dlam[j])))
-    worst = max(worst, abs(pushed[2 * rank] - 1.0))
-    return worst
+    target = [*dH_dmu, *(-g for g in dH_dlam), 1.0]
+    return worst(abs(y - f) / max(1.0, abs(f)) for y, f in zip(pushed, target))
 
 
-def run_correspondence_suite(eq: str, rank: int, aux: AuxParams | None = None,
-                             n_points: int = 100, seed: int = 7,
+def run_correspondence_suite(eq: str, rank: int, n_points: int = 100, seed: int = 7,
                              g4sq: complex = 0j) -> CheckReport:
     """Pushforward equality at n_points random generic points."""
-    aux = aux or default_aux(eq)
+    aux = default_aux(eq)
     check_id = f"correspondence.{eq}.rank{rank}"
-    rng = rng_for(seed, check_id)
     cal = SystemDescriptor(eq, "calogero", rank, g4sq, aux)
     pain = SystemDescriptor(eq, "painleve", rank, g4sq, aux)
     ctx = EllipticContext(BASE_TIME[eq]) if eq == "VI" else None
-    worst = 0.0
-    for _ in range(n_points):
-        state = sample_calogero_state(eq, rank, rng)
-        worst = max(worst, _pushforward_error(cal, pain, state, ctx))
-    return CheckReport(check_id, worst, TOL_PUSHFORWARD, n_points,
+    err = worst_over(seed, check_id, n_points, lambda rng: _pushforward_error(
+        cal, pain, sample_calogero_state(eq, rank, rng), ctx))
+    return CheckReport(check_id, err, TOL_PUSHFORWARD, n_points,
                        metadata={"equation": eq, "rank": str(rank),
                                  "g4sq": format(complex(g4sq), "g"), "seed": str(seed)})
 
 
-def run_dynamic_correspondence(eq: str, rank: int = 1, aux: AuxParams | None = None,
+def run_dynamic_correspondence(eq: str, rank: int = 1,
                                initial: PhaseState | None = None,
                                arc_length: float = 0.3, seed: int = 7,
                                g4sq: complex = 0j,
@@ -149,7 +141,7 @@ def run_dynamic_correspondence(eq: str, rank: int = 1, aux: AuxParams | None = N
     corresponding t-arc.  For VI the tau-interval matching the t-arc is
     found through the inverse time map.
     """
-    aux = aux or default_aux(eq)
+    aux = default_aux(eq)
     check_id = f"dynamic.{eq}.rank{rank}"
     rng = rng_for(seed, check_id)
     if initial is None:
@@ -176,9 +168,6 @@ def run_dynamic_correspondence(eq: str, rank: int = 1, aux: AuxParams | None = N
     end_cal = traj_cal.samples[-1][1]
     mapped = transforms.multi_transform(eq, "to_painleve", end_cal, aux, ctx)
     end_pain = traj_pain.samples[-1][1]
-    err = max(
-        max(abs(a - b) for a, b in zip(mapped.coords, end_pain.coords)),
-        max(abs(a - b) for a, b in zip(mapped.momenta, end_pain.momenta)),
-        abs(mapped.time - end_pain.time),
-    )
+    err = worst(abs(a - b) for a, b in zip((*mapped.coords, *mapped.momenta, mapped.time),
+                                           (*end_pain.coords, *end_pain.momenta, end_pain.time)))
     return CheckReport(check_id, err, TOL_DYNAMIC, len(traj_cal.samples), metadata=meta)

@@ -33,7 +33,7 @@ from ..dynamics import painleve_ode_rhs
 from ..elliptic import PI, EllipticContext
 from ..params import PainleveParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field
-from .report import CheckReport, cbox, rng_for
+from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 # the tilded (target) parameters alpha~, beta~, gamma~, delta~
 _AT, _BT, _GT, _DT = 0.23 + 0.11j, 0.31 - 0.07j, 0.19 + 0.05j, 0.27 - 0.09j
@@ -61,39 +61,33 @@ class DegenerationSchedule:
 # defect evaluators
 # ---------------------------------------------------------------------------
 
-def _tilded_points(name: str, rank: int, target_eq: str, seed: int, n: int = 3):
-    rng = rng_for(seed, f"degeneration.{name}")
-    points = []
-    for _ in range(n):
-        qs, ps = [], []
-        for j in range(rank):
-            if target_eq == "IV":
-                qs.append(complex(0.55 + 0.5 * j + 0.1 * rng.uniform(0, 1),
-                                  0.12 + 0.1 * rng.uniform(0, 1)))
-            else:
-                qs.append(complex(0.35 + 0.5 * j + 0.1 * rng.uniform(0, 1),
-                                  0.1 + 0.12 * rng.uniform(0, 1)))
-            ps.append(cbox(rng, 0.25, 0.6, -0.2, 0.2))
-        tt = cbox(rng, 0.75, 0.95, 0.08, 0.18)
-        points.append((tuple(qs), tuple(ps), tt))
-    return points
+def _tilded_point(rng, rank: int, target_eq: str):
+    qs, ps = [], []
+    for j in range(rank):
+        if target_eq == "IV":
+            qs.append(complex(0.55 + 0.5 * j + 0.1 * rng.uniform(0, 1),
+                              0.12 + 0.1 * rng.uniform(0, 1)))
+        else:
+            qs.append(complex(0.35 + 0.5 * j + 0.1 * rng.uniform(0, 1),
+                              0.1 + 0.12 * rng.uniform(0, 1)))
+        ps.append(cbox(rng, 0.25, 0.6, -0.2, 0.2))
+    return tuple(qs), tuple(ps), cbox(rng, 0.75, 0.95, 0.08, 0.18)
 
 
 def _ode_defect_pvi_to_pv(eps: float, seed: int) -> float:
     """|eps^2 F_VI(lambda, v/eps, 1+eps*t; scheduled params) - F_V| at fixed points."""
-    rng = rng_for(seed, "degeneration.pvi_to_pv")
-    worst = 0.0
-    for _ in range(3):
+    src = PainleveParams("VI", alpha=_AT, beta=_BT,
+                         gamma=_GT / eps - _DT / eps**2, delta=_DT / eps**2)
+    tgt = PainleveParams("V", alpha=_AT, beta=_BT, gamma=_GT, delta=_DT)
+
+    def point_defect(rng):
         lam = cbox(rng, 0.45, 0.7, 0.15, 0.35)
         v = cbox(rng, 0.3, 0.5, -0.15, 0.15)
         tt = cbox(rng, 0.75, 0.95, 0.08, 0.18)
-        src = PainleveParams("VI", alpha=_AT, beta=_BT,
-                             gamma=_GT / eps - _DT / eps**2, delta=_DT / eps**2)
-        tgt = PainleveParams("V", alpha=_AT, beta=_BT, gamma=_GT, delta=_DT)
         f_src = eps * eps * painleve_ode_rhs("VI", lam, v / eps, 1 + eps * tt, src)
-        f_tgt = painleve_ode_rhs("V", lam, v, tt, tgt)
-        worst = max(worst, abs(f_src - f_tgt))
-    return worst
+        return abs(f_src - painleve_ode_rhs("V", lam, v, tt, tgt))
+
+    return worst_over(seed, "degeneration.pvi_to_pv", 3, point_defect)
 
 
 def _potential_defect_elliptic(eps: float, seed: int) -> float:
@@ -139,7 +133,7 @@ def _potential_defect_elliptic(eps: float, seed: int) -> float:
     grid = [complex(0.08 + 0.035 * k + 0.01 * rng.uniform(0, 1), 0.1) for k in range(9)]
     diffs = [v_source(u) - v_target(u) for u in grid]
     mean = sum(diffs) / len(diffs)
-    return max(abs(d - mean) for d in diffs)
+    return worst(abs(d - mean) for d in diffs)
 
 
 def _calogero_limit(name, source_eq, target_eq, subs, chain, target_params, *,
@@ -154,16 +148,17 @@ def _calogero_limit(name, source_eq, target_eq, subs, chain, target_params, *,
 
     def defect(eps: float, seed: int) -> float:
         dqt_dq, dpt_dp, dt_dtt = chain(eps)
-        worst = 0.0
-        for qt, pt, tt in _tilded_points(name, rank, target_eq, seed):
+
+        def point_defect(rng):
+            qt, pt, tt = _tilded_point(rng, rank, target_eq)
             q, p, t, src_params = subs(eps, qt, pt, tt)
             src = SystemDescriptor(source_eq, "calogero", rank, g4sq, src_params)
             f_q, f_p = canonical_field(src, PhaseState(q, p, t))
             t_q, t_p = canonical_field(tgt, PhaseState(qt, pt, tt))
-            for j in range(rank):
-                worst = max(worst, abs(dqt_dq * f_q[j] * dt_dtt - t_q[j]))
-                worst = max(worst, abs(dpt_dp * f_p[j] * dt_dtt - t_p[j]))
-        return worst
+            return worst([*(abs(dqt_dq * a * dt_dtt - b) for a, b in zip(f_q, t_q)),
+                          *(abs(dpt_dp * a * dt_dtt - b) for a, b in zip(f_p, t_p))])
+
+        return worst_over(seed, f"degeneration.{name}", 3, point_defect)
 
     return DegenerationSchedule(name, f"P{source_eq}-calogero", f"P{target_eq}-calogero",
                                 defect, **check)

@@ -9,179 +9,154 @@ import math
 
 from .. import elliptic
 from ..elliptic import PI, TWO_PI_I, EllipticContext
-from .report import CheckReport, cbox, rng_for
+from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 DEFAULT_TAUS = (1j, 1.5j, 0.4 + 2j)
 
-# pinned tolerances of the identity checks
-TOL_PERIODICITY = 1e-11
-TOL_ADDITION = 1e-9
-TOL_SHIFT = 1e-9
-TOL_LEMMA_G = 1e-10
-TOL_LEMMA3_FD = 1e-9
-TOL_HEAT = 1e-6
-TOL_LEMMA4_STD = 1e-8
-TOL_CUBIC = 1e-9
-TOL_SINH_PAIR = 1e-10
 
-
-def _tau_tag(tau: complex) -> str:
-    return format(complex(tau), "g")
-
-
-def _sample_u(rng, tau, n):
-    """Generic points in the cell, away from the half-period lattice."""
-    out = []
-    while len(out) < n:
-        a = rng.uniform(0.06, 0.44)
-        b = rng.uniform(0.06, 0.44)
-        if rng.integers(2):
-            a += 0.5
-        u = complex(a + b * tau.real, b * tau.imag)
-        out.append(u)
-    return out
+def _draw_u(rng, tau):
+    """A generic point in the cell, away from the half-period lattice."""
+    a = rng.uniform(0.06, 0.44)
+    b = rng.uniform(0.06, 0.44)
+    if rng.integers(2):
+        a += 0.5
+    return complex(a + b * tau.real, b * tau.imag)
 
 
 def run_identity_suite(ctx_list=None, seed: int = 7, n_points: int = 50) -> list[CheckReport]:
     """One CheckReport per identity per tau."""
     if ctx_list is None:
         ctx_list = [EllipticContext(t) for t in DEFAULT_TAUS]
-    reports = []
-    for ctx in ctx_list:
-        tag = _tau_tag(ctx.tau)
-        reports.extend(_identities_for(ctx, tag, seed, n_points))
-    reports.extend(asymptotics_checks())
-    return reports
+    reports = [r for ctx in ctx_list for r in _identities_for(ctx, seed, n_points)]
+    return reports + asymptotics_checks()
 
 
-def _identities_for(ctx: EllipticContext, tag: str, seed: int, n_points: int):
-    tau = ctx.tau
-    meta = {"tau": tag}
+def _identities_for(ctx: EllipticContext, seed: int, n_points: int):
+    tag = format(complex(ctx.tau), "g")
+    # (name, point error, pinned tolerance, points, metadata beyond tau)
+    checks = (
+        ("periodicity", _periodicity, 1e-11, n_points, {}),
+        ("addition", _addition, 1e-9, n_points, {}),
+        ("cubic", _cubic, 1e-9, n_points, {}),
+        ("shift", _shift, 1e-9, n_points, {}),
+        ("lemma_g", _lemma_g, 1e-10, n_points, {}),
+        ("lemma3_fd", _lemma3_fd, 1e-9, max(10, n_points // 3), {"fd_step": "5e-4"}),
+        ("heat", _heat, 1e-6, n_points, {"fd_step": "1e-4"}),
+        ("sinh_pair", _sinh_pair, 1e-10, n_points, {}),
+    )
     out = []
+    for name, point_error, tol, n, extra in checks:
+        check_id = f"identity.{name}.{tag}"
+        err = worst_over(seed, check_id, n, lambda rng: point_error(rng, ctx))
+        out.append(CheckReport(check_id, err, tol, n, metadata={"tau": tag, **extra}))
+    out.append(_lemma4(ctx, tag, seed, max(30, n_points // 2)))
+    return out
 
-    rng = rng_for(seed, f"identity.periodicity.{tag}")
-    us = _sample_u(rng, tau, n_points)
-    err = 0.0
-    for u in us:
-        w = elliptic.weierstrass_p(u, ctx)
-        err = max(err,
-                  abs(elliptic.weierstrass_p(u + 1, ctx) - w),
-                  abs(elliptic.weierstrass_p(u + tau, ctx) - w),
-                  abs(elliptic.weierstrass_p(-u, ctx) - w))
-    out.append(CheckReport(f"identity.periodicity.{tag}", err, TOL_PERIODICITY,
-                           len(us), metadata=meta))
 
-    rng = rng_for(seed, f"identity.addition.{tag}")
-    err = 0.0
-    for _ in range(n_points):
-        u = cbox(rng, 0.08, 0.42, 0.05, 0.35 * tau.imag)
-        v = cbox(rng, 0.08, 0.42, -0.35 * tau.imag, -0.05)
-        if abs(elliptic.weierstrass_p(u, ctx) - elliptic.weierstrass_p(v, ctx)) < 1e-3:
-            continue
-        lhs = elliptic.weierstrass_p(u - v, ctx) + elliptic.weierstrass_p(u + v, ctx)
-        pu, pv = elliptic.weierstrass_p(u, ctx), elliptic.weierstrass_p(v, ctx)
-        du, dv = elliptic.weierstrass_p_prime(u, ctx), elliptic.weierstrass_p_prime(v, ctx)
-        rhs = -2 * pu - 2 * pv + (du * du + dv * dv) / (2 * (pu - pv) ** 2)
-        err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    out.append(CheckReport(f"identity.addition.{tag}", err, TOL_ADDITION,
-                           n_points, metadata=meta))
+def _periodicity(rng, ctx):
+    u = _draw_u(rng, ctx.tau)
+    w = elliptic.weierstrass_p(u, ctx)
+    return worst(abs(elliptic.weierstrass_p(z, ctx) - w) for z in (u + 1, u + ctx.tau, -u))
 
-    rng = rng_for(seed, f"identity.cubic.{tag}")
+
+def _addition(rng, ctx):
+    """wp(u - v) + wp(u + v) against the addition formula; a point where
+    wp(u) and wp(v) nearly agree is skipped (error 0)."""
+    u = cbox(rng, 0.08, 0.42, 0.05, 0.35 * ctx.tau.imag)
+    v = cbox(rng, 0.08, 0.42, -0.35 * ctx.tau.imag, -0.05)
+    pu, pv = elliptic.weierstrass_p(u, ctx), elliptic.weierstrass_p(v, ctx)
+    if abs(pu - pv) < 1e-3:
+        return 0.0
+    lhs = elliptic.weierstrass_p(u - v, ctx) + elliptic.weierstrass_p(u + v, ctx)
+    du, dv = elliptic.weierstrass_p_prime(u, ctx), elliptic.weierstrass_p_prime(v, ctx)
+    rhs = -2 * pu - 2 * pv + (du * du + dv * dv) / (2 * (pu - pv) ** 2)
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+def _cubic(rng, ctx):
     e1, e2, e3 = elliptic.half_period_values(ctx)
-    err = 0.0
-    for u in _sample_u(rng, tau, n_points):
-        w = elliptic.weierstrass_p(u, ctx)
-        dp = elliptic.weierstrass_p_prime(u, ctx)
-        rhs = 4 * (w - e1) * (w - e2) * (w - e3)
-        err = max(err, abs(dp * dp - rhs) / max(1.0, abs(rhs)))
-    out.append(CheckReport(f"identity.cubic.{tag}", err, TOL_CUBIC,
-                           n_points, metadata=meta))
+    u = _draw_u(rng, ctx.tau)
+    w = elliptic.weierstrass_p(u, ctx)
+    dp = elliptic.weierstrass_p_prime(u, ctx)
+    rhs = 4 * (w - e1) * (w - e2) * (w - e3)
+    return abs(dp * dp - rhs) / max(1.0, abs(rhs))
 
-    rng = rng_for(seed, f"identity.shift.{tag}")
-    err = 0.0
-    es = (e1, e2, e3)
-    for u in _sample_u(rng, tau, n_points):
-        w = elliptic.weierstrass_p(u, ctx)
-        for j in range(3):
-            ej = es[j]
-            ek, el = es[(j + 1) % 3], es[(j + 2) % 3]
-            rhs = ej + (ej - ek) * (ej - el) / (w - ej)
-            lhs = elliptic.shifted_p(u, j + 1, ctx)
-            err = max(err, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out.append(CheckReport(f"identity.shift.{tag}", err, TOL_SHIFT,
-                           n_points, metadata=meta))
 
-    # g(u+tau) = g(u) - 1 for g = f_tau/f'
-    rng = rng_for(seed, f"identity.lemma_g.{tag}")
-    err = 0.0
-    for u in _sample_u(rng, tau, n_points):
-        _, fu1, ft1 = elliptic.f_and_derivatives(u, ctx)
-        _, fu2, ft2 = elliptic.f_and_derivatives(u + tau, ctx)
-        err = max(err, abs(ft2 / fu2 - (ft1 / fu1 - 1)))
-    out.append(CheckReport(f"identity.lemma_g.{tag}", err, TOL_LEMMA_G,
-                           n_points, metadata=meta))
+def _shift(rng, ctx):
+    e1, e2, e3 = elliptic.half_period_values(ctx)
+    u = _draw_u(rng, ctx.tau)
+    w = elliptic.weierstrass_p(u, ctx)
+    rhs = [e + (e - a) * (e - b) / (w - e) for e, a, b in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2))]
+    return worst(abs(elliptic.shifted_p(u, j + 1, ctx) - r) / max(1.0, abs(r))
+                 for j, r in enumerate(rhs))
 
-    # cross-check of the analytic f_tau: 2 pi i f_tau/f' vs theta'/theta,
-    # with f_tau recomputed by 4th-order finite differences in tau.  The
-    # error is h^4 truncation, not roundoff: over seeds 1-60 at tau = i a
-    # 1e-3 step reaches 1.8x the tolerance, 5e-4 stays below 0.11x
-    rng = rng_for(seed, f"identity.lemma3_fd.{tag}")
-    err = 0.0
+
+def _lemma_g(rng, ctx):
+    """g(u + tau) = g(u) - 1 for g = f_tau/f'."""
+    u = _draw_u(rng, ctx.tau)
+    _, fu1, ft1 = elliptic.f_and_derivatives(u, ctx)
+    _, fu2, ft2 = elliptic.f_and_derivatives(u + ctx.tau, ctx)
+    return abs(ft2 / fu2 - (ft1 / fu1 - 1))
+
+
+def _lemma3_fd(rng, ctx):
+    """Cross-check of the analytic f_tau: 2 pi i f_tau/f' vs theta'/theta,
+    with f_tau recomputed by 4th-order finite differences in tau.  The
+    error is h^4 truncation, not roundoff: over seeds 1-60 at tau = i a
+    1e-3 step reaches 1.8x the tolerance, 5e-4 stays below 0.11x."""
     h = 5e-4
-    for u in _sample_u(rng, tau, max(10, n_points // 3)):
-        def f_of_tau(delta):
-            c = EllipticContext(tau + delta)
-            ee1, ee2, _ = elliptic.half_period_values(c)
-            return (elliptic.weierstrass_p(u, c) - ee1) / (ee2 - ee1)
-        ft_fd = (8 * (f_of_tau(h) - f_of_tau(-h)) - (f_of_tau(2 * h) - f_of_tau(-2 * h))) / (12 * h)
-        _, fu, _ = elliptic.f_and_derivatives(u, ctx)
-        lhs = TWO_PI_I * ft_fd / fu
-        rhs = elliptic.theta_du(u + 0.5, ctx) / elliptic.theta(u + 0.5, ctx)
-        err = max(err, abs(lhs - rhs))
-    out.append(CheckReport(f"identity.lemma3_fd.{tag}", err, TOL_LEMMA3_FD,
-                           max(10, n_points // 3), metadata={**meta, "fd_step": "5e-4"}))
+    u = _draw_u(rng, ctx.tau)
 
-    # heat equation: 4 pi i theta_tau = theta'' (second central difference).
-    # step 1e-4 balances the h^2 truncation against the 4*eps/h^2 roundoff
-    # floor of a second difference (a 1e-5 step would drown in roundoff)
-    rng = rng_for(seed, f"identity.heat.{tag}")
-    err = 0.0
+    def f_of_tau(delta):
+        c = EllipticContext(ctx.tau + delta)
+        e1, e2, _ = elliptic.half_period_values(c)
+        return (elliptic.weierstrass_p(u, c) - e1) / (e2 - e1)
+
+    ft_fd = (8 * (f_of_tau(h) - f_of_tau(-h)) - (f_of_tau(2 * h) - f_of_tau(-2 * h))) / (12 * h)
+    _, fu, _ = elliptic.f_and_derivatives(u, ctx)
+    lhs = TWO_PI_I * ft_fd / fu
+    rhs = elliptic.theta_du(u + 0.5, ctx) / elliptic.theta(u + 0.5, ctx)
+    return abs(lhs - rhs)
+
+
+def _heat(rng, ctx):
+    """Heat equation 4 pi i theta_tau = theta'' by a second central
+    difference.  Step 1e-4 balances the h^2 truncation against the
+    4*eps/h^2 roundoff floor of a second difference (a 1e-5 step would
+    drown in roundoff)."""
     h = 1e-4
-    for u in _sample_u(rng, tau, n_points):
-        second = (elliptic.theta(u + h, ctx) - 2 * elliptic.theta(u, ctx)
-                  + elliptic.theta(u - h, ctx)) / (h * h)
-        lhs = 4j * PI * elliptic.theta_dtau(u, ctx)
-        err = max(err, abs(lhs - second) / max(1.0, abs(second)))
-    out.append(CheckReport(f"identity.heat.{tag}", err, TOL_HEAT,
-                           n_points, metadata={**meta, "fd_step": "1e-4"}))
+    u = _draw_u(rng, ctx.tau)
+    second = (elliptic.theta(u + h, ctx) - 2 * elliptic.theta(u, ctx)
+              + elliptic.theta(u - h, ctx)) / (h * h)
+    lhs = 4j * PI * elliptic.theta_dtau(u, ctx)
+    return abs(lhs - second) / max(1.0, abs(second))
 
-    # (log theta(u + 1/2))'' + wp(u + tau/2) is a function of tau only
-    rng = rng_for(seed, f"identity.lemma4.{tag}")
+
+def _sinh_pair(rng, ctx):
+    """The sinh pair identity used by the PV two-body rewrite (ctx unused)."""
+    u = cbox(rng, 0.2, 1.2, 0.05, 0.6)
+    v = cbox(rng, -1.2, -0.2, 0.05, 0.6)
+    lhs = 1 / cmath.sinh(u - v) ** 2 + 1 / cmath.sinh(u + v) ** 2
+    rhs = 4 * (cmath.cosh(2 * u) * cmath.cosh(2 * v) - 1) / \
+        (cmath.cosh(2 * u) - cmath.cosh(2 * v)) ** 2
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+def _lemma4(ctx, tag, seed, n):
+    """(log theta(u + 1/2))'' + wp(u + tau/2) is a function of tau only; the
+    error is its spread (standard deviation) over n points, not a max."""
+    check_id = f"identity.lemma4.{tag}"
+    rng = rng_for(seed, check_id)
     vals = []
-    for u in _sample_u(rng, tau, max(30, n_points // 2)):
+    for _ in range(n):
+        u = _draw_u(rng, ctx.tau)
         th = elliptic.theta(u + 0.5, ctx)
         d1 = elliptic.theta_du(u + 0.5, ctx)
         d2 = elliptic.theta_du2(u + 0.5, ctx)
-        log_dd = d2 / th - (d1 / th) ** 2
-        vals.append(log_dd + elliptic.shifted_p(u, 3, ctx))
-    mean = sum(vals) / len(vals)
-    std = math.sqrt(sum(abs(v - mean) ** 2 for v in vals) / len(vals))
-    out.append(CheckReport(f"identity.lemma4.{tag}", std, TOL_LEMMA4_STD,
-                           len(vals), metadata=meta))
-
-    # sinh pair identity used by the PV two-body rewrite
-    rng = rng_for(seed, f"identity.sinh_pair.{tag}")
-    err = 0.0
-    for _ in range(n_points):
-        u = cbox(rng, 0.2, 1.2, 0.05, 0.6)
-        v = cbox(rng, -1.2, -0.2, 0.05, 0.6)
-        lhs = 1 / cmath.sinh(u - v) ** 2 + 1 / cmath.sinh(u + v) ** 2
-        rhs = 4 * (cmath.cosh(2 * u) * cmath.cosh(2 * v) - 1) / \
-            (cmath.cosh(2 * u) - cmath.cosh(2 * v)) ** 2
-        err = max(err, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    out.append(CheckReport(f"identity.sinh_pair.{tag}", err, TOL_SINH_PAIR,
-                           n_points, metadata=meta))
-    return out
+        vals.append(d2 / th - (d1 / th) ** 2 + elliptic.shifted_p(u, 3, ctx))
+    mean = sum(vals) / n
+    std = math.sqrt(sum(abs(v - mean) ** 2 for v in vals) / n)
+    return CheckReport(check_id, std, 1e-8, n, metadata={"tau": tag})
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +234,8 @@ def _wp_decay_check() -> CheckReport:
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     expected = math.exp(2 * PI * 2)  # e^{2 pi i tau} decay per Delta Im tau = 2
-    worst = max(abs(math.log(r1 / expected)), abs(math.log(r2 / expected)))
-    return CheckReport("asymptotic.wp_decay_slope", worst, math.log(3.0), 3,
+    err = worst(abs(math.log(r / expected)) for r in (r1, r2))
+    return CheckReport("asymptotic.wp_decay_slope", err, math.log(3.0), 3,
                        metadata={"ratios": f"{r1:.4g},{r2:.4g}", "expected": f"{expected:.4g}"})
 
 

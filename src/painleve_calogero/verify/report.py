@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import zlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,25 @@ def reports_to_json(reports: list[CheckReport]) -> str:
 def rng_for(seed: int, check_id: str) -> np.random.Generator:
     """Deterministic per-check generator derived from (seed, check_id)."""
     return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
+
+
+def worst(errors: Iterable[float]) -> float:
+    """The largest error: 0.0 when there are none, inf as soon as one is NaN
+    (``max`` drops a NaN that is not its first argument, so the check would pass)."""
+    out = 0.0
+    for e in errors:
+        if e != e:
+            return math.inf
+        if e > out:
+            out = e
+    return out
+
+
+def worst_over(seed: int, check_id: str, n: int,
+               point_error: Callable[[np.random.Generator], float]) -> float:
+    """``worst`` of n draws of ``point_error(rng)`` from one ``rng_for(seed, check_id)``."""
+    rng = rng_for(seed, check_id)
+    return worst(point_error(rng) for _ in range(n))
 
 
 def cbox(rng: np.random.Generator, re_lo, re_hi, im_lo, im_hi) -> complex:

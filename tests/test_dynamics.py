@@ -58,6 +58,17 @@ def test_pi_second_difference_residual():
     assert painleve_residual("I", traj) < 1e-5
 
 
+def test_painleve_residual_is_inf_at_a_nan_point():
+    sd = SystemDescriptor("I", "painleve")
+    traj = integrate(sd, PhaseState((0.1,), (0.1,), 0), 0.5, 1e-10, 1e-12, max_step=0.01)
+    assert len(traj._dense) == 51 and painleve_residual("I", traj) < 1e-5
+    mid = len(traj._dense) // 2
+    s0, s1, y0, *rest = traj._dense[mid]
+    traj._dense[mid] = (s0, s1, np.full(len(y0), np.nan + 0j), *rest)
+    assert np.isnan(traj.resample(41)[1]).any(axis=1).sum() == 1
+    assert painleve_residual("I", traj) == np.inf
+
+
 def test_tolerance_scaling_on_pii():
     sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
     st = PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -475,9 +476,38 @@ def test_jacobian_refuses_t_rounded_to_one():
 def test_time_map_inverse_where_t_rounds_to_one(tau_seed):
     from painleve_calogero.errors import NoConvergence
 
-    # Newton from 3i reaches, and from 20i starts at, a tau where t(tau) rounds to 1
+    # Newton from 3i would step to about 126i, where t(tau) rounds to 1; at 20i it starts there
     with pytest.raises(NoConvergence):
         time_map_pvi_inverse(0.5, tau_seed)
+
+
+def test_time_map_inverse_refuses_a_step_longer_than_im_tau():
+    from painleve_calogero.errors import NoConvergence
+
+    # the first step from 3i is about +123i; the refusal names the tau it starts from
+    with pytest.raises(NoConvergence, match=r"from tau=3j ") as info:
+        time_map_pvi_inverse(0.5, 3j)
+    assert info.value.seed == 3j
+
+
+@pytest.mark.parametrize("eq, call, q", (
+    ("V", lambda aux: lambda_of_q("V", 2000, 1), 2000),
+    ("V", lambda aux: mu_of_pq("V", 5000, 1, 1, aux), 5000),
+    ("III", lambda aux: lambda_of_q("III", 1e8, 0.5 + 0.5j), 1e8),
+    ("III", lambda aux: mu_of_pq("III", 800, 0, 1, aux), 800),
+    ("III", lambda aux: pq_of_lambdamu("III", 1e300, 0.5, 1, aux), cmath.log(1e300)),
+    ("III", lambda aux: mu_of_pq("III", -800, 1, 1, aux), -800),  # e^q underflows to 0
+    ("IV", lambda aux: lambda_of_q("IV", 1e300, 1e-300), 1e300),
+    ("IV", lambda aux: mu_of_pq("IV", 1e300, 1, 1, aux), 1e300),  # rest overflows silently
+    ("IV", lambda aux: multi_transform("IV", "to_painleve", PhaseState((1e300,), (1,), 1), aux),
+     1e300),
+), ids=("lambda-V", "mu-V", "lambda-III", "mu-III", "pq-III", "mu-III-underflow", "lambda-IV",
+        "mu-IV", "multi-IV"))
+def test_maps_leaving_the_double_range_raise_map_singularity(eq, call, q):
+    from painleve_calogero.errors import MapSingularity
+
+    with pytest.raises(MapSingularity, match=re.escape(f"q={complex(q)} ")):
+        call(default_aux(eq))
 
 
 def test_multi_transform_argument_validation(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import runpy
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from painleve_calogero import (
     PhaseState,
     SystemDescriptor,
     canonical_field,
+    elliptic,
     jacobian_dtau_dt,
     multi_transform,
     transforms,
@@ -31,12 +33,61 @@ from painleve_calogero.verify.correspondence import (
     default_aux,
     sample_calogero_state,
 )
-from painleve_calogero.verify.report import rng_for
+from painleve_calogero.verify import correspondence, degeneration
+from painleve_calogero.verify.report import rng_for, worst
+
+NAN = complex("nan")
 
 
 def test_check_report_passed_invariant():
     assert CheckReport("x", 1e-10, 1e-9, 5).passed
     assert not CheckReport("x", 1e-8, 1e-9, 5).passed
+
+
+@pytest.mark.parametrize("errors, expected", (([], 0.0), ([1, math.nan, 2], math.inf),
+                                               ([math.inf], math.inf), ([math.nan], math.inf),
+                                               ([0.5, 2.0, 1.0], 2.0)))
+def test_worst(errors, expected):
+    assert worst(errors) == expected
+
+
+def _poisoned(monkeypatch, module, name, poison, call=2):
+    """Replace module.name by a wrapper whose ``call``-th result is poison(result)."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = original(*args, **kwargs)
+        return poison(out) if len(calls) == call else out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_identity_suite_fails_on_nan_wp_prime(monkeypatch):
+    monkeypatch.setattr(elliptic, "weierstrass_p_prime", lambda u, ctx: NAN)
+    reports = run_identity_suite(ctx_list=[EllipticContext(1j)], seed=7, n_points=5)
+    rows = [r for r in reports if r.check_id.startswith(("identity.cubic", "identity.addition"))]
+    assert len(rows) == 2
+    assert all(r.max_error == math.inf and not r.passed for r in rows)
+
+
+def test_correspondence_fails_on_one_nan_point(monkeypatch):
+    _poisoned(monkeypatch, correspondence, "_pushforward_error", lambda err: math.nan)
+    rep = run_correspondence_suite("II", 1, n_points=5, seed=7)
+    assert rep.max_error == math.inf and not rep.passed
+
+
+@pytest.mark.parametrize("schedule, module, name, poison", (
+    ("pvi_to_pv", degeneration, "painleve_ode_rhs", lambda f: NAN),
+    ("hyperbolic_to_rational", degeneration, "canonical_field",
+     lambda field: ([NAN] * len(field[0]), field[1])),
+    ("elliptic_to_hyperbolic", elliptic, "shifted_p", lambda v: NAN),
+))
+def test_degeneration_defect_fails_on_one_nan_point(monkeypatch, schedule, module, name, poison):
+    _poisoned(monkeypatch, module, name, poison)
+    first = run_degeneration_suite(SCHEDULES[schedule], seed=7)[0]  # the largest eps
+    assert first.max_error == math.inf and not first.passed
 
 
 def test_identity_suite_passes():
