@@ -1,27 +1,35 @@
 """Adaptive integration of the canonical flows and ODE residual checks.
 
-The integrator is the Dormand-Prince 5(4) embedded pair with PI step-size
-control, propagating the complex state along a straight segment in the
+The integrator is Dormand and Prince's 8(5,3) pair (DOP853; Hairer,
+Norsett and Wanner, Solving ODEs I, sec. II.5) with Hairer's step-size
+controller, propagating the complex state along a straight segment in the
 system's own time variable (tau for the PVI Calogero flow, t otherwise).
-The pair is first-same-as-last (its seventh stage is the field at the
-accepted point), so a step costs six field calls.  Bad tolerances and a
+A step has twelve stages; the field at the accepted point is a
+thirteenth, reused as the next step's first, so a rejected step costs
+eleven field calls and an accepted one twelve.  A step is accepted when
+Hairer's combined 5th/3rd-order error estimate is <= 1 against
+``_TOL_MARGIN`` = 0.1 times the requested tolerance.  Bad tolerances and a
 non-finite initial state or end time raise ValueError before any field call.
 Movable poles are detected (state magnitude blow-up or step underflow) and
 stop the integration with a tagged, partial trajectory; there is no
 automatic path deformation around them.  Rejected steps are counted, the
 singular ones (a stage raised or went non-finite) also on their own.
 
-``painleve_residual`` resamples a Painleve-side trajectory through the
-cubic-Hermite dense output and measures how well lambda(t) satisfies the
-printed second-order Painleve equation, using 4th-order finite-difference
-stencils.
+Dense output retakes a partial DOP853 step from the left end of the
+segment holding the requested point.  ``painleve_residual`` resamples a
+Painleve-side trajectory through it and measures how well lambda(t)
+satisfies the printed second-order Painleve equation, using 4th-order
+finite-difference stencils.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,20 +38,68 @@ from .errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
 from .params import PainleveParams, check_equation
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 8(5,3) tableau (DOP853), from Hairer's dop853.f.  Row 12
+# of _A is the 8th-order weights _B and its node is 1: the thirteenth stage
+# is the field at the accepted point.  _E5 and _E3 weigh the first twelve
+# stages into the 5th- and 3rd-order error estimates.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0,
+)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636,
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259,
+    ),
 )
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b5 - b4: coefficients of the embedded error estimate
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_B = _A[12]
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+)
+
+# Each step's error estimate is held to this fraction of the requested
+# tolerance.  The combined estimate is sharper than an embedded-pair
+# difference, and taken at face value it loosens the global error.
+_TOL_MARGIN = 0.1
+_SINGULAR = (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError)
 
 BLOWUP_LIMIT = 1e8
 _MIN_STEP_FRACTION = 1e-13
@@ -75,34 +131,29 @@ class Trajectory:
     n_rejected: int = 0
     n_rejected_singular: int = 0
     n_rhs: int = 0
-    # dense segments: (s0, s1, y0, y1, f0, f1) in the path parameter
+    # dense segments: (s0, s1, y0, f0) in the path parameter, and the field
+    # (path parameter, state) -> d state / d(path parameter) that retakes them
     _dense: list[tuple] = field(default_factory=list, repr=False)
+    _field: Callable[[float, list], list] | None = field(default=None, repr=False)
 
     @property
     def completed(self) -> bool:
         return self.termination == COMPLETED
 
     def interpolate(self, s: float) -> np.ndarray:
-        """Cubic-Hermite dense output at path parameter s in [0, s_last]."""
+        """State at path parameter s in [0, s_last].
+
+        One DOP853 step of length s - s0 from the left end (s0, y0, f0) of
+        the segment holding s; at the right end it is the accepted step
+        again, so every sample is returned exactly.
+        """
         if not self._dense:
             st = self.samples[0][1]
             return np.array(st.coords + st.momenta, dtype=complex)
-        lo, hi = 0, len(self._dense) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._dense[mid][1] < s:
-                lo = mid + 1
-            else:
-                hi = mid
-        s0, s1, *vectors = self._dense[lo]
-        y0, y1, f0, f1 = (np.asarray(v, dtype=complex) for v in vectors)
-        h = s1 - s0
-        x = (s - s0) / h
-        h00 = (1 + 2 * x) * (1 - x) ** 2
-        h10 = x * (1 - x) ** 2
-        h01 = x * x * (3 - 2 * x)
-        h11 = x * x * (x - 1)
-        return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        i = min(bisect.bisect_left(self._dense, s, key=itemgetter(1)), len(self._dense) - 1)
+        s0, _, y0, f0 = self._dense[i]
+        y, _ = _step(self._field, s0, y0, float(s) - s0, f0)
+        return np.array(y, dtype=complex)
 
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, states) on a uniform grid of n points over the full arc."""
@@ -146,6 +197,29 @@ def _sums(coeffs: tuple, k: list) -> list:
     return out
 
 
+def _step(rhs, s: float, y: list, h: float, f0: list) -> tuple[list, list]:
+    """One DOP853 step of length h from (s, y), where the field is f0:
+    the 8th-order update and the twelve stages."""
+    k = [f0]
+    for i in range(1, 12):
+        yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
+        k.append(rhs(s + _C[i] * h, yi))
+    return [yc + h * d for yc, d in zip(y, _sums(_B, k))], k
+
+
+def _error_norm(h: float, k: list, y_max: np.ndarray, rel_tol: float, abs_tol: float) -> float:
+    """Hairer's combined estimate h err5^2 / sqrt(err5^2 + 0.01 err3^2) in
+    RMS norms scaled by _TOL_MARGIN * (abs_tol + rel_tol * y_max)."""
+    scale = _TOL_MARGIN * (abs_tol + rel_tol * y_max)
+    e5 = np.abs(np.array(_sums(_E5, k), dtype=complex)) / scale
+    e3 = np.abs(np.array(_sums(_E3, k), dtype=complex)) / scale
+    sq5 = float((e5 * e5).sum())
+    if sq5 == 0:
+        return 0.0
+    sq3 = float((e3 * e3).sum())
+    return h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * e5.size)
+
+
 def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
               rel_tol: float = 1e-8, abs_tol: float = 1e-10,
               max_steps: int = 100000,
@@ -165,9 +239,13 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     'pole_detected' or 'step_underflow' tag instead of raising; an
     overflowing step is rejected without a numpy warning.
 
-    The seventh stage is the field at the accepted point and is reused as
-    the next step's first (first same as last), so a run without singular
-    rejections makes 1 + 6 * (n_accepted + n_rejected) field calls.
+    Each step is a DOP853 step of twelve stages, accepted when its error
+    estimate is <= 1 against ``_TOL_MARGIN`` (0.1) times the tolerance
+    abs_tol + rel_tol * |y|.  The field at the accepted point is a
+    thirteenth stage, reused as the next step's first (first same as last),
+    so a run without singular rejections makes
+    1 + 11 * (n_accepted + n_rejected) + n_accepted field calls.  The
+    trajectory keeps each step's start and field for ``interpolate``.
     """
     _check_tolerances(rel_tol, abs_tol, max_step)
     _check_finite(initial, t_end)
@@ -176,25 +254,29 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     t1 = complex(t_end)
     span = t1 - t0
     _check_segment(sys, t0, t1)
+    n = sys.rank
 
-    traj = Trajectory(sys, [(t0, initial)], rel_tol, abs_tol, COMPLETED)
+    def field_at(s: float, y: list) -> list:
+        time = t0 + s * span
+        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time), ctx)
+        # a numpy product: CPython's complex product rounds differently
+        return (span * np.array(dq + dp, dtype=complex)).tolist()
+
+    traj = Trajectory(sys, [(t0, initial)], rel_tol, abs_tol, COMPLETED, _field=field_at)
     if span == 0:
         return traj
     h_cap = max_step / abs(span) if max_step is not None else 1.0
-    n = sys.rank
 
     def rhs(s: float, y: list) -> list:
-        time = t0 + s * span
-        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time), ctx)
+        out = field_at(s, y)
         traj.n_rhs += 1
-        # a numpy product: CPython's complex product rounds differently
-        return (span * np.array(dq + dp, dtype=complex)).tolist()
+        return out
 
     y = list(initial.coords + initial.momenta)
     abs_y = np.abs(np.array(y, dtype=complex))
     s = 0.0
     h = min(1e-2, h_cap)
-    err_prev = 1.0
+    last_rejected = False
     # overflow in a step leaves inf or nan, which rejects it: no warning
     with np.errstate(over="ignore", invalid="ignore"):
         f_now = rhs(s, y)
@@ -206,45 +288,40 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
             if h < _MIN_STEP_FRACTION:
                 traj.termination = STEP_UNDERFLOW
                 return traj
-            k = [f_now]
+            s_new = s + h
+            h = s_new - s  # the length interpolate retakes from s to s_new
             singular = False
             try:
-                for i in range(1, 7):
-                    yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
-                    k.append(rhs(s + _C[i] * h, yi))
-            except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
+                y_new, k = _step(rhs, s, y, h, f_now)
+            except _SINGULAR:
                 singular = True
             if not singular:
-                y_new = [yc + h * d for yc, d in zip(y, _sums(_B5, k))]
                 new_arr = np.array(y_new, dtype=complex)
                 singular = not np.isfinite(new_arr).all()
             if singular:
                 err = math.inf
             else:
-                # RMS of the scaled error; sum() / size is np.mean's own reduction
-                err_vec = np.array([h * d for d in _sums(_E, k)], dtype=complex)
                 abs_new = np.abs(new_arr)
-                ratio = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
-                err = math.sqrt((ratio * ratio).sum() / ratio.size)
+                err = _error_norm(h, k, np.maximum(abs_y, abs_new), rel_tol, abs_tol)
             if err <= 1.0:
                 if abs_new.max() > BLOWUP_LIMIT:
                     traj.termination = POLE_DETECTED
                     return traj
-                s_new = s + h
+                try:
+                    f_new = rhs(s_new, y_new)  # the thirteenth stage
+                except _SINGULAR:
+                    singular, err = True, math.inf
+            if err <= 1.0:
                 t_new = t0 + s_new * span
-                # stage 7 ran at (s + h, y_new): _A[6] is _B5[:6] and _C[6] is 1
-                f_new = k[6]
-                traj._dense.append((s, s_new, y, y_new, f_now, f_new))
+                traj._dense.append((s, s_new, y, f_now))
                 traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
                 traj.n_accepted += 1
                 y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
-                # PI controller (order 5: exponents 0.7/5 and 0.4/5)
-                if err == 0:
-                    fac = 5.0
-                else:
-                    fac = 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5)
-                err_prev = max(err, 1e-10)
-                h *= min(5.0, max(0.2, fac))
+                # Hairer's controller: safety 0.9, factor in [0.333, 6],
+                # and no growth on the step after a rejection
+                fac = 6.0 if err == 0 else min(6.0, max(0.333, 0.9 * err ** (-1 / 8)))
+                h *= min(1.0, fac) if last_rejected else fac
+                last_rejected = False
             else:
                 traj.n_rejected += 1
                 if singular:
@@ -252,7 +329,8 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
                 if not math.isfinite(err):
                     h *= 0.2
                 else:
-                    h *= min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))
+                    h *= max(0.333, 0.9 * err ** (-1 / 8))
+                last_rejected = True
     if s < 1.0:
         traj.termination = MAX_STEPS
     return traj

@@ -338,7 +338,10 @@ def hamiltonian_gradients(
 
 
 def _evaluate(sys, state, ctx):
-    """(H, dH/dcoords, dH/dmomenta): one-body terms, then the j < k pairs."""
+    """(H, dH/dcoords, dH/dmomenta): one-body terms, then the j < k pairs.
+
+    A term that overflows raises ``CoordinateSingularity`` naming its
+    coordinates."""
     check_state(sys, state)
     eq, t, g4sq, xs = sys.equation, state.time, sys.g4sq, state.coords
     if sys.side == "painleve":
@@ -350,7 +353,11 @@ def _evaluate(sys, state, ctx):
     dx = []
     dm = []
     for x, m in zip(xs, state.momenta):
-        h1, d1, d2 = one_body(eq, x, m, t, params, cc)
+        try:
+            h1, d1, d2 = one_body(eq, x, m, t, params, cc)
+        except OverflowError as exc:
+            raise CoordinateSingularity(
+                f"P{eq} {sys.side} one-body term overflows at coordinate {x}") from exc
         total += h1
         dx.append(d1)
         dm.append(d2)
@@ -360,7 +367,11 @@ def _evaluate(sys, state, ctx):
     if g4sq != 0:
         for j in range(n):
             for k in range(j + 1, n):
-                val, dj, dk = pair(eq, xs[j], xs[k], t, g4sq, cc)
+                try:
+                    val, dj, dk = pair(eq, xs[j], xs[k], t, g4sq, cc)
+                except OverflowError as exc:
+                    raise CoordinateSingularity(f"P{eq} {sys.side} pair term overflows at "
+                                                f"coordinates {xs[j]}, {xs[k]}") from exc
                 pairs += val
                 pair_dx[j] += dj
                 pair_dx[k] += dk

@@ -309,12 +309,16 @@ def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxPa
     """Invert the pair map: q from lambda, then p exactly (mu is affine in p).
 
     For VI, ``time`` is tau (the Calogero-side time of the target point).
+    A p that overflows raises ``MapSingularity`` naming q.
     """
     eq = check_equation(eq)
     _require_finite("mu and time", mu, time)
     q = q_of_lambda(eq, lam, time, ctx, branch_hint)
     coef, rest, _ = _mu_pieces(eq, q, complex(time), aux, ctx)
-    return q, (complex(mu) - rest) / coef
+    p = (complex(mu) - rest) / coef
+    if not cmath.isfinite(p):
+        raise _out_of_range(eq, q)
+    return q, p
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ import numpy as np
 
 @dataclass
 class CheckReport:
-    """One numerical check: an error magnitude against a pinned tolerance."""
+    """One numerical check: an error magnitude against a pinned tolerance.
+
+    A NaN error (a ratio inf / inf, the spread of infinite values) is
+    reported as inf, which fails like any other non-finite error."""
 
     check_id: str
     max_error: float
@@ -24,6 +27,8 @@ class CheckReport:
 
     def __post_init__(self):
         self.max_error = float(self.max_error)
+        if math.isnan(self.max_error):
+            self.max_error = math.inf
         self.tolerance = float(self.tolerance)
         self.passed = self.max_error <= self.tolerance
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import painleve_calogero
 from painleve_calogero import (
     EllipticContext,
     PhaseState,
@@ -78,11 +84,27 @@ def test_tolerance_scaling_on_pii():
     for tol in (1e-6, 1e-8):
         err[tol] = float(np.max(np.abs(_endpoint(integrate(sd, st, t_end, tol, tol * 1e-2)) - ref)))
     # reducing rel_tol by 100x must reduce the endpoint error at least 4x,
-    # and the reduction should track tol^(5/6) within a factor 3
+    # and the reduction should track tol^(8/9) (order 8) within a factor 3
     ratio = err[1e-6] / err[1e-8]
     assert ratio >= 4
-    expected = 100 ** (5 / 6)
+    expected = 100 ** (8 / 9)
     assert expected / 3 < ratio < expected * 3
+
+
+def test_observed_order_on_pii():
+    # fixed steps on t in [0, -20], where PII oscillates: the caps 1/128 and
+    # 1/256 of the path lie below its first step 1e-2, and rel_tol 1 accepts
+    # every capped step
+    sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
+    st = PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.0)
+    ref = _endpoint(integrate(sd, st, -20.0, 1e-13, 1e-15))
+    err = {}
+    for steps in (128, 256):
+        traj = integrate(sd, st, -20.0, 1.0, 1.0, max_step=20 / steps)
+        assert (traj.n_accepted, traj.n_rejected) == (steps, 0)
+        err[steps] = float(np.max(np.abs(_endpoint(traj) - ref)))
+    assert err[256] > 1e-12  # well above the reference's own error
+    assert np.log2(err[128] / err[256]) >= 7.5
 
 
 @pytest.mark.parametrize("eq", sorted(RESIDUAL_CASES))
@@ -102,21 +124,34 @@ def test_constant_zero_fake_trajectory_detects_wrong_dynamics():
     n = 25
     samples = []
     dense = []
-    zero = np.zeros(2, dtype=complex)
+    zero = [0j, 0j]
     for i in range(n):
         s = i / (n - 1)
         t = t0 + s * (t1 - t0)
         samples.append((t, PhaseState((0,), (0,), t)))
         if i:
-            dense.append(((i - 1) / (n - 1), s, zero, zero, zero, zero))
+            dense.append(((i - 1) / (n - 1), s, zero, zero))
+    # the dense output follows a zero field, not the PI flow
     traj = Trajectory(SystemDescriptor("I", "painleve"), samples, 1e-8, 1e-10,
-                      COMPLETED, _dense=dense)
+                      COMPLETED, _dense=dense, _field=lambda s, y: [0j] * len(y))
     res = painleve_residual("I", traj)
     # residual of lambda = 0 is |0 - (6*0 + t)| = |t|, maximized over the
     # interior of the resampled grid
     times, _ = traj.resample(41)
     expected = max(abs(times[i]) for i in range(2, 39))
     assert abs(res - expected) < 1e-12
+
+
+def test_interpolate_returns_every_sample_exactly(rng):
+    pii = SystemDescriptor("II", "painleve", params=default_aux("II"))
+    pvi = SystemDescriptor("VI", "calogero", 3, 0.7, default_aux("VI"))
+    st = sample_calogero_state("VI", 3, rng)
+    for traj in (integrate(pii, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 40.4 + 0.1j),
+                 integrate(pvi, st, st.time + 0.01 * (1 + 0.2j), 1e-10, 1e-10)):
+        assert len(traj._dense) == traj.n_accepted > 2
+        ends = [0.0] + [seg[1] for seg in traj._dense]
+        for s, (_, state) in zip(ends, traj.samples, strict=True):
+            assert traj.interpolate(s).tolist() == list(state.coords + state.momenta)
 
 
 def test_too_sparse_raises():
@@ -147,7 +182,7 @@ def test_run_ending_on_its_last_attempt_is_completed():
     st = PhaseState((0.2,), (0.3,), 0.0)
     free = integrate(sd, st, 0.05)
     attempts = free.n_accepted + free.n_rejected
-    assert free.completed and attempts == 8
+    assert free.completed and attempts == 4
     last = integrate(sd, st, 0.05, max_steps=attempts)
     assert last.termination == COMPLETED
     assert last.samples == free.samples
@@ -226,13 +261,14 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
 
 
 def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol, ctx=None):
-    """Reference: the Dormand-Prince loop on numpy arrays, with a second field
-    call at every accepted point.  Returns (samples, n_accepted, n_rejected,
-    n_rhs, termination)."""
-    A, B5, C, E = dynamics._A, dynamics._B5, dynamics._C, dynamics._E
+    """Reference: the DOP853 loop on numpy arrays, with its error estimate,
+    step-size controller and singular rejections written out again.
+    Returns (samples, n_accepted, n_rejected, n_rhs, termination)."""
+    A, B, C, E5, E3 = dynamics._A, dynamics._B, dynamics._C, dynamics._E5, dynamics._E3
     t0, n = complex(initial.time), len(initial.coords)
     span = complex(t_end) - t0
     samples, counts = [(t0, initial)], {"acc": 0, "rej": 0, "rhs": 0}
+    singular_errors = (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError)
 
     def rhs(s, y):
         dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span), ctx)
@@ -243,37 +279,41 @@ def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol, ctx=None):
         return samples, counts["acc"], counts["rej"], counts["rhs"], termination
 
     y = np.array(list(initial.coords) + list(initial.momenta), dtype=complex)
-    s, h, err_prev, f_now = 0.0, 1e-2, 1.0, rhs(0.0, y)
-    k = [None] * 7
+    s, h, rejected, f_now = 0.0, 1e-2, False, rhs(0.0, y)
+    k = [None] * 12
     while s < 1.0:
         h = min(h, 1.0 - s)
         if h < dynamics._MIN_STEP_FRACTION:
             return done(dynamics.STEP_UNDERFLOW)
-        k[0], failed = f_now, False
+        s_new = s + h
+        h = s_new - s
+        k[0], err = f_now, np.inf
         try:
-            for i in range(1, 7):
+            for i in range(1, 12):
                 k[i] = rhs(s + C[i] * h, y + h * sum(a * k[j] for j, a in enumerate(A[i])))
-            y_new = y + h * sum(b * ki for b, ki in zip(B5, k))
-            err_vec = h * sum(e * ki for e, ki in zip(E, k))
-        except (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError):
-            failed = True
-        err = np.inf
-        if not failed and np.all(np.isfinite(y_new)):
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+            y_new = y + h * sum(b * ki for b, ki in zip(B, k))
+            if np.all(np.isfinite(y_new)):
+                scale = 0.1 * (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                sq5 = np.sum((np.abs(sum(e * ki for e, ki in zip(E5, k))) / scale) ** 2)
+                sq3 = np.sum((np.abs(sum(e * ki for e, ki in zip(E3, k))) / scale) ** 2)
+                err = 0.0 if sq5 == 0 else h * sq5 / np.sqrt((sq5 + 0.01 * sq3) * len(y))
+            if err <= 1.0:
+                if np.max(np.abs(y_new)) > dynamics.BLOWUP_LIMIT:
+                    return done(POLE_DETECTED)
+                f_now = rhs(s_new, y_new)
+        except singular_errors:
+            err = np.inf
         if err <= 1.0:
-            if np.max(np.abs(y_new)) > dynamics.BLOWUP_LIMIT:
-                return done(POLE_DETECTED)
-            s += h
-            f_now, y = rhs(s, y_new), y_new
+            s, y = s_new, y_new
             samples.append((t0 + s * span, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span)))
             counts["acc"] += 1
-            fac = 5.0 if err == 0 else 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5)
-            err_prev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
+            fac = 6.0 if err == 0 else min(6.0, max(0.333, 0.9 * err ** (-1 / 8)))
+            h *= min(1.0, fac) if rejected else fac
+            rejected = False
         else:
             counts["rej"] += 1
-            h *= 0.2 if not np.isfinite(err) else min(1.0, max(0.2, 0.9 * err ** (-1 / 5)))
+            h *= 0.2 if not np.isfinite(err) else max(0.333, 0.9 * err ** (-1 / 8))
+            rejected = True
     return done(COMPLETED)
 
 
@@ -296,9 +336,7 @@ def test_step_loop_matches_numpy_reference(rng):
         samples, n_acc, n_rej, n_rhs, termination = _numpy_step_loop(sd, st, t_end, rel_tol, abs_tol)
         assert traj.termination == termination
         assert traj.samples == samples
-        assert (traj.n_accepted, traj.n_rejected) == (n_acc, n_rej)
-        # the reference evaluates the field once more per accepted step
-        assert traj.n_rhs == n_rhs - traj.n_accepted
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (n_acc, n_rej, n_rhs)
         rejected += n_rej
     assert rejected > 0
 
@@ -307,7 +345,8 @@ def test_fsal_field_call_count():
     sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
     traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 40.4 + 0.1j)
     assert traj.completed and traj.n_rejected > 0 and traj.n_rejected_singular == 0
-    assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+    # a rejected step makes 11 field calls, an accepted one also the 13th stage
+    assert traj.n_rhs == 1 + 11 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
 
 
 def test_singular_rejections_are_counted():
@@ -318,7 +357,23 @@ def test_singular_rejections_are_counted():
     assert traj.termination == "step_underflow"
     assert 0 < traj.n_rejected_singular <= traj.n_rejected
     # a stage that raises ends its step early
-    assert traj.n_rhs < 1 + 6 * (traj.n_accepted + traj.n_rejected)
+    assert traj.n_rhs < 1 + 11 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
+
+
+def test_field_raising_at_the_accepted_point_rejects_the_step(monkeypatch):
+    calls = []
+
+    def field(*args):
+        calls.append(None)
+        if len(calls) == 13:  # the first step's thirteenth stage
+            raise CoordinateSingularity("raised at the accepted point")
+        return canonical_field(*args)
+
+    monkeypatch.setattr(dynamics, "canonical_field", field)
+    sd = SystemDescriptor("I", "painleve")
+    traj = integrate(sd, PhaseState((0.2,), (0.3,), 0.0), 0.05)
+    assert traj.completed and traj.n_rejected == traj.n_rejected_singular == 1
+    assert traj.n_rhs == len(calls) - 1 == 1 + 11 * (traj.n_accepted + 1) + traj.n_accepted
 
 
 def test_numpy_overflow_in_a_step_is_a_singular_rejection():
@@ -369,3 +424,27 @@ def test_non_finite_input_is_refused(state, t_end, equation, side, monkeypatch):
     with pytest.raises(ValueError, match="finite"):
         integrate(sd, state, t_end)
     assert not calls
+
+
+def test_integrate_does_not_import_scipy():
+    code = ("import sys\n"
+            "from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
+            "traj = integrate(SystemDescriptor('I', 'painleve'), PhaseState((0.2,), (0.3,), 0), 0.5)\n"
+            "traj.resample(9)\n"
+            "assert traj.completed\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(painleve_calogero.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_tableau_is_hairers_dop853():
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(dynamics._C, ref.C[:13])
+    for i, row in enumerate(dynamics._A):
+        assert np.array_equal(row, ref.A[i, :i]), i
+    assert dynamics._B == dynamics._A[12]
+    assert np.array_equal(dynamics._E5, ref.E5[:12]) and ref.E5[12] == 0
+    assert np.array_equal(dynamics._E3, ref.E3[:12]) and ref.E3[12] == 0

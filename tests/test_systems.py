@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import pytest
 
@@ -165,6 +166,24 @@ def test_one_body_pole_raises():
     for lam in (0, 1, t):
         with pytest.raises(CoordinateSingularity):
             hamiltonian(sd, PhaseState((lam,), (0.2,), t))
+
+
+@pytest.mark.parametrize("eq, side, coords", [
+    ("V", "calogero", (2000,)), ("V", "calogero", (-2000,)), ("III", "calogero", (800,)),
+    ("IV", "calogero", (1e300,)), ("IV", "painleve", (1e300,)), ("II", "calogero", (1e300, 0.3)),
+])
+def test_overflowing_term_raises_coordinate_singularity(eq, side, coords):
+    from painleve_calogero import integrate
+    from painleve_calogero.errors import CoordinateSingularity
+
+    sd = SystemDescriptor(eq, side, len(coords), 0.5, params=default_aux(eq))
+    st = PhaseState(coords, (0.5,) * len(coords), 0.5 + 0.5j)
+    for call in (canonical_field, hamiltonian):
+        with pytest.raises(CoordinateSingularity, match=re.escape(str(complex(coords[0])))):
+            call(sd, st)
+    # the first field call of integrate sits outside its step's rejection
+    with pytest.raises(CoordinateSingularity):
+        integrate(sd, st, 0.6 + 0.5j)
 
 
 def autonomous_check(sys, state, ctx=None, dt=1e-6):

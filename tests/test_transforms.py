@@ -501,8 +501,9 @@ def test_time_map_inverse_refuses_a_step_longer_than_im_tau():
     ("IV", lambda aux: mu_of_pq("IV", 1e300, 1, 1, aux), 1e300),  # rest overflows silently
     ("IV", lambda aux: multi_transform("IV", "to_painleve", PhaseState((1e300,), (1,), 1), aux),
      1e300),
+    ("IV", lambda aux: pq_of_lambdamu("IV", 1e300, 0.5, 1, aux), 2e150),  # p overflows
 ), ids=("lambda-V", "mu-V", "lambda-III", "mu-III", "pq-III", "mu-III-underflow", "lambda-IV",
-        "mu-IV", "multi-IV"))
+        "mu-IV", "multi-IV", "pq-IV"))
 def test_maps_leaving_the_double_range_raise_map_singularity(eq, call, q):
     from painleve_calogero.errors import MapSingularity
 

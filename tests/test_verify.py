@@ -90,6 +90,18 @@ def test_degeneration_defect_fails_on_one_nan_point(monkeypatch, schedule, modul
     assert first.max_error == math.inf and not first.passed
 
 
+def test_nan_shrink_ratio_and_spread_read_inf(monkeypatch):
+    monkeypatch.setattr(degeneration, "painleve_ode_rhs", lambda *args: NAN)
+    reports = run_degeneration_suite(SCHEDULES["pvi_to_pv"], seed=7)
+    assert all(r.max_error == math.inf and not r.passed for r in reports)
+    assert reports[-1].check_id.endswith("shrink_ratio")  # inf / inf
+    monkeypatch.setattr(elliptic, "theta_du2", lambda u, ctx: NAN)
+    reports += run_identity_suite(ctx_list=[EllipticContext(1j)], seed=7, n_points=5)
+    lemma4 = [r for r in reports if r.check_id.startswith("identity.lemma4")]
+    assert len(lemma4) == 1 and lemma4[0].max_error == math.inf
+    assert "NaN" not in reports_to_json(reports)
+
+
 def test_identity_suite_passes():
     reports = run_identity_suite(seed=7, n_points=20)
     assert reports and all(r.passed for r in reports)
