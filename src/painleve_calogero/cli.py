@@ -7,8 +7,9 @@ keyed by the Hamiltonian symbol names of the chosen equation
 p2, none for p1) plus optional g4sq.  Exit codes: 0 success, 1 usage error
 (bad tolerances, non-finite input, a parameter key the equation does not
 use and malformed input files included), 2 integration stopped at a
-movable pole.  ``integrate --stats`` prints the step counters to stderr;
-the trajectory output is the same with or without it.
+movable pole.  ``integrate`` takes the rank from the length of the
+initial state's ``coords``.  ``integrate --stats`` prints the step
+counters to stderr; the trajectory output is the same with or without it.
 
     painleve-calogero integrate --equation p1 --side painleve \
         --initial i0.json --t-end 1 --out tr.csv
@@ -166,10 +167,6 @@ def cmd_integrate(args) -> int:
             return 1
         aux, g4sq = AuxParams(equation), 0j
     initial = _load_initial(args.initial)
-    if args.rank is not None and args.rank != initial.rank:
-        print(f"error: --rank {args.rank} does not match initial state rank {initial.rank}",
-              file=sys.stderr)
-        return 1
     sys_desc = SystemDescriptor(equation, args.side, initial.rank, g4sq, aux)
     traj = integrate(sys_desc, initial, args.t_end,
                      rel_tol=args.rel_tol, abs_tol=args.abs_tol)
@@ -206,7 +203,7 @@ def cmd_params(args) -> int:
     elif equation == "I":
         result = {}
     else:
-        p = param_to_painleve(aux, equation)
+        p = param_to_painleve(aux)
         result = {name: _complex_to_json(getattr(p, name))
                   for name in ("alpha", "beta", "gamma", "delta")}
     _write(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -223,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="integrate a canonical flow")
     p_int.add_argument("--equation", required=True, choices=sorted(EQUATION_FLAGS))
     p_int.add_argument("--side", default="painleve", choices=("painleve", "calogero"))
-    p_int.add_argument("--rank", type=int, default=None,
-                       help="rank (defaults to the length of the initial state)")
     p_int.add_argument("--params", default=None, help="JSON file with aux parameters")
     p_int.add_argument("--initial", required=True, help="JSON file with coords/momenta/time")
     p_int.add_argument("--t-end", required=True, type=_parse_complex)

@@ -3,7 +3,8 @@
 The integrator is Dormand and Prince's 8(5,3) pair (DOP853; Hairer,
 Norsett and Wanner, Solving ODEs I, sec. II.5) with Hairer's step-size
 controller, propagating the complex state along a straight segment in the
-system's own time variable (tau for the PVI Calogero flow, t otherwise).
+system's own time variable (tau for the PVI Calogero flow, t otherwise);
+each field call reads the time, and so the PVI lattice, from its own state.
 A step has twelve stages; the field at the accepted point is a
 thirteenth, reused as the next step's first, so a rejected step costs
 eleven field calls and an accepted one twelve.  A step is accepted when
@@ -18,8 +19,8 @@ singular ones (a stage raised or went non-finite) also on their own.
 Dense output retakes a partial DOP853 step from the left end of the
 segment holding the requested point.  ``painleve_residual`` resamples a
 Painleve-side trajectory through it and measures how well lambda(t)
-satisfies the printed second-order Painleve equation, using 4th-order
-finite-difference stencils.
+satisfies the printed second-order Painleve equation of the trajectory's
+own system, using 4th-order finite-difference stencils.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .elliptic import EllipticContext
 from .errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
-from .params import PainleveParams, check_equation
+from .params import PainleveParams
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
 
 # Dormand-Prince 8(5,3) tableau (DOP853), from Hairer's dop853.f.  Row 12
@@ -223,7 +223,6 @@ def _error_norm(h: float, k: list, y_max: np.ndarray, rel_tol: float, abs_tol: f
 def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
               rel_tol: float = 1e-8, abs_tol: float = 1e-10,
               max_steps: int = 100000,
-              ctx: EllipticContext | None = None,
               max_step: float | None = None) -> Trajectory:
     """Integrate the canonical equations along the straight time segment.
 
@@ -258,7 +257,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
     def field_at(s: float, y: list) -> list:
         time = t0 + s * span
-        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time), ctx)
+        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time))
         # a numpy product: CPython's complex product rounds differently
         return (span * np.array(dq + dp, dtype=complex)).tolist()
 
@@ -360,11 +359,12 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
 # residual of the printed second-order Painleve equations
 # ---------------------------------------------------------------------------
 
-def painleve_ode_rhs(eq: str, lam: complex, dlam: complex, t: complex,
-                     p: PainleveParams) -> complex:
-    """Right-hand side of lambda'' = F(lambda, lambda', t) as printed."""
-    eq = check_equation(eq)
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
+RESIDUAL_GRID = 41  # uniform points painleve_residual resamples to
+
+def painleve_ode_rhs(lam: complex, dlam: complex, t: complex, p: PainleveParams) -> complex:
+    """Right-hand side of lambda'' = F(lambda, lambda', t) as printed, for
+    the equation ``p`` is tagged with."""
+    eq, a, b, g, d = p.equation, p.alpha, p.beta, p.gamma, p.delta
     if eq == "VI":
         return ((1 / lam + 1 / (lam - 1) + 1 / (lam - t)) / 2 * dlam**2
                 - (1 / t + 1 / (t - 1) + 1 / (lam - t)) * dlam
@@ -391,34 +391,32 @@ def painleve_ode_rhs(eq: str, lam: complex, dlam: complex, t: complex,
     return 6 * lam**2 + t  # PI
 
 
-def painleve_residual(eq: str, traj: Trajectory, n_grid: int = 41) -> float:
-    """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points,
-    inf if any of them is NaN.
+def painleve_residual(traj: Trajectory) -> float:
+    """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points
+    of the trajectory's own equation, inf if any of them is NaN.
 
     The trajectory must be on the Painleve side with at least 20 accepted
-    samples; lambda(t) is resampled to a uniform grid through the dense
-    output and differentiated with 4th-order central stencils.  For rank >
-    1 the residual is evaluated componentwise against the scalar equation
-    (meaningful for decoupled components, i.e. g4sq = 0).
+    samples; lambda(t) is resampled to ``RESIDUAL_GRID`` uniform points
+    through the dense output and differentiated with 4th-order central
+    stencils.  For rank > 1 the residual is evaluated componentwise against
+    the scalar equation (meaningful for decoupled components, i.e. g4sq = 0).
     """
-    eq = check_equation(eq)
     if traj.system.side != "painleve":
         raise ValueError("painleve_residual expects a Painleve-side trajectory")
     if len(traj.samples) < 20:
         raise TooSparse(f"need >= 20 samples, got {len(traj.samples)}")
-    n_grid = max(n_grid, 9)
-    times, states = traj.resample(n_grid)
-    h = (times[-1] - times[0]) / (n_grid - 1)
+    times, states = traj.resample(RESIDUAL_GRID)
+    h = (times[-1] - times[0]) / (RESIDUAL_GRID - 1)
     pparams = traj.system.painleve_params()
     rank = traj.system.rank
     worst = 0.0
     for comp in range(rank):
         lam = states[:, comp]
-        for i in range(2, n_grid - 2):
+        for i in range(2, RESIDUAL_GRID - 2):
             d1 = (lam[i - 2] - 8 * lam[i - 1] + 8 * lam[i + 1] - lam[i + 2]) / (12 * h)
             d2 = (-lam[i - 2] + 16 * lam[i - 1] - 30 * lam[i]
                   + 16 * lam[i + 1] - lam[i + 2]) / (12 * h * h)
-            res = abs(d2 - painleve_ode_rhs(eq, lam[i], d1, times[i], pparams))
+            res = abs(d2 - painleve_ode_rhs(lam[i], d1, times[i], pparams))
             if math.isnan(res):
                 return math.inf
             worst = max(worst, res)

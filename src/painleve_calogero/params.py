@@ -15,7 +15,8 @@ evaluates the printed algebraic relations between them:
          gamma = 4*etainf^2,               delta = -4*eta0^2
 
 PII carries a single constant alpha (passed through unchanged); PI has no
-parameters.
+parameters.  Every conversion reads the equation from the parameter set's
+own tag, so a set cannot be read as another equation's.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ class AuxParams:
                 object.__setattr__(self, f.name, complex(getattr(self, f.name)))
 
 
-def param_to_painleve(aux: AuxParams, equation: str | None = None) -> PainleveParams:
-    """Convert auxiliary Hamiltonian constants to (alpha, beta, gamma, delta).
+def param_to_painleve(aux: AuxParams) -> PainleveParams:
+    """Convert auxiliary Hamiltonian constants to (alpha, beta, gamma, delta)
+    of the equation ``aux`` is tagged with.
 
     Raises UnsupportedEquation for II and I, where no relation is printed
     (PII uses its alpha directly).
     """
-    eq = check_equation(equation or aux.equation)
+    eq = aux.equation
     if eq == "VI":
         k0, k1, th, kp = aux.kappa0, aux.kappa1, aux.theta, aux.kappa
         return PainleveParams(
@@ -134,25 +136,24 @@ def param_to_painleve(aux: AuxParams, equation: str | None = None) -> PainlevePa
     raise UnsupportedEquation(f"no printed parameter relation for P{eq}")
 
 
-def to_painleve_params(params, equation: str | None = None) -> PainleveParams:
-    """Coerce AuxParams or PainleveParams to PainleveParams.
+def to_painleve_params(params: AuxParams | PainleveParams) -> PainleveParams:
+    """Coerce AuxParams or PainleveParams to PainleveParams of the same tag.
 
     For PII an AuxParams alpha passes through; PI yields empty parameters.
     """
     if isinstance(params, PainleveParams):
         return params
-    eq = check_equation(equation or params.equation)
-    if eq == "II":
+    if params.equation == "II":
         return PainleveParams("II", alpha=params.alpha)
-    if eq == "I":
+    if params.equation == "I":
         return PainleveParams("I")
-    return param_to_painleve(params, eq)
+    return param_to_painleve(params)
 
 
-def manin_alphas(params) -> tuple[complex, complex, complex, complex]:
+def manin_alphas(params: AuxParams | PainleveParams) -> tuple[complex, complex, complex, complex]:
     """(alpha_0 .. alpha_3) multiplying -wp(q + omega_n) in the PVI potential.
 
     alpha_0 = alpha, alpha_1 = -beta, alpha_2 = gamma, alpha_3 = -delta + 1/2.
     """
-    p = to_painleve_params(params, "VI")
+    p = to_painleve_params(params)
     return p.alpha, -p.beta, p.gamma, -p.delta + 0.5

@@ -49,7 +49,10 @@ class SystemDescriptor:
 
     ``params`` holds AuxParams (required on the Painleve side for VI..III)
     or PainleveParams (accepted on the Calogero side, whose potentials are
-    written in the alpha..delta vocabulary).  ``g4sq`` is the two-body
+    written in the alpha..delta vocabulary), tagged with the system's own
+    equation: a set of another equation raises ``ValueError``.  The rank
+    is given here once; a phase state of another length is refused by
+    every evaluation.  ``g4sq`` is the two-body
     coupling g_4^2; it only acts for rank > 1.  Derived once, here: the
     PainleveParams and the AuxParams of the one-body Painleve terms,
     ``time_gauge`` ('tau' for 2 pi i d/dtau, 'log_t' for t d/dt, 't' for
@@ -73,14 +76,15 @@ class SystemDescriptor:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.params is not None and self.params.equation != eq:
+            raise ValueError(f"P{eq} system given parameters of P{self.params.equation}")
         object.__setattr__(self, "g4sq", complex(self.g4sq))
         painleve = self.side == "painleve"
         if painleve and eq not in ("I", "II") and not isinstance(self.params, AuxParams):
             raise ValueError(f"P{eq} Painleve side requires AuxParams")
         if painleve and eq == "II" and self.params is None:
             raise ValueError("PII Painleve side requires parameters (alpha)")
-        pp = to_painleve_params(self.params, eq) if self.params is not None \
-            else PainleveParams(eq)
+        pp = to_painleve_params(self.params) if self.params is not None else PainleveParams(eq)
         object.__setattr__(self, "_painleve", pp)
         object.__setattr__(self, "_aux", self.params if isinstance(self.params, AuxParams)
                            else AuxParams(eq, alpha=pp.alpha))
@@ -323,32 +327,33 @@ def _calogero_pair(eq, qj, qk, t, g4sq, ctx: EllipticContext | None):
 # public evaluation API
 # ---------------------------------------------------------------------------
 
-def hamiltonian(sys: SystemDescriptor, state: PhaseState, ctx: EllipticContext | None = None) -> complex:
+def hamiltonian(sys: SystemDescriptor, state: PhaseState) -> complex:
     """Evaluate the printed Hamiltonian of the system at the phase point."""
-    h, _, _ = _evaluate(sys, state, ctx)
+    h, _, _ = _evaluate(sys, state)
     return h
 
 
 def hamiltonian_gradients(
-    sys: SystemDescriptor, state: PhaseState, ctx: EllipticContext | None = None
+    sys: SystemDescriptor, state: PhaseState
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Closed-form (dH/dcoords, dH/dmomenta) of the printed Hamiltonian."""
-    _, dc, dm = _evaluate(sys, state, ctx)
+    _, dc, dm = _evaluate(sys, state)
     return dc, dm
 
 
-def _evaluate(sys, state, ctx):
+def _evaluate(sys, state):
     """(H, dH/dcoords, dH/dmomenta): one-body terms, then the j < k pairs.
 
-    A term that overflows raises ``CoordinateSingularity`` naming its
-    coordinates."""
+    The PVI Calogero side builds one ``EllipticContext`` at tau =
+    state.time.  A term that overflows raises ``CoordinateSingularity``
+    naming its coordinates."""
     check_state(sys, state)
     eq, t, g4sq, xs = sys.equation, state.time, sys.g4sq, state.coords
     if sys.side == "painleve":
         one_body, pair, params = _painleve_one_body, _painleve_pair, sys._aux
     else:
         one_body, pair, params = _calogero_one_body, _calogero_pair, sys._painleve
-    cc = elliptic.context_at(t, ctx) if sys.time_gauge == "tau" else None
+    cc = EllipticContext(t) if sys.time_gauge == "tau" else None
     total = 0j
     dx = []
     dm = []
@@ -379,13 +384,13 @@ def _evaluate(sys, state, ctx):
 
 
 def canonical_field(
-    sys: SystemDescriptor, state: PhaseState, ctx: EllipticContext | None = None
+    sys: SystemDescriptor, state: PhaseState
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """(d coords/dT, d momenta/dT) in the system's own time variable T.
 
     T is tau for the PVI Calogero flow and t otherwise; the gauge factor
     (2 pi i, t or 1) is applied to the canonical right-hand side.
     """
-    dc, dm = hamiltonian_gradients(sys, state, ctx)
+    dc, dm = hamiltonian_gradients(sys, state)
     g = gauge_factor(sys, state.time)
     return tuple(d / g for d in dm), tuple(-d / g for d in dc)

@@ -75,8 +75,7 @@ def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> comple
     return PI * 1j / (t * (t - 1) * (e2 - e1))
 
 
-def time_map_pvi_inverse(t: complex, tau_seed: complex,
-                         ctx: EllipticContext | None = None) -> complex:
+def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
     """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed.
 
     A step longer than Im tau, which would leave the neighbourhood of the
@@ -89,7 +88,7 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex,
     for _ in range(_NEWTON_STEPS):
         if not tau.imag > 0:
             raise NoConvergence(f"Newton left the upper half plane from seed {tau_seed}", seed=tau_seed)
-        c = context_at(tau, ctx)
+        c = EllipticContext(tau)
         try:
             val = time_map_pvi(tau, c) - t
             if abs(val) < INVERSE_TOL:
@@ -250,9 +249,11 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     """Returns (coef, rest) with mu = coef * p + rest, and lambda(q).
 
-    Off VI, raises ``MapSingularity`` where q takes the map out of the
-    double range: a term overflows, e^q underflows to 0, or rest is not
-    finite."""
+    ``aux`` of another equation raises ``ValueError``.  Off VI, raises
+    ``MapSingularity`` where q takes the map out of the double range: a
+    term overflows, e^q underflows to 0, or rest is not finite."""
+    if aux.equation != eq:
+        raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
     if eq == "VI":
         c = context_at(time, ctx)
         lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
@@ -267,9 +268,9 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
                 raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
             sqrt_lam = -cmath.cosh(q / 2) / s  # branch induced by q
             lam = sqrt_lam * sqrt_lam
-            coef = 1 / (2 * sqrt_lam * (lam - 1))
-            rest = (aux.kappa0 / lam + aux.theta1 / (lam - 1)
-                    - aux.eta1 * time / (lam - 1) ** 2) / 2
+            lam_1 = 1 / (s * s)  # lambda - 1, which would cancel as lambda -> 1 at large q
+            coef = 1 / (2 * sqrt_lam * lam_1)
+            rest = (aux.kappa0 / lam + aux.theta1 / lam_1 - aux.eta1 * time / lam_1**2) / 2
         elif eq == "IV":
             if abs(q) < 1e-12:
                 raise MapSingularity("q=0 is singular for the PIV momentum map")
@@ -356,7 +357,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     if eq == "VI":
         if ctx is None:
             raise ValueError("VI inversion needs ctx.tau as the Newton seed for the time map")
-        T = time_map_pvi_inverse(t, ctx.tau, ctx)
+        T = time_map_pvi_inverse(t, ctx.tau)
         c = context_at(T, ctx)
     else:
         T, c = t, ctx

@@ -87,7 +87,7 @@ def _pushed_field(cal: SystemDescriptor, state: PhaseState,
     sum_w Phi(x0 + h w v) / (4 h w), w in (1, i, -1, -i), h = FD_STEP."""
     eq, rank, aux = cal.equation, cal.rank, cal.params
     T = state.time
-    qdot, pdot = canonical_field(cal, state, ctx)
+    qdot, pdot = canonical_field(cal, state)
     dT_dt = transforms.jacobian_dtau_dt(T, ctx) if eq == "VI" else 1.0 + 0j
     vel = [v * dT_dt for v in qdot] + [v * dT_dt for v in pdot] + [dT_dt]
     x0 = list(state.coords) + list(state.momenta) + [T]
@@ -154,11 +154,11 @@ def run_dynamic_correspondence(eq: str, rank: int = 1,
     t_start = start_pain.time
     t_end = t_start + arc_length * (1 + 0.2j) / abs(1 + 0.2j)
     if eq == "VI":
-        T_end = transforms.time_map_pvi_inverse(t_end, initial.time, ctx)
+        T_end = transforms.time_map_pvi_inverse(t_end, initial.time)
     else:
         T_end = t_end
 
-    traj_cal = integrate(cal, initial, T_end, rel_tol, abs_tol, ctx=ctx)
+    traj_cal = integrate(cal, initial, T_end, rel_tol, abs_tol)
     traj_pain = integrate(pain, start_pain, t_end, rel_tol, abs_tol)
     meta = {"equation": eq, "rank": str(rank), "arc": str(arc_length), "seed": str(seed),
             "cal_termination": traj_cal.termination, "pain_termination": traj_pain.termination}

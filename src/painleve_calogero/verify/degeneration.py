@@ -84,8 +84,8 @@ def _ode_defect_pvi_to_pv(eps: float, seed: int) -> float:
         lam = cbox(rng, 0.45, 0.7, 0.15, 0.35)
         v = cbox(rng, 0.3, 0.5, -0.15, 0.15)
         tt = cbox(rng, 0.75, 0.95, 0.08, 0.18)
-        f_src = eps * eps * painleve_ode_rhs("VI", lam, v / eps, 1 + eps * tt, src)
-        return abs(f_src - painleve_ode_rhs("V", lam, v, tt, tgt))
+        f_src = eps * eps * painleve_ode_rhs(lam, v / eps, 1 + eps * tt, src)
+        return abs(f_src - painleve_ode_rhs(lam, v, tt, tgt))
 
     return worst_over(seed, "degeneration.pvi_to_pv", 3, point_defect)
 

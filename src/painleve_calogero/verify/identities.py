@@ -12,6 +12,7 @@ from ..elliptic import PI, TWO_PI_I, EllipticContext
 from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 DEFAULT_TAUS = (1j, 1.5j, 0.4 + 2j)
+N_POINTS = 50
 
 
 def _draw_u(rng, tau):
@@ -23,33 +24,33 @@ def _draw_u(rng, tau):
     return complex(a + b * tau.real, b * tau.imag)
 
 
-def run_identity_suite(ctx_list=None, seed: int = 7, n_points: int = 50) -> list[CheckReport]:
-    """One CheckReport per identity per tau."""
-    if ctx_list is None:
-        ctx_list = [EllipticContext(t) for t in DEFAULT_TAUS]
-    reports = [r for ctx in ctx_list for r in _identities_for(ctx, seed, n_points)]
+def run_identity_suite(seed: int = 7) -> list[CheckReport]:
+    """One CheckReport per identity per tau in ``DEFAULT_TAUS``, each over
+    ``N_POINTS`` seeded points (16 for lemma3_fd, 30 for lemma4), then the
+    asymptotics rows."""
+    reports = [r for tau in DEFAULT_TAUS for r in _identities_for(EllipticContext(tau), seed)]
     return reports + asymptotics_checks()
 
 
-def _identities_for(ctx: EllipticContext, seed: int, n_points: int):
+def _identities_for(ctx: EllipticContext, seed: int):
     tag = format(complex(ctx.tau), "g")
     # (name, point error, pinned tolerance, points, metadata beyond tau)
     checks = (
-        ("periodicity", _periodicity, 1e-11, n_points, {}),
-        ("addition", _addition, 1e-9, n_points, {}),
-        ("cubic", _cubic, 1e-9, n_points, {}),
-        ("shift", _shift, 1e-9, n_points, {}),
-        ("lemma_g", _lemma_g, 1e-10, n_points, {}),
-        ("lemma3_fd", _lemma3_fd, 1e-9, max(10, n_points // 3), {"fd_step": "5e-4"}),
-        ("heat", _heat, 1e-6, n_points, {"fd_step": "1e-4"}),
-        ("sinh_pair", _sinh_pair, 1e-10, n_points, {}),
+        ("periodicity", _periodicity, 1e-11, N_POINTS, {}),
+        ("addition", _addition, 1e-9, N_POINTS, {}),
+        ("cubic", _cubic, 1e-9, N_POINTS, {}),
+        ("shift", _shift, 1e-9, N_POINTS, {}),
+        ("lemma_g", _lemma_g, 1e-10, N_POINTS, {}),
+        ("lemma3_fd", _lemma3_fd, 1e-9, 16, {"fd_step": "5e-4"}),
+        ("heat", _heat, 1e-6, N_POINTS, {"fd_step": "1e-4"}),
+        ("sinh_pair", _sinh_pair, 1e-10, N_POINTS, {}),
     )
     out = []
     for name, point_error, tol, n, extra in checks:
         check_id = f"identity.{name}.{tag}"
         err = worst_over(seed, check_id, n, lambda rng: point_error(rng, ctx))
         out.append(CheckReport(check_id, err, tol, n, metadata={"tau": tag, **extra}))
-    out.append(_lemma4(ctx, tag, seed, max(30, n_points // 2)))
+    out.append(_lemma4(ctx, tag, seed, 30))
     return out
 
 

@@ -106,12 +106,6 @@ def test_missing_params_for_parametrized_equation(capsys, i0):
     assert "kappa0" in capsys.readouterr().err
 
 
-def test_rank_flag_mismatch(capsys, i0):
-    code = main(["integrate", "--equation", "p1", "--side", "painleve", "--rank", "3",
-                 "--initial", i0, "--t-end", "1"])
-    assert code == 1
-
-
 def test_json_to_stdout(capsys, i0):
     code = main(["integrate", "--equation", "p1", "--side", "painleve",
                  "--initial", i0, "--t-end", "0.5", "--format", "json", "--out", "-"])
@@ -155,7 +149,7 @@ def test_rank2_csv_columns(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"alpha": [0.37, 0.21], "g4sq": [0.5, 0.0]}))
     out = tmp_path / "tr.csv"
-    code = main(["integrate", "--equation", "p2", "--side", "calogero", "--rank", "2",
+    code = main(["integrate", "--equation", "p2", "--side", "calogero",
                  "--params", str(params), "--initial", str(init),
                  "--t-end", "1+0.3j", "--out", str(out)])
     assert code == 0

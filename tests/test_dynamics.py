@@ -8,7 +8,6 @@ import pytest
 
 import painleve_calogero
 from painleve_calogero import (
-    EllipticContext,
     PhaseState,
     SystemDescriptor,
     integrate,
@@ -61,18 +60,18 @@ def test_pi_second_difference_residual():
         second = (4 * d2_h - d2_2h) / 3
         worst = max(worst, abs(second - (6 * states[i, 0] ** 2 + times[i])))
     assert worst < 1e-6
-    assert painleve_residual("I", traj) < 1e-5
+    assert painleve_residual(traj) < 1e-5
 
 
 def test_painleve_residual_is_inf_at_a_nan_point():
     sd = SystemDescriptor("I", "painleve")
     traj = integrate(sd, PhaseState((0.1,), (0.1,), 0), 0.5, 1e-10, 1e-12, max_step=0.01)
-    assert len(traj._dense) == 51 and painleve_residual("I", traj) < 1e-5
+    assert len(traj._dense) == 51 and painleve_residual(traj) < 1e-5
     mid = len(traj._dense) // 2
     s0, s1, y0, *rest = traj._dense[mid]
     traj._dense[mid] = (s0, s1, np.full(len(y0), np.nan + 0j), *rest)
     assert np.isnan(traj.resample(41)[1]).any(axis=1).sum() == 1
-    assert painleve_residual("I", traj) == np.inf
+    assert painleve_residual(traj) == np.inf
 
 
 def test_tolerance_scaling_on_pii():
@@ -115,7 +114,7 @@ def test_painleve_residuals(eq):
     traj = integrate(sd, st, t1, 1e-10, 1e-12, max_step=abs(t1 - t0) / 30)
     assert traj.termination == COMPLETED
     tol = 1e-4 if eq in ("III", "IV") else 1e-4
-    assert painleve_residual(eq, traj) < tol
+    assert painleve_residual(traj) < tol
 
 
 def test_constant_zero_fake_trajectory_detects_wrong_dynamics():
@@ -134,7 +133,7 @@ def test_constant_zero_fake_trajectory_detects_wrong_dynamics():
     # the dense output follows a zero field, not the PI flow
     traj = Trajectory(SystemDescriptor("I", "painleve"), samples, 1e-8, 1e-10,
                       COMPLETED, _dense=dense, _field=lambda s, y: [0j] * len(y))
-    res = painleve_residual("I", traj)
+    res = painleve_residual(traj)
     # residual of lambda = 0 is |0 - (6*0 + t)| = |t|, maximized over the
     # interior of the resampled grid
     times, _ = traj.resample(41)
@@ -158,7 +157,7 @@ def test_too_sparse_raises():
     sd = SystemDescriptor("I", "painleve")
     traj = integrate(sd, PhaseState((0.1,), (0.1,), 0.0), 0.05, 1e-6, 1e-8)
     with pytest.raises(TooSparse):
-        painleve_residual("I", traj)
+        painleve_residual(traj)
 
 
 def test_pole_detection_on_pi_blowup():
@@ -222,8 +221,7 @@ def test_calogero_vi_integration_runs(rng):
     aux = default_aux("VI")
     sd = SystemDescriptor("VI", "calogero", params=aux)
     st = sample_calogero_state("VI", 1, rng)
-    ctx = EllipticContext(st.time)
-    traj = integrate(sd, st, st.time + 0.1j, 1e-9, 1e-11, ctx=ctx)
+    traj = integrate(sd, st, st.time + 0.1j, 1e-9, 1e-11)
     assert traj.termination == COMPLETED
     assert traj.samples[-1][0] == st.time + 0.1j
 
@@ -249,7 +247,7 @@ def test_painleve_ode_rhs_matches_hamiltonian_flow():
                   - lamdot(PhaseState((lam,), (mu - h,), t))) / (2 * h) * mdot
                + (lamdot(PhaseState((lam,), (mu,), t + h))
                   - lamdot(PhaseState((lam,), (mu,), t - h))) / (2 * h))
-        rhs = painleve_ode_rhs(eq, lam, ldot, t, sd.painleve_params())
+        rhs = painleve_ode_rhs(lam, ldot, t, sd.painleve_params())
         assert abs(ldd - rhs) / max(1.0, abs(rhs)) < 1e-6
 
 
@@ -260,7 +258,7 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
         integrate(sd, st, 0.1 - 0.2j, max_steps=10)
 
 
-def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol, ctx=None):
+def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol):
     """Reference: the DOP853 loop on numpy arrays, with its error estimate,
     step-size controller and singular rejections written out again.
     Returns (samples, n_accepted, n_rejected, n_rhs, termination)."""
@@ -271,7 +269,7 @@ def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol, ctx=None):
     singular_errors = (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError)
 
     def rhs(s, y):
-        dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span), ctx)
+        dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span))
         counts["rhs"] += 1
         return span * np.array(list(dq) + list(dp), dtype=complex)
 

@@ -88,7 +88,7 @@ def test_pi_gradients_closed_form():
     assert abs(dlam[0] - (-6 * lam**2 - st.time)) < 1e-15
 
 
-def _fd_gradients(sd, st, ctx=None, h=1e-6):
+def _fd_gradients(sd, st, h=1e-6):
     rank = st.rank
     dc, dm = [], []
     for j in range(rank):
@@ -98,7 +98,7 @@ def _fd_gradients(sd, st, ctx=None, h=1e-6):
                 c = list(st.coords)
                 m = list(st.momenta)
                 (c if target == "coords" else m)[j] += s
-                vals.append(hamiltonian(sd, PhaseState(tuple(c), tuple(m), st.time), ctx))
+                vals.append(hamiltonian(sd, PhaseState(tuple(c), tuple(m), st.time)))
             out.append((vals[0] - vals[1]) / (2 * h))
     return dc, dm
 
@@ -112,9 +112,8 @@ def test_gradients_match_finite_differences(eq, side, rank, rng):
     for _ in range(5):
         st = sample_calogero_state(eq, rank, rng) if side == "calogero" \
             else painleve_state(eq, rank, rng)
-        ctx = EllipticContext(st.time) if (eq, side) == ("VI", "calogero") else None
-        dc, dm = hamiltonian_gradients(sd, st, ctx)
-        fdc, fdm = _fd_gradients(sd, st, ctx)
+        dc, dm = hamiltonian_gradients(sd, st)
+        fdc, fdm = _fd_gradients(sd, st)
         for a, b in zip(list(dc) + list(dm), fdc + fdm):
             assert abs(a - b) / max(1.0, abs(b)) < 1e-6
 
@@ -135,8 +134,7 @@ def test_permutation_invariance(eq, rng):
     perm = (2, 0, 1)
     st_p = PhaseState(tuple(st.coords[i] for i in perm),
                       tuple(st.momenta[i] for i in perm), st.time)
-    ctx = EllipticContext(st.time) if eq == "VI" else None
-    h1, h2 = hamiltonian(sd, st, ctx), hamiltonian(sd, st_p, ctx)
+    h1, h2 = hamiltonian(sd, st), hamiltonian(sd, st_p)
     assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1))
 
 
@@ -147,8 +145,7 @@ def test_parity_invariance(eq, rng):
     st = sample_calogero_state(eq, 3, rng)
     st_m = PhaseState(tuple(-c for c in st.coords),
                       tuple(-m for m in st.momenta), st.time)
-    ctx = EllipticContext(st.time) if eq == "VI" else None
-    h1, h2 = hamiltonian(sd, st, ctx), hamiltonian(sd, st_m, ctx)
+    h1, h2 = hamiltonian(sd, st), hamiltonian(sd, st_m)
     assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1))
 
 
@@ -186,7 +183,7 @@ def test_overflowing_term_raises_coordinate_singularity(eq, side, coords):
         integrate(sd, st, 0.6 + 0.5j)
 
 
-def autonomous_check(sys, state, ctx=None, dt=1e-6):
+def autonomous_check(sys, state, dt=1e-6):
     """Chain-rule consistency diagnostic of the analytic gradients.
 
     Returns (dH/dT along the canonical flow, by central differences) minus
@@ -194,7 +191,7 @@ def autonomous_check(sys, state, ctx=None, dt=1e-6):
     The difference vanishes identically when the analytic gradients match
     the Hamiltonian, so its magnitude measures gradient consistency.
     """
-    qdot, pdot = canonical_field(sys, state, ctx)
+    qdot, pdot = canonical_field(sys, state)
 
     def h_at(s):
         st = PhaseState(
@@ -202,10 +199,10 @@ def autonomous_check(sys, state, ctx=None, dt=1e-6):
             tuple(m + s * v for m, v in zip(state.momenta, pdot)),
             state.time + s,
         )
-        return hamiltonian(sys, st, ctx)
+        return hamiltonian(sys, st)
 
     def h_time(s):
-        return hamiltonian(sys, PhaseState(state.coords, state.momenta, state.time + s), ctx)
+        return hamiltonian(sys, PhaseState(state.coords, state.momenta, state.time + s))
 
     along_flow = (h_at(dt) - h_at(-dt)) / (2 * dt)
     explicit = (h_time(dt) - h_time(-dt)) / (2 * dt)
@@ -227,7 +224,7 @@ def test_autonomous_check_pv_calogero(rng):
 def test_autonomous_check_pvi_calogero(rng):
     sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
     st = sample_calogero_state("VI", 1, rng)
-    res = autonomous_check(sd, st, EllipticContext(st.time))
+    res = autonomous_check(sd, st)
     assert abs(res) < 1e-5
 
 
@@ -239,6 +236,15 @@ def test_time_gauges():
     assert SystemDescriptor("IV", "calogero", params=default_aux("IV")).time_gauge == "t"
     for eq in EQS:
         assert SystemDescriptor(eq, "painleve", params=default_aux(eq)).time_gauge == "t"
+
+
+@pytest.mark.parametrize("side", ("painleve", "calogero"))
+def test_params_of_another_equation_are_refused(side):
+    # the tag decides: a PVI set is not read as PV constants with gamma = delta = 0
+    with pytest.raises(ValueError, match="PV system given parameters of PVI"):
+        SystemDescriptor("V", side, params=default_aux("VI"))
+    with pytest.raises(ValueError, match="PVI system given parameters of PV"):
+        SystemDescriptor("VI", side, params=param_to_painleve(default_aux("V")))
 
 
 def test_calogero_side_accepts_painleve_params(rng):
@@ -380,7 +386,7 @@ def _oracle_calogero_two_body(eq, qs, g4sq, ctx):
     return total, grad
 
 
-def _oracle_evaluate(sys, state, ctx):
+def _oracle_evaluate(sys, state):
     """(H, dH/dcoords, dH/dmomenta) summed the way each side once did.
 
     The one-body terms are the module's; the Calogero one is taken at
@@ -402,7 +408,7 @@ def _oracle_evaluate(sys, state, ctx):
         dlam = [a + b for a, b in zip(dlam, tb_grad)]
         return total, tuple(dlam), tuple(dmu)
 
-    cc = elliptic.context_at(t, ctx) if sys.time_gauge == "tau" else None
+    cc = EllipticContext(t) if sys.time_gauge == "tau" else None
     total = 0j
     dq = []
     for q in state.coords:
@@ -427,10 +433,9 @@ def test_shared_pair_loop_matches_oracle(eq, side, rank, rng):
     for _ in range(20):
         st = sample_calogero_state(eq, rank, rng) if side == "calogero" \
             else painleve_state(eq, rank, rng)
-        ctx = EllipticContext(st.time) if (eq, side) == ("VI", "calogero") else None
-        h, dc, dm = _oracle_evaluate(sd, st, ctx)
+        h, dc, dm = _oracle_evaluate(sd, st)
         g = gauge_factor(sd, st.time)
-        assert hamiltonian_gradients(sd, st, ctx) == (dc, dm)
-        assert canonical_field(sd, st, ctx) == (tuple(d / g for d in dm),
-                                                tuple(-d / g for d in dc))
-        assert abs(hamiltonian(sd, st, ctx) - h) <= 1e-15 * abs(h)
+        assert hamiltonian_gradients(sd, st) == (dc, dm)
+        assert canonical_field(sd, st) == (tuple(d / g for d in dm),
+                                           tuple(-d / g for d in dc))
+        assert abs(hamiltonian(sd, st) - h) <= 1e-15 * abs(h)

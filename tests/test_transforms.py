@@ -293,6 +293,35 @@ def test_pq_round_trip_pv_with_hint(rng):
         assert abs(q2 - q) < 1e-9 and abs(p2 - p) < 1e-9
 
 
+@pytest.mark.parametrize("q", (10, 30, 36, 60))
+def test_mu_pv_at_large_q_against_mpmath(q):
+    # lambda = coth^2(q/2) -> 1: lambda - 1 taken from lambda lost 2.8e-12,
+    # 3.3e-4 and 9.1e-2 of mu at q = 10, 30, 36, and overflowed at q = 60
+    import mpmath as mp
+
+    aux = default_aux("V")
+    p, t = 1, 1
+    with mp.workdps(60):
+        sqrt_lam = -mp.coth(mp.mpf(q) / 2)
+        lam = sqrt_lam**2
+        k0, th1, eta1 = (mp.mpc(complex(v)) for v in (aux.kappa0, aux.theta1, aux.eta1))
+        ref = complex(p / (2 * sqrt_lam * (lam - 1))
+                      + (k0 / lam + th1 / (lam - 1) - eta1 * t / (lam - 1) ** 2) / 2)
+    assert abs(mu_of_pq("V", q, p, t, aux) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("call", (
+    lambda aux: mu_of_pq("V", 0.5 + 0.2j, 1, 0.8, aux),
+    lambda aux: pq_of_lambdamu("V", 1.45 + 0.35j, 0.4, 0.8, aux),
+    lambda aux: multi_transform("V", "to_painleve", PhaseState((0.5 + 0.2j,), (1,), 0.8), aux),
+    lambda aux: multi_transform("V", "to_calogero", PhaseState((1.45 + 0.35j,), (0.4,), 0.8), aux),
+), ids=("mu_of_pq", "pq_of_lambdamu", "to_painleve", "to_calogero"))
+def test_maps_refuse_aux_of_another_equation(call):
+    call(default_aux("V"))
+    with pytest.raises(ValueError, match="PV momentum map given parameters of PVI"):
+        call(default_aux("VI"))
+
+
 # ---------------------------------------------------------------------------
 # multi-component transform
 # ---------------------------------------------------------------------------
