@@ -363,32 +363,37 @@ RESIDUAL_GRID = 41  # uniform points painleve_residual resamples to
 
 def painleve_ode_rhs(lam: complex, dlam: complex, t: complex, p: PainleveParams) -> complex:
     """Right-hand side of lambda'' = F(lambda, lambda', t) as printed, for
-    the equation ``p`` is tagged with."""
+    the equation ``p`` is tagged with.  A division by zero (lambda or t at
+    a fixed singular point) or an overflow raises ``CoordinateSingularity``."""
     eq, a, b, g, d = p.equation, p.alpha, p.beta, p.gamma, p.delta
-    if eq == "VI":
-        return ((1 / lam + 1 / (lam - 1) + 1 / (lam - t)) / 2 * dlam**2
-                - (1 / t + 1 / (t - 1) + 1 / (lam - t)) * dlam
-                + lam * (lam - 1) * (lam - t) / (t**2 * (t - 1) ** 2)
-                * (a + b * t / lam**2 + g * (t - 1) / (lam - 1) ** 2
-                   + d * t * (t - 1) / (lam - t) ** 2))
-    if eq == "V":
-        return ((1 / (2 * lam) + 1 / (lam - 1)) * dlam**2 - dlam / t
-                + lam * (lam - 1) ** 2 / t**2
-                * (a + b / lam**2 + g * t / (lam - 1) ** 2
-                   + d * t**2 * (lam + 1) / (lam - 1) ** 3))
-    if eq == "IV":
-        return (dlam**2 / (2 * lam) + 1.5 * lam**3 + 4 * t * lam**2
-                + 2 * (t * t - a) * lam + b / lam)
-    if eq == "III":
-        # last bracket term is delta*t^2/lam^3: this is what the polynomial
-        # Hamiltonian flow satisfies, and what reproduces the standard PIII
-        # under (t, lambda) -> (t^2, t*lambda)
-        return (dlam**2 / lam - dlam / t
-                + lam**2 / (4 * t**2)
-                * (a + b * t / lam**2 + g * lam + d * t**2 / lam**3))
-    if eq == "II":
-        return 2 * lam**3 + t * lam + a
-    return 6 * lam**2 + t  # PI
+    try:
+        if eq == "VI":
+            return ((1 / lam + 1 / (lam - 1) + 1 / (lam - t)) / 2 * dlam**2
+                    - (1 / t + 1 / (t - 1) + 1 / (lam - t)) * dlam
+                    + lam * (lam - 1) * (lam - t) / (t**2 * (t - 1) ** 2)
+                    * (a + b * t / lam**2 + g * (t - 1) / (lam - 1) ** 2
+                       + d * t * (t - 1) / (lam - t) ** 2))
+        if eq == "V":
+            return ((1 / (2 * lam) + 1 / (lam - 1)) * dlam**2 - dlam / t
+                    + lam * (lam - 1) ** 2 / t**2
+                    * (a + b / lam**2 + g * t / (lam - 1) ** 2
+                       + d * t**2 * (lam + 1) / (lam - 1) ** 3))
+        if eq == "IV":
+            return (dlam**2 / (2 * lam) + 1.5 * lam**3 + 4 * t * lam**2
+                    + 2 * (t * t - a) * lam + b / lam)
+        if eq == "III":
+            # last bracket term is delta*t^2/lam^3: this is what the polynomial
+            # Hamiltonian flow satisfies, and what reproduces the standard PIII
+            # under (t, lambda) -> (t^2, t*lambda)
+            return (dlam**2 / lam - dlam / t
+                    + lam**2 / (4 * t**2)
+                    * (a + b * t / lam**2 + g * lam + d * t**2 / lam**3))
+        if eq == "II":
+            return 2 * lam**3 + t * lam + a
+        return 6 * lam**2 + t  # PI
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise CoordinateSingularity(f"the P{eq} right-hand side is singular or overflows at "
+                                    f"lambda={lam}, lambda'={dlam}, t={t}") from exc
 
 
 def painleve_residual(traj: Trajectory) -> float:

@@ -300,19 +300,25 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     n = 3: -pi^2/3 - 8 pi^2 cos(2 pi u) e^{pi i tau}
 
     Only the tests use it, as an independent check of ``weierstrass_p``.
+    u = 0 at n = 0 raises ``PoleAt``, a u whose term overflows ``ValueError``.
     """
     if not (complex(tau).imag > 0):
         raise BadContext(f"Im tau must be positive, got {tau}")
     u = complex(u)
-    if n == 0:
-        return PI * PI / cmath.sin(PI * u) ** 2 - PI * PI / 3
-    if n == 1:
-        return PI * PI / cmath.cos(PI * u) ** 2 - PI * PI / 3
-    q1 = cmath.exp(1j * PI * tau)
-    if n == 2:
-        return -PI * PI / 3 + 8 * PI * PI * cmath.cos(2 * PI * u) * q1
-    if n == 3:
-        return -PI * PI / 3 - 8 * PI * PI * cmath.cos(2 * PI * u) * q1
+    try:
+        if n == 0:
+            return PI * PI / cmath.sin(PI * u) ** 2 - PI * PI / 3
+        if n == 1:
+            return PI * PI / cmath.cos(PI * u) ** 2 - PI * PI / 3
+        q1 = cmath.exp(1j * PI * tau)
+        if n == 2:
+            return -PI * PI / 3 + 8 * PI * PI * cmath.cos(2 * PI * u) * q1
+        if n == 3:
+            return -PI * PI / 3 - 8 * PI * PI * cmath.cos(2 * PI * u) * q1
+    except ZeroDivisionError:
+        raise PoleAt(u) from None
+    except OverflowError:
+        raise ValueError(f"the leading-order term overflows at u={u} (tau={tau})") from None
     raise ValueError(f"half-period index must be 0..3, got {n}")
 
 

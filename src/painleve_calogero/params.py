@@ -98,41 +98,45 @@ def param_to_painleve(aux: AuxParams) -> PainleveParams:
     of the equation ``aux`` is tagged with.
 
     Raises UnsupportedEquation for II and I, where no relation is printed
-    (PII uses its alpha directly).
+    (PII uses its alpha directly), and ``ValueError`` where a constant
+    overflows.
     """
     eq = aux.equation
-    if eq == "VI":
-        k0, k1, th, kp = aux.kappa0, aux.kappa1, aux.theta, aux.kappa
-        return PainleveParams(
-            "VI",
-            alpha=(k0 + k1 + th - 1) ** 2 / 2 - 2 * kp,
-            beta=-k0 * k0 / 2,
-            gamma=k1 * k1 / 2,
-            delta=(1 - th * th) / 2,
-        )
-    if eq == "V":
-        k0, th1, eta1, kp = aux.kappa0, aux.theta1, aux.eta1, aux.kappa
-        return PainleveParams(
-            "V",
-            alpha=(k0 + th1) ** 2 / 2 - 2 * kp,
-            beta=-k0 * k0 / 2,
-            gamma=eta1 * (th1 + 1),
-            delta=-eta1 * eta1 / 2,
-        )
-    if eq == "IV":
-        return PainleveParams(
-            "IV",
-            alpha=2 * aux.theta_inf - aux.kappa0 + 1,
-            beta=-2 * aux.kappa0 * aux.kappa0,
-        )
-    if eq == "III":
-        return PainleveParams(
-            "III",
-            alpha=-4 * aux.eta_inf * aux.theta_inf,
-            beta=4 * aux.eta0 * (aux.theta0 + 1),
-            gamma=4 * aux.eta_inf * aux.eta_inf,
-            delta=-4 * aux.eta0 * aux.eta0,
-        )
+    try:
+        if eq == "VI":
+            k0, k1, th, kp = aux.kappa0, aux.kappa1, aux.theta, aux.kappa
+            return PainleveParams(
+                "VI",
+                alpha=(k0 + k1 + th - 1) ** 2 / 2 - 2 * kp,
+                beta=-k0 * k0 / 2,
+                gamma=k1 * k1 / 2,
+                delta=(1 - th * th) / 2,
+            )
+        if eq == "V":
+            k0, th1, eta1, kp = aux.kappa0, aux.theta1, aux.eta1, aux.kappa
+            return PainleveParams(
+                "V",
+                alpha=(k0 + th1) ** 2 / 2 - 2 * kp,
+                beta=-k0 * k0 / 2,
+                gamma=eta1 * (th1 + 1),
+                delta=-eta1 * eta1 / 2,
+            )
+        if eq == "IV":
+            return PainleveParams(
+                "IV",
+                alpha=2 * aux.theta_inf - aux.kappa0 + 1,
+                beta=-2 * aux.kappa0 * aux.kappa0,
+            )
+        if eq == "III":
+            return PainleveParams(
+                "III",
+                alpha=-4 * aux.eta_inf * aux.theta_inf,
+                beta=4 * aux.eta0 * (aux.theta0 + 1),
+                gamma=4 * aux.eta_inf * aux.eta_inf,
+                delta=-4 * aux.eta0 * aux.eta0,
+            )
+    except OverflowError:
+        raise ValueError(f"P{eq} constants overflow in the printed relations: {aux}") from None
     raise UnsupportedEquation(f"no printed parameter relation for P{eq}")
 
 

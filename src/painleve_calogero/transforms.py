@@ -109,7 +109,7 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _out_of_range(eq: str, q: complex) -> MapSingularity:
-    return MapSingularity(f"q={q} takes the P{eq} map out of the double range")
+    return MapSingularity(f"q={q} takes the P{eq} map to a pole or out of the double range")
 
 
 def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None = None) -> complex:
@@ -203,13 +203,15 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     """Invert the coordinate map: a q with lambda_of_q(q) = lam.
 
     The branch is chosen nearest to ``branch_hint`` when given, otherwise a
-    deterministic principal branch.  A non-finite lam raises ``ValueError``;
-    VI raises ``NoConvergence`` if its wp residual check fails, and
-    ``PoleAt`` for q within ``POLE_TOL`` of a pole.
+    deterministic principal branch.  A non-finite lam or branch_hint raises
+    ``ValueError``; VI raises ``NoConvergence`` if its wp residual check
+    fails, and ``PoleAt`` for q within ``POLE_TOL`` of a pole.
     """
     eq = check_equation(eq)
     lam = complex(lam)
     _require_finite("lambda", lam)
+    if branch_hint is not None:
+        _require_finite("branch_hint", branch_hint)
     if eq == "VI":
         c = context_at(time, ctx)
         t = time_map_pvi(c.tau, c)
@@ -249,20 +251,21 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     """Returns (coef, rest) with mu = coef * p + rest, and lambda(q).
 
-    ``aux`` of another equation raises ``ValueError``.  Off VI, raises
-    ``MapSingularity`` where q takes the map out of the double range: a
-    term overflows, e^q underflows to 0, or rest is not finite."""
+    ``aux`` of another equation raises ``ValueError``.  ``MapSingularity``
+    is raised where q takes the map to a pole or out of the double range: a
+    term divides by zero or overflows, e^q underflows to 0, or rest is not
+    finite."""
     if aux.equation != eq:
         raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
-    if eq == "VI":
-        c = context_at(time, ctx)
-        lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
-        t = time_map_pvi(c.tau, c)
-        rest = (TWO_PI_I * f_tau / (f_u * f_u)
-                + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
-        return 1 / f_u, rest, lam
     try:
-        if eq == "V":
+        if eq == "VI":
+            c = context_at(time, ctx)
+            lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
+            t = time_map_pvi(c.tau, c)
+            coef = 1 / f_u
+            rest = (TWO_PI_I * f_tau / (f_u * f_u)
+                    + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
+        elif eq == "V":
             s = cmath.sinh(q / 2)
             if abs(s) < 1e-12:
                 raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
@@ -334,7 +337,8 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     direction 'to_painleve' takes a Calogero state (q, p, T) to (lambda,
     mu, t); 'to_calogero' inverts.  For VI 'to_calogero' the target tau is
     found from t by Newton, seeded by ``ctx.tau`` (required).  A non-finite
-    entry of the state raises ``ValueError``.
+    entry of the state, or ``branch_hints`` of another length than the
+    state, raises ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
@@ -363,7 +367,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
         T, c = t, ctx
     hints = branch_hints if branch_hints is not None else (None,) * state.rank
     out = [pq_of_lambdamu(eq, lam, mu, T, aux, c, hint)
-           for lam, mu, hint in zip(state.coords, state.momenta, hints)]
+           for lam, mu, hint in zip(state.coords, state.momenta, hints, strict=True)]
     qs = tuple(o[0] for o in out)
     _check_pairwise(qs)
     return PhaseState(qs, tuple(o[1] for o in out), T)

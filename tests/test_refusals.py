@@ -1,0 +1,313 @@
+"""Refusal contract of the public API, by a seeded fuzz over ``__all__``.
+
+Every public function either returns or raises a declared error: a
+``PainleveCalogeroError`` or a ``ValueError`` (bad input); ``integrate``
+may also end early with a tagged termination.  Each draw takes arguments
+in the period cell, large, tiny, huge, at special points (lattice points,
+half periods, 0 and 1) or non-finite, with tau at eight values of
+Im tau from 0.01 to 20.  Below Im tau = 0.01 the series take 10^5 - 10^6
+terms by design, so no draw goes there.
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+import painleve_calogero as pc
+from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, STEP_UNDERFLOW
+from painleve_calogero.errors import (
+    CoordinateSingularity,
+    MapSingularity,
+    PainleveCalogeroError,
+    PoleAt,
+)
+from painleve_calogero.params import AUX_KEYS, EQUATIONS
+from painleve_calogero.verify.correspondence import default_aux
+
+DECLARED = (PainleveCalogeroError, ValueError)
+TERMINATIONS = (COMPLETED, POLE_DETECTED, STEP_UNDERFLOW, MAX_STEPS)
+TAUS = (0.01j, 0.3 + 0.02j, 0.1j, -0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j, 20j)
+# a field call at Im tau = 0.01 sums about 600 nome terms per series; the
+# flows keep to the cheaper end so that the fuzz stays a few seconds
+FLOW_TAUS = (-0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j)
+BAD_TAUS = (0j, -1j, 0.5 - 0.2j, complex("nan"), complex(0, math.inf))
+NONFINITE = (complex("nan"), complex(math.inf, 0), complex(1, -math.inf))
+
+
+def _z(rng, tau=1j):
+    """A complex number of a drawn kind; the cell is that of ``tau``."""
+    kind = rng.choice(("cell", "cell", "cell", "large", "tiny", "huge", "special", "nonfinite"))
+    if kind == "cell":
+        return rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
+    if kind == "special":
+        return rng.choice((0j, 1 + 0j, 0.5 + 0j, tau / 2, (1 + tau) / 2, tau, 1 + tau))
+    if kind == "nonfinite":
+        return rng.choice(NONFINITE)
+    lo, hi = {"large": (1, 3), "tiny": (-300, -10), "huge": (100, 300)}[kind]
+    return 10 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+def _eq(rng):
+    return rng.choice(EQUATIONS)
+
+
+def _aux(rng, eq):
+    return pc.AuxParams(eq, **{k: _z(rng) for k in AUX_KEYS[eq]})
+
+
+def _time(rng, eq, side):
+    """tau from TAUS for the PVI Calogero flow, any time otherwise."""
+    return rng.choice(TAUS) if (eq, side) == ("VI", "calogero") else _z(rng)
+
+
+def _ctx(rng, eq, time):
+    if eq != "VI" or rng.random() < 0.3:
+        return None
+    return pc.EllipticContext(time)
+
+
+def _state(rng, rank, time, tau=1j):
+    return pc.PhaseState(tuple(_z(rng, tau) for _ in range(rank)),
+                         tuple(_z(rng, tau) for _ in range(rank)), time)
+
+
+def _system(rng, eq, side, rank):
+    params = _aux(rng, eq) if rng.random() < 0.7 else pc.PainleveParams(eq, *(
+        _z(rng) for _ in range(4)))
+    return pc.SystemDescriptor(eq, side, rank, rng.choice((0j, 0.7, _z(rng))), params)
+
+
+# ---------------------------------------------------------------------------
+# one draw per public name: (args, kwargs) for the call
+# ---------------------------------------------------------------------------
+
+def _elliptic_u(rng):
+    tau = rng.choice(TAUS)
+    return (_z(rng, tau), pc.EllipticContext(tau)), {}
+
+
+def _draw_constructor_tau(rng):
+    return (rng.choice(TAUS + BAD_TAUS + (_z(rng),)),), {}
+
+
+def _draw_time_map_tau(rng):
+    return (rng.choice(TAUS + BAD_TAUS),), {}
+
+
+def _draw_shifted_p(rng):
+    (u, ctx), _ = _elliptic_u(rng)
+    return (u, rng.randrange(-1, 5), ctx), {}
+
+
+def _draw_asymptotic_p(rng):
+    return (_z(rng), rng.randrange(-1, 5), rng.choice(TAUS + BAD_TAUS[:3])), {}
+
+
+def _draw_half_period_values(rng):
+    return (pc.EllipticContext(rng.choice(TAUS)),), {}
+
+
+def _draw_time_map_inverse(rng):
+    return (_z(rng), rng.choice(TAUS)), {}
+
+
+def _draw_lambda_of_q(rng):
+    eq = _eq(rng)
+    time = _time(rng, eq, "calogero")
+    return (eq, _z(rng), time, _ctx(rng, eq, time)), {}
+
+
+def _hint(rng):
+    return None if rng.random() < 0.4 else _z(rng)
+
+
+def _draw_q_of_lambda(rng):
+    eq = _eq(rng)
+    time = _time(rng, eq, "calogero")
+    return (eq, _z(rng), time, _ctx(rng, eq, time), _hint(rng)), {}
+
+
+def _map_aux(rng, eq):
+    return _aux(rng, eq if rng.random() < 0.9 else _eq(rng))
+
+
+def _draw_mu_of_pq(rng):
+    eq = _eq(rng)
+    time = _time(rng, eq, "calogero")
+    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq), _ctx(rng, eq, time)), {}
+
+
+def _draw_pq_of_lambdamu(rng):
+    eq = _eq(rng)
+    time = _time(rng, eq, "calogero")
+    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq), _ctx(rng, eq, time),
+            _hint(rng)), {}
+
+
+def _draw_multi_transform(rng):
+    eq = _eq(rng)
+    direction = rng.choice(("to_painleve", "to_calogero", "sideways"))
+    rank = rng.randrange(1, 3)
+    if direction == "to_calogero":
+        state = _state(rng, rank, _z(rng))
+        ctx = pc.EllipticContext(rng.choice(TAUS)) if eq == "VI" and rng.random() < 0.8 else None
+    else:
+        time = _time(rng, eq, "calogero")
+        state = _state(rng, rank, time)
+        ctx = _ctx(rng, eq, time)
+    hints = None if rng.random() < 0.5 else tuple(_z(rng) for _ in range(rank))
+    return (eq, direction, state, _map_aux(rng, eq), ctx, hints), {}
+
+
+def _draw_params(rng):
+    eq = rng.choice(EQUATIONS + ("VII",))
+    return (eq, *(_z(rng) for _ in range(4))), {}
+
+
+def _draw_param_to_painleve(rng):
+    return (_aux(rng, _eq(rng)),), {}
+
+
+def _draw_phase_state(rng):
+    return (tuple(_z(rng) for _ in range(rng.randrange(0, 3))),
+            tuple(_z(rng) for _ in range(rng.randrange(0, 3))), _z(rng)), {}
+
+
+def _draw_system_descriptor(rng):
+    eq = rng.choice(EQUATIONS + ("VII",))
+    params = rng.choice((None, _aux(rng, _eq(rng)), pc.PainleveParams(_eq(rng))))
+    return (eq, rng.choice(("painleve", "calogero", "other")), rng.randrange(-1, 4),
+            _z(rng), params), {}
+
+
+def _draw_field_call(rng):
+    eq, side, rank = _eq(rng), rng.choice(("painleve", "calogero")), rng.randrange(1, 3)
+    time = _time(rng, eq, side)
+    tau = time if (eq, side) == ("VI", "calogero") else 1j
+    state_rank = rank if rng.random() < 0.9 else 3 - rank
+    return (_system(rng, eq, side, rank), _state(rng, state_rank, time, tau)), {}
+
+
+def _short_run(rng, side, rank, max_steps, dense=False):
+    """(system, initial, t_end) of a short integration and its keywords."""
+    eq = _eq(rng)
+    if (eq, side) == ("VI", "calogero"):
+        t0 = rng.choice(FLOW_TAUS)
+        coords = tuple(rng.uniform(0.1, 0.4) + rng.uniform(0.1, 0.4) * t0 for _ in range(rank))
+    else:
+        t0 = complex(rng.uniform(0.3, 2), rng.uniform(0.05, 0.5))
+        coords = tuple(_z(rng) if rng.random() < 0.3 else complex(rng.uniform(0.3, 2),
+                                                                   rng.uniform(0, 0.6))
+                       for _ in range(rank))
+    momenta = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rank))
+    span = 0.05 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    t_end = t0 + span if rng.random() < 0.95 else rng.choice(NONFINITE)
+    tols = rng.choice(((1e-8, 1e-10),) * 6 + ((0.0, 1e-10), (1e-8, -1.0), (math.nan, 0.0)))
+    kwargs = {"max_steps": max_steps}
+    if dense:
+        kwargs["max_step"] = 0.05 / 25
+    elif rng.random() < 0.2:
+        kwargs["max_step"] = rng.choice((1e-3, 0.0, -1.0, math.inf))
+    sys = pc.SystemDescriptor(eq, side, rank, rng.choice((0j, 0.7)), _aux(rng, eq))
+    return (sys, pc.PhaseState(coords, momenta, t0), t_end, *tols), kwargs
+
+
+def _draw_integrate(rng):
+    return _short_run(rng, rng.choice(("painleve", "calogero")), rng.randrange(1, 3), 6)
+
+
+def _draw_painleve_residual(rng):
+    side = "painleve" if rng.random() < 0.9 else "calogero"
+    args, kwargs = _short_run(rng, side, 1, 40, dense=True)
+    try:
+        traj = pc.integrate(*args, **kwargs)
+    except DECLARED:
+        traj = pc.integrate(pc.SystemDescriptor("I", side), pc.PhaseState((0.1,), (0.1,), 0.5),
+                            0.55, max_step=0.05 / 25)
+    return (traj,), {}
+
+
+def _draw_painleve_ode_rhs(rng):
+    eq = _eq(rng)
+    return (_z(rng), _z(rng), _z(rng), pc.PainleveParams(eq, *(_z(rng) for _ in range(4)))), {}
+
+
+DRAWS = {
+    "AuxParams": lambda rng: ((_eq(rng),), {k: _z(rng) for k in AUX_KEYS["VI"]}),
+    "EllipticContext": _draw_constructor_tau,
+    "PainleveParams": _draw_params,
+    "PhaseState": _draw_phase_state,
+    "SystemDescriptor": _draw_system_descriptor,
+    "asymptotic_p": _draw_asymptotic_p,
+    "canonical_field": _draw_field_call,
+    "f_and_derivatives": _elliptic_u,
+    "half_period_values": _draw_half_period_values,
+    "hamiltonian": _draw_field_call,
+    "hamiltonian_gradients": _draw_field_call,
+    "integrate": _draw_integrate,
+    "jacobian_dtau_dt": _draw_time_map_tau,
+    "lambda_of_q": _draw_lambda_of_q,
+    "mu_of_pq": _draw_mu_of_pq,
+    "multi_transform": _draw_multi_transform,
+    "painleve_ode_rhs": _draw_painleve_ode_rhs,
+    "painleve_residual": _draw_painleve_residual,
+    "param_to_painleve": _draw_param_to_painleve,
+    "pq_of_lambdamu": _draw_pq_of_lambdamu,
+    "q_of_lambda": _draw_q_of_lambda,
+    "shifted_p": _draw_shifted_p,
+    "theta": _elliptic_u,
+    "theta_dtau": _elliptic_u,
+    "theta_du": _elliptic_u,
+    "time_map_pvi": _draw_time_map_tau,
+    "time_map_pvi_inverse": _draw_time_map_inverse,
+    "weierstrass_p": _elliptic_u,
+    "weierstrass_p_and_prime": _elliptic_u,
+    "weierstrass_p_prime": _elliptic_u,
+}
+# not callables: a constant table, and the record integrate returns
+NOT_FUZZED = {"CANONICAL_FACTORS", "Trajectory"}
+DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
+
+
+@pytest.mark.parametrize("call, error", (
+    (lambda: pc.asymptotic_p(220 + 128j, 2, -0.4 + 0.5j), ValueError),  # cos overflows
+    (lambda: pc.asymptotic_p(0, 0, 1j), PoleAt),
+    (lambda: pc.q_of_lambda("V", 0.5 + 0.2j, 0.8, branch_hint=complex(1, -math.inf)), ValueError),
+    (lambda: pc.q_of_lambda("III", 0.5 + 0.2j, 0.8, branch_hint=complex("nan")), ValueError),
+    (lambda: pc.painleve_ode_rhs(0, 1, 0.5, pc.PainleveParams("IV")), CoordinateSingularity),
+    (lambda: pc.painleve_ode_rhs(1e300, 0, 1, pc.PainleveParams("II")), CoordinateSingularity),
+    (lambda: pc.mu_of_pq("VI", 0.5, 0.1, 0.3 + 0.02j, default_aux("VI")), MapSingularity),
+    (lambda: pc.param_to_painleve(pc.AuxParams("VI", kappa0=1e200)), ValueError),
+), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "q_of_lambda-inf-hint",
+        "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow", "mu_of_pq-VI-lambda-0",
+        "param_to_painleve-overflow"))
+def test_escapes_found_by_the_fuzz_are_refused(call, error):
+    # an OverflowError, a ZeroDivisionError, or (the NaN hint) a hint silently ignored
+    with pytest.raises(error):
+        call()
+
+
+def test_the_fuzz_covers_every_public_name():
+    assert set(DRAWS) | NOT_FUZZED == set(pc.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_only_declared_errors_escape(name):
+    rng = random.Random(f"refusals.{name}")
+    fn = getattr(pc, name)
+    for i in range(DRAWS_PER_NAME.get(name, 100)):
+        try:
+            args, kwargs = DRAWS[name](rng)
+        except DECLARED:
+            continue  # a drawn argument (a context or a system) was itself refused
+        try:
+            out = fn(*args, **kwargs)
+        except DECLARED:
+            continue
+        except Exception as exc:  # the contract under test: nothing else escapes
+            pytest.fail(f"draw {i}: {name}(*{args!r}, **{kwargs!r}) raised "
+                        f"{type(exc).__name__}: {exc}")
+        if isinstance(out, pc.Trajectory):
+            assert out.termination in TERMINATIONS

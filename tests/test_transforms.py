@@ -548,6 +548,9 @@ def test_multi_transform_argument_validation(rng):
     img = multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time))
     with pytest.raises(ValueError):
         multi_transform("VI", "to_calogero", img, aux)  # no tau seed
+    two = PhaseState((1.45 + 0.35j, 2.1 + 0.3j), (0.4, 0.3), 0.8)
+    with pytest.raises(ValueError):  # one hint for two components
+        multi_transform("V", "to_calogero", two, default_aux("V"), branch_hints=(0.5,))
 
 
 def test_bad_context_for_calogero_vi():
