@@ -359,8 +359,6 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
 # residual of the printed second-order Painleve equations
 # ---------------------------------------------------------------------------
 
-RESIDUAL_GRID = 41  # uniform points painleve_residual resamples to
-
 def painleve_ode_rhs(lam: complex, dlam: complex, t: complex, p: PainleveParams) -> complex:
     """Right-hand side of lambda'' = F(lambda, lambda', t) as printed, for
     the equation ``p`` is tagged with.  A division by zero (lambda or t at
@@ -401,23 +399,23 @@ def painleve_residual(traj: Trajectory) -> float:
     of the trajectory's own equation, inf if any of them is NaN.
 
     The trajectory must be on the Painleve side with at least 20 accepted
-    samples; lambda(t) is resampled to ``RESIDUAL_GRID`` uniform points
-    through the dense output and differentiated with 4th-order central
-    stencils.  For rank > 1 the residual is evaluated componentwise against
-    the scalar equation (meaningful for decoupled components, i.e. g4sq = 0).
+    samples; lambda(t) is resampled to 41 uniform points through the dense
+    output and differentiated with 4th-order central stencils.  For rank >
+    1 the residual is evaluated componentwise against the scalar equation
+    (meaningful for decoupled components, i.e. g4sq = 0).
     """
     if traj.system.side != "painleve":
         raise ValueError("painleve_residual expects a Painleve-side trajectory")
     if len(traj.samples) < 20:
         raise TooSparse(f"need >= 20 samples, got {len(traj.samples)}")
-    times, states = traj.resample(RESIDUAL_GRID)
-    h = (times[-1] - times[0]) / (RESIDUAL_GRID - 1)
+    n_grid = 41
+    times, states = traj.resample(n_grid)
+    h = (times[-1] - times[0]) / (n_grid - 1)
     pparams = traj.system.painleve_params()
-    rank = traj.system.rank
     worst = 0.0
-    for comp in range(rank):
+    for comp in range(traj.system.rank):
         lam = states[:, comp]
-        for i in range(2, RESIDUAL_GRID - 2):
+        for i in range(2, n_grid - 2):
             d1 = (lam[i - 2] - 8 * lam[i - 1] + 8 * lam[i + 1] - lam[i + 2]) / (12 * h)
             d2 = (-lam[i - 2] + 16 * lam[i - 1] - 30 * lam[i]
                   + 16 * lam[i + 1] - lam[i + 2]) / (12 * h * h)

@@ -139,25 +139,3 @@ def param_to_painleve(aux: AuxParams) -> PainleveParams:
         raise ValueError(f"P{eq} constants overflow in the printed relations: {aux}") from None
     raise UnsupportedEquation(f"no printed parameter relation for P{eq}")
 
-
-def to_painleve_params(params: AuxParams | PainleveParams) -> PainleveParams:
-    """Coerce AuxParams or PainleveParams to PainleveParams of the same tag.
-
-    For PII an AuxParams alpha passes through; PI yields empty parameters.
-    """
-    if isinstance(params, PainleveParams):
-        return params
-    if params.equation == "II":
-        return PainleveParams("II", alpha=params.alpha)
-    if params.equation == "I":
-        return PainleveParams("I")
-    return param_to_painleve(params)
-
-
-def manin_alphas(params: AuxParams | PainleveParams) -> tuple[complex, complex, complex, complex]:
-    """(alpha_0 .. alpha_3) multiplying -wp(q + omega_n) in the PVI potential.
-
-    alpha_0 = alpha, alpha_1 = -beta, alpha_2 = gamma, alpha_3 = -delta + 1/2.
-    """
-    p = to_painleve_params(params)
-    return p.alpha, -p.beta, p.gamma, -p.delta + 0.5

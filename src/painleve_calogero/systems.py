@@ -37,7 +37,7 @@ from operator import add
 from . import elliptic
 from .elliptic import TWO_PI_I, EllipticContext
 from .errors import BadContext, CoordinateSingularity, TwoBodyCollision
-from .params import AuxParams, PainleveParams, check_equation, manin_alphas, to_painleve_params
+from .params import AuxParams, PainleveParams, check_equation, param_to_painleve
 
 SIDES = ("painleve", "calogero")
 _SING_TOL = 1e-12
@@ -49,10 +49,8 @@ class SystemDescriptor:
 
     ``params`` holds AuxParams (required on the Painleve side for VI..III)
     or PainleveParams (accepted on the Calogero side, whose potentials are
-    written in the alpha..delta vocabulary), tagged with the system's own
-    equation: a set of another equation raises ``ValueError``.  The rank
-    is given here once; a phase state of another length is refused by
-    every evaluation.  ``g4sq`` is the two-body
+    written in the alpha..delta vocabulary), of the system's own equation:
+    a set tagged with another raises ``ValueError``.  ``g4sq`` is the two-body
     coupling g_4^2; it only acts for rank > 1.  Derived once, here: the
     PainleveParams and the AuxParams of the one-body Painleve terms,
     ``time_gauge`` ('tau' for 2 pi i d/dtau, 'log_t' for t d/dt, 't' for
@@ -84,7 +82,14 @@ class SystemDescriptor:
             raise ValueError(f"P{eq} Painleve side requires AuxParams")
         if painleve and eq == "II" and self.params is None:
             raise ValueError("PII Painleve side requires parameters (alpha)")
-        pp = to_painleve_params(self.params) if self.params is not None else PainleveParams(eq)
+        if isinstance(self.params, PainleveParams):
+            pp = self.params
+        elif self.params is None or eq == "I":
+            pp = PainleveParams(eq)
+        elif eq == "II":  # no printed relation: the PII alpha passes through
+            pp = PainleveParams("II", alpha=self.params.alpha)
+        else:
+            pp = param_to_painleve(self.params)
         object.__setattr__(self, "_painleve", pp)
         object.__setattr__(self, "_aux", self.params if isinstance(self.params, AuxParams)
                            else AuxParams(eq, alpha=pp.alpha))
@@ -252,7 +257,8 @@ def _painleve_pair(eq, lj, lk, t, g4sq, ctx=None):
 def _calogero_one_body(eq, q, p, t, pp: PainleveParams, ctx: EllipticContext | None):
     """Returns (p^2/2 + V1, dV1/dq, p) for the normal-form potential V1."""
     if eq == "VI":
-        alphas = manin_alphas(pp)
+        # Manin's alpha_0 .. alpha_3, multiplying -wp(q + omega_n)
+        alphas = pp.alpha, -pp.beta, pp.gamma, -pp.delta + 0.5
         v = 0j
         dv = 0j
         for n in range(4):

@@ -251,10 +251,9 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     """Returns (coef, rest) with mu = coef * p + rest, and lambda(q).
 
-    ``aux`` of another equation raises ``ValueError``.  ``MapSingularity``
-    is raised where q takes the map to a pole or out of the double range: a
-    term divides by zero or overflows, e^q underflows to 0, or rest is not
-    finite."""
+    ``aux`` of another equation raises ``ValueError``; a term that divides
+    by zero or overflows, e^q underflowing to 0, or a non-finite rest raise
+    ``MapSingularity``."""
     if aux.equation != eq:
         raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
     try:

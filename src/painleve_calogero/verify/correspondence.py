@@ -148,9 +148,8 @@ def run_dynamic_correspondence(eq: str, rank: int = 1,
         initial = sample_calogero_state(eq, rank, rng)
     cal = SystemDescriptor(eq, "calogero", rank, g4sq, aux)
     pain = SystemDescriptor(eq, "painleve", rank, g4sq, aux)
-    ctx = EllipticContext(initial.time) if eq == "VI" else None
 
-    start_pain = transforms.multi_transform(eq, "to_painleve", initial, aux, ctx)
+    start_pain = transforms.multi_transform(eq, "to_painleve", initial, aux)
     t_start = start_pain.time
     t_end = t_start + arc_length * (1 + 0.2j) / abs(1 + 0.2j)
     if eq == "VI":
@@ -166,7 +165,7 @@ def run_dynamic_correspondence(eq: str, rank: int = 1,
         return CheckReport(check_id, float("inf"), TOL_DYNAMIC, 1, metadata=meta)
 
     end_cal = traj_cal.samples[-1][1]
-    mapped = transforms.multi_transform(eq, "to_painleve", end_cal, aux, ctx)
+    mapped = transforms.multi_transform(eq, "to_painleve", end_cal, aux)
     end_pain = traj_pain.samples[-1][1]
     err = worst(abs(a - b) for a, b in zip((*mapped.coords, *mapped.momenta, mapped.time),
                                            (*end_pain.coords, *end_pain.momenta, end_pain.time)))

@@ -12,7 +12,6 @@ from ..elliptic import PI, TWO_PI_I, EllipticContext
 from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 DEFAULT_TAUS = (1j, 1.5j, 0.4 + 2j)
-N_POINTS = 50
 
 
 def _draw_u(rng, tau):
@@ -26,8 +25,8 @@ def _draw_u(rng, tau):
 
 def run_identity_suite(seed: int = 7) -> list[CheckReport]:
     """One CheckReport per identity per tau in ``DEFAULT_TAUS``, each over
-    ``N_POINTS`` seeded points (16 for lemma3_fd, 30 for lemma4), then the
-    asymptotics rows."""
+    50 seeded points (16 for lemma3_fd, 30 for lemma4), then the asymptotics
+    rows."""
     reports = [r for tau in DEFAULT_TAUS for r in _identities_for(EllipticContext(tau), seed)]
     return reports + asymptotics_checks()
 
@@ -36,14 +35,14 @@ def _identities_for(ctx: EllipticContext, seed: int):
     tag = format(complex(ctx.tau), "g")
     # (name, point error, pinned tolerance, points, metadata beyond tau)
     checks = (
-        ("periodicity", _periodicity, 1e-11, N_POINTS, {}),
-        ("addition", _addition, 1e-9, N_POINTS, {}),
-        ("cubic", _cubic, 1e-9, N_POINTS, {}),
-        ("shift", _shift, 1e-9, N_POINTS, {}),
-        ("lemma_g", _lemma_g, 1e-10, N_POINTS, {}),
+        ("periodicity", _periodicity, 1e-11, 50, {}),
+        ("addition", _addition, 1e-9, 50, {}),
+        ("cubic", _cubic, 1e-9, 50, {}),
+        ("shift", _shift, 1e-9, 50, {}),
+        ("lemma_g", _lemma_g, 1e-10, 50, {}),
         ("lemma3_fd", _lemma3_fd, 1e-9, 16, {"fd_step": "5e-4"}),
-        ("heat", _heat, 1e-6, N_POINTS, {"fd_step": "1e-4"}),
-        ("sinh_pair", _sinh_pair, 1e-10, N_POINTS, {}),
+        ("heat", _heat, 1e-6, 50, {"fd_step": "1e-4"}),
+        ("sinh_pair", _sinh_pair, 1e-10, 50, {}),
     )
     out = []
     for name, point_error, tol, n, extra in checks:
