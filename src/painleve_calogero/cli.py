@@ -25,7 +25,7 @@ import sys
 
 from .dynamics import COMPLETED, integrate
 from .errors import PainleveCalogeroError
-from .params import AUX_KEYS, AuxParams, param_to_painleve
+from .params import AUX_KEYS, PAINLEVE_KEYS, AuxParams, param_to_painleve
 from .systems import PhaseState, SystemDescriptor
 from .verify import SUITE_NAMES, reports_to_json, run_suite, sort_reports
 
@@ -69,11 +69,10 @@ def _read_object(path: str, what: str) -> dict:
     return raw
 
 
-def _load_aux(equation: str, source) -> tuple[AuxParams, complex]:
-    """Aux parameters from a JSON file path or inline key=val tokens."""
-    if isinstance(source, dict):
-        raw = source
-    elif len(source) == 1 and "=" not in source[0]:
+def _load_aux(equation: str, source: list[str]) -> tuple[AuxParams, complex]:
+    """Aux parameters from a JSON file path or inline key=val tokens; an
+    equation with constants refuses an empty source, naming the keys."""
+    if len(source) == 1 and "=" not in source[0]:
         raw = _read_object(source[0], "parameter file")
     else:
         raw = {}
@@ -158,14 +157,7 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_integrate(args) -> int:
     equation = EQUATION_FLAGS[args.equation]
-    if args.params:
-        aux, g4sq = _load_aux(equation, [args.params])
-    else:
-        if AUX_KEYS[equation]:
-            print(f"error: P{equation} requires --params with keys {AUX_KEYS[equation]}",
-                  file=sys.stderr)
-            return 1
-        aux, g4sq = AuxParams(equation), 0j
+    aux, g4sq = _load_aux(equation, [args.params] if args.params else [])
     initial = _load_initial(args.initial)
     sys_desc = SystemDescriptor(equation, args.side, initial.rank, g4sq, aux)
     traj = integrate(sys_desc, initial, args.t_end,
@@ -197,15 +189,11 @@ def cmd_verify(args) -> int:
 
 def cmd_params(args) -> int:
     equation = EQUATION_FLAGS[args.equation]
-    aux, _ = _load_aux(equation, args.aux or {})
-    if equation == "II":
-        result = {"alpha": _complex_to_json(aux.alpha)}
-    elif equation == "I":
-        result = {}
-    else:
-        p = param_to_painleve(aux)
-        result = {name: _complex_to_json(getattr(p, name))
-                  for name in ("alpha", "beta", "gamma", "delta")}
+    aux, _ = _load_aux(equation, args.aux or [])
+    p = param_to_painleve(aux)
+    # II prints its alpha and I nothing; VI..III print all four, IV its zeros too
+    names = PAINLEVE_KEYS[equation] if equation in ("II", "I") else PAINLEVE_KEYS["VI"]
+    result = {name: _complex_to_json(getattr(p, name)) for name in names}
     _write(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 

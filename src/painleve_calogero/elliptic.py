@@ -87,13 +87,6 @@ class EllipticContext:
         return 0j, 0.5 + 0j, -(1 + self.tau) / 2, self.tau / 2
 
 
-def context_at(tau: complex, ctx: EllipticContext | None = None) -> EllipticContext:
-    """``ctx`` if it is already at ``tau``, else a new context at ``tau``."""
-    if ctx is not None and ctx.tau == tau:
-        return ctx
-    return EllipticContext(tau)
-
-
 def reduce_to_cell(u: complex, tau: complex) -> complex:
     """Reduce u modulo Z + tau*Z to the cell centred at the origin.
 
@@ -326,9 +319,13 @@ def asymptotic_p23_sum(u: complex, tau: complex) -> complex:
     """wp(u+omega_2) + wp(u+omega_3) through order e^{2 pi i tau}.
 
     The e^{pi i tau} terms of the two shifts cancel; the surviving
-    correction is (16 - 32 cos(4 pi u)) pi^2 e^{2 pi i tau}.
+    correction is (16 - 32 cos(4 pi u)) pi^2 e^{2 pi i tau}.  A u whose
+    cosine overflows raises ``ValueError``.
     """
     if not (complex(tau).imag > 0):
         raise BadContext(f"Im tau must be positive, got {tau}")
     q2 = cmath.exp(2j * PI * tau)
-    return -2 * PI * PI / 3 + (16 * PI * PI - 32 * PI * PI * cmath.cos(4 * PI * u)) * q2
+    try:
+        return -2 * PI * PI / 3 + (16 * PI * PI - 32 * PI * PI * cmath.cos(4 * PI * u)) * q2
+    except OverflowError:
+        raise ValueError(f"the order-e^(2 pi i tau) term overflows at u={u} (tau={tau})") from None

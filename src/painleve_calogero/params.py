@@ -16,11 +16,13 @@ evaluates the printed algebraic relations between them:
 
 PII carries a single constant alpha (passed through unchanged); PI has no
 parameters.  Every conversion reads the equation from the parameter set's
-own tag, so a set cannot be read as another equation's.
+own tag, so a set cannot be read as another equation's, and holds only
+finite constants its equation reads (``AUX_KEYS``, ``PAINLEVE_KEYS``).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, fields
 
 from .errors import UnsupportedEquation
@@ -36,6 +38,9 @@ AUX_KEYS = {
     "II": ("alpha",),
     "I": (),
 }
+# second-order constants read per equation
+_ABCD = ("alpha", "beta", "gamma", "delta")
+PAINLEVE_KEYS = {"VI": _ABCD, "V": _ABCD, "IV": _ABCD[:2], "III": _ABCD, "II": _ABCD[:1], "I": ()}
 
 
 def check_equation(equation: str) -> str:
@@ -44,35 +49,46 @@ def check_equation(equation: str) -> str:
     return equation
 
 
+class _ConstantSet:
+    """The ``__post_init__`` of both parameter sets: a known equation tag and
+    complex constants, which raise ``ValueError`` if not finite, or nonzero
+    where ``_keys[equation]`` does not list them."""
+
+    def __post_init__(self):
+        eq = check_equation(self.equation)
+        for f in fields(self)[1:]:  # after the equation tag
+            value = complex(getattr(self, f.name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"P{eq} constant {f.name} must be finite, got {value}")
+            if value and f.name not in self._keys[eq]:
+                raise ValueError(f"P{eq} does not read {f.name} = {value}; "
+                                 f"its constants are {list(self._keys[eq])}")
+            object.__setattr__(self, f.name, value)
+
+
 @dataclass(frozen=True)
-class PainleveParams:
-    """(alpha, beta, gamma, delta) of the tagged second-order equation.
+class PainleveParams(_ConstantSet):
+    """(alpha, beta, gamma, delta) of the tagged second-order equation;
+    ``PAINLEVE_KEYS[equation]`` lists those it reads (IV: alpha and beta,
+    II: alpha, I: none), and the others must be zero."""
 
-    Entries irrelevant to the tagged equation are ignored (e.g. gamma and
-    delta for IV); PI uses none of them.
-    """
-
+    _keys = PAINLEVE_KEYS
     equation: str
     alpha: complex = 0j
     beta: complex = 0j
     gamma: complex = 0j
     delta: complex = 0j
 
-    def __post_init__(self):
-        check_equation(self.equation)
-        for f in fields(self):
-            if f.name != "equation":
-                object.__setattr__(self, f.name, complex(getattr(self, f.name)))
-
 
 @dataclass(frozen=True)
-class AuxParams:
+class AuxParams(_ConstantSet):
     """Constants of the polynomial Hamiltonians, keyed by paper symbols.
 
-    Only the subset listed in ``AUX_KEYS[equation]`` is meaningful for a
-    given equation; ``alpha`` is the PII constant.
+    ``AUX_KEYS[equation]`` lists those the equation reads, and the others
+    must be zero; ``alpha`` is the PII constant.
     """
 
+    _keys = AUX_KEYS
     equation: str
     kappa0: complex = 0j
     kappa1: complex = 0j
@@ -86,20 +102,13 @@ class AuxParams:
     eta0: complex = 0j
     alpha: complex = 0j
 
-    def __post_init__(self):
-        check_equation(self.equation)
-        for f in fields(self):
-            if f.name != "equation":
-                object.__setattr__(self, f.name, complex(getattr(self, f.name)))
-
 
 def param_to_painleve(aux: AuxParams) -> PainleveParams:
     """Convert auxiliary Hamiltonian constants to (alpha, beta, gamma, delta)
     of the equation ``aux`` is tagged with.
 
-    Raises UnsupportedEquation for II and I, where no relation is printed
-    (PII uses its alpha directly), and ``ValueError`` where a constant
-    overflows.
+    II has no printed relation and passes its alpha through; I has no
+    constants.  A constant that overflows raises ``ValueError``.
     """
     eq = aux.equation
     try:
@@ -135,7 +144,7 @@ def param_to_painleve(aux: AuxParams) -> PainleveParams:
                 gamma=4 * aux.eta_inf * aux.eta_inf,
                 delta=-4 * aux.eta0 * aux.eta0,
             )
-    except OverflowError:
+    except (OverflowError, ValueError):  # a square overflows, or a product to inf
         raise ValueError(f"P{eq} constants overflow in the printed relations: {aux}") from None
-    raise UnsupportedEquation(f"no printed parameter relation for P{eq}")
+    return PainleveParams(eq, alpha=aux.alpha)
 

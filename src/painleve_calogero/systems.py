@@ -66,7 +66,7 @@ class SystemDescriptor:
     time_gauge: str = field(init=False, repr=False, compare=False)
     singular_times: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     _painleve: PainleveParams = field(init=False, repr=False, compare=False)
-    _aux: AuxParams = field(init=False, repr=False, compare=False)
+    _aux: AuxParams | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eq = check_equation(self.equation)
@@ -82,17 +82,12 @@ class SystemDescriptor:
             raise ValueError(f"P{eq} Painleve side requires AuxParams")
         if painleve and eq == "II" and self.params is None:
             raise ValueError("PII Painleve side requires parameters (alpha)")
-        if isinstance(self.params, PainleveParams):
-            pp = self.params
-        elif self.params is None or eq == "I":
-            pp = PainleveParams(eq)
-        elif eq == "II":  # no printed relation: the PII alpha passes through
-            pp = PainleveParams("II", alpha=self.params.alpha)
-        else:
-            pp = param_to_painleve(self.params)
+        aux = self.params if isinstance(self.params, AuxParams) else None
+        pp = param_to_painleve(aux) if aux is not None else self.params or PainleveParams(eq)
+        if painleve and aux is None:  # PII's alpha or PI's none, given as PainleveParams
+            aux = AuxParams(eq, alpha=pp.alpha)
         object.__setattr__(self, "_painleve", pp)
-        object.__setattr__(self, "_aux", self.params if isinstance(self.params, AuxParams)
-                           else AuxParams(eq, alpha=pp.alpha))
+        object.__setattr__(self, "_aux", aux)
         logarithmic = eq in ("V", "III")
         object.__setattr__(self, "time_gauge", "t" if painleve else
                            "tau" if eq == "VI" else "log_t" if logarithmic else "t")

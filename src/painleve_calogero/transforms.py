@@ -24,6 +24,8 @@ quadrature; its time map t(tau) is inverted by Newton iteration.
 
 Every map multiplies the 1-form pair by a constant factor c (1, 1/2, 1/4,
 1/2, 1, 1 for VI..I); ``CANONICAL_FACTORS`` exposes these for reporting.
+A PVI map builds the one ``EllipticContext`` it reads at its time, tau;
+``multi_transform`` shares one among all coordinates of a state.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import cmath
 import math
 
 from . import elliptic
-from .elliptic import PI, TWO_PI_I, EllipticContext, context_at
+from .elliptic import PI, TWO_PI_I, EllipticContext
 from .errors import BadContext, BranchCut, MapSingularity, NoConvergence, TwoBodyCollision
 from .params import AuxParams, check_equation
 from .systems import PhaseState
@@ -51,28 +53,39 @@ def _require_finite(names: str, *values: complex) -> None:
         raise ValueError(f"{names} must be finite, got {', '.join(map(str, values))}")
 
 
+def _context(eq: str, time: complex) -> EllipticContext | None:
+    """The one context a PVI map reads at tau = time; the other maps need none."""
+    return EllipticContext(time) if eq == "VI" else None
+
+
 # ---------------------------------------------------------------------------
 # PVI time map t(tau) and its Jacobian
 # ---------------------------------------------------------------------------
 
-def time_map_pvi(tau: complex, ctx: EllipticContext | None = None) -> complex:
-    """t = (e3 - e1)/(e2 - e1)."""
-    ctx = context_at(tau, ctx)
+def _time_map(ctx: EllipticContext) -> complex:
     e1, e2, e3 = elliptic.half_period_values(ctx)
     return (e3 - e1) / (e2 - e1)
 
 
-def jacobian_dtau_dt(tau: complex, ctx: EllipticContext | None = None) -> complex:
+def _jacobian(ctx: EllipticContext) -> complex:
+    e1, e2, _ = elliptic.half_period_values(ctx)
+    t = _time_map(ctx)
+    if t * (t - 1) == 0:
+        raise BadContext(f"t(tau) = {t} at tau={ctx.tau} is a fixed singular point to rounding")
+    return PI * 1j / (t * (t - 1) * (e2 - e1))
+
+
+def time_map_pvi(tau: complex) -> complex:
+    """t = (e3 - e1)/(e2 - e1)."""
+    return _time_map(EllipticContext(tau))
+
+
+def jacobian_dtau_dt(tau: complex) -> complex:
     """dtau/dt = pi*i / (t(t-1)(e2-e1)), with t from the forward map.
 
     Raises ``BadContext`` where t(t-1) rounds to 0, as it does once t(tau)
     rounds to 1 at large Im tau."""
-    ctx = context_at(tau, ctx)
-    e1, e2, e3 = elliptic.half_period_values(ctx)
-    t = (e3 - e1) / (e2 - e1)
-    if t * (t - 1) == 0:
-        raise BadContext(f"t(tau) = {t} at tau={tau} is a fixed singular point to rounding")
-    return PI * 1j / (t * (t - 1) * (e2 - e1))
+    return _jacobian(EllipticContext(tau))
 
 
 def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
@@ -90,10 +103,10 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
             raise NoConvergence(f"Newton left the upper half plane from seed {tau_seed}", seed=tau_seed)
         c = EllipticContext(tau)
         try:
-            val = time_map_pvi(tau, c) - t
+            val = _time_map(c) - t
             if abs(val) < INVERSE_TOL:
                 return tau
-            step = -val * jacobian_dtau_dt(tau, c)
+            step = -val * _jacobian(c)
         except BadContext as exc:
             raise NoConvergence(f"Newton reached tau={tau}, where rounding loses e2 - e1 or t(t-1)",
                                 seed=tau_seed) from exc
@@ -112,14 +125,14 @@ def _out_of_range(eq: str, q: complex) -> MapSingularity:
     return MapSingularity(f"q={q} takes the P{eq} map to a pole or out of the double range")
 
 
-def lambda_of_q(eq: str, q: complex, time: complex, ctx: EllipticContext | None = None) -> complex:
+def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     """Evaluate the printed coordinate map q -> lambda; non-finite q or time
     raise ``ValueError``, a q whose lambda overflows ``MapSingularity``."""
     eq = check_equation(eq)
     q = complex(q)
     _require_finite("q and time", q, time)
     if eq == "VI":
-        c = context_at(time, ctx)
+        c = EllipticContext(time)
         e1, e2, _ = elliptic.half_period_values(c)
         return (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
     try:
@@ -198,7 +211,7 @@ def _q_of_lambda_pvi(lam, ctx, branch_hint):
     return max(reps, key=lambda z: (z.imag, -z.real))
 
 
-def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | None = None,
+def q_of_lambda(eq: str, lam: complex, time: complex,
                 branch_hint: complex | None = None) -> complex:
     """Invert the coordinate map: a q with lambda_of_q(q) = lam.
 
@@ -208,16 +221,19 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
     fails, and ``PoleAt`` for q within ``POLE_TOL`` of a pole.
     """
     eq = check_equation(eq)
+    return _q_of_lambda(eq, lam, _context(eq, time), branch_hint)
+
+
+def _q_of_lambda(eq, lam, ctx, branch_hint):
     lam = complex(lam)
     _require_finite("lambda", lam)
     if branch_hint is not None:
         _require_finite("branch_hint", branch_hint)
     if eq == "VI":
-        c = context_at(time, ctx)
-        t = time_map_pvi(c.tau, c)
+        t = _time_map(ctx)
         if min(abs(lam), abs(lam - 1), abs(lam - t)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PVI branch set {{0, 1, t}}")
-        return _q_of_lambda_pvi(lam, c, branch_hint)
+        return _q_of_lambda_pvi(lam, ctx, branch_hint)
     if eq == "V":
         if min(abs(lam), abs(lam - 1)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PV branch set {{0, 1}}")
@@ -249,7 +265,8 @@ def q_of_lambda(eq: str, lam: complex, time: complex, ctx: EllipticContext | Non
 # ---------------------------------------------------------------------------
 
 def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
-    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q).
+    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q); VI
+    reads ``ctx``, the context at tau = time.
 
     ``aux`` of another equation raises ``ValueError``; a term that divides
     by zero or overflows, e^q underflowing to 0, or a non-finite rest raise
@@ -258,9 +275,8 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
         raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
     try:
         if eq == "VI":
-            c = context_at(time, ctx)
-            lam, f_u, f_tau = elliptic.f_and_derivatives(q, c)
-            t = time_map_pvi(c.tau, c)
+            lam, f_u, f_tau = elliptic.f_and_derivatives(q, ctx)
+            t = _time_map(ctx)
             coef = 1 / f_u
             rest = (TWO_PI_I * f_tau / (f_u * f_u)
                     + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
@@ -295,19 +311,17 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     return coef, rest, lam
 
 
-def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams,
-             ctx: EllipticContext | None = None) -> complex:
+def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams) -> complex:
     """Evaluate the printed momentum map mu(q, p, T); non-finite q, p or time
     raise ``ValueError``."""
     eq = check_equation(eq)
     q, p, time = complex(q), complex(p), complex(time)
     _require_finite("q, p and time", q, p, time)
-    coef, rest, _ = _mu_pieces(eq, q, time, aux, ctx)
+    coef, rest, _ = _mu_pieces(eq, q, time, aux, _context(eq, time))
     return coef * p + rest
 
 
 def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxParams,
-                   ctx: EllipticContext | None = None,
                    branch_hint: complex | None = None) -> tuple[complex, complex]:
     """Invert the pair map: q from lambda, then p exactly (mu is affine in p).
 
@@ -316,8 +330,12 @@ def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxPa
     """
     eq = check_equation(eq)
     _require_finite("mu and time", mu, time)
-    q = q_of_lambda(eq, lam, time, ctx, branch_hint)
-    coef, rest, _ = _mu_pieces(eq, q, complex(time), aux, ctx)
+    return _pq_of_lambdamu(eq, lam, mu, complex(time), aux, _context(eq, time), branch_hint)
+
+
+def _pq_of_lambdamu(eq, lam, mu, time, aux, ctx, branch_hint):
+    q = _q_of_lambda(eq, lam, ctx, branch_hint)
+    coef, rest, _ = _mu_pieces(eq, q, time, aux, ctx)
     p = (complex(mu) - rest) / coef
     if not cmath.isfinite(p):
         raise _out_of_range(eq, q)
@@ -334,10 +352,11 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     """Apply the rank-1 maps componentwise; the time passes through (VI maps it).
 
     direction 'to_painleve' takes a Calogero state (q, p, T) to (lambda,
-    mu, t); 'to_calogero' inverts.  For VI 'to_calogero' the target tau is
-    found from t by Newton, seeded by ``ctx.tau`` (required).  A non-finite
-    entry of the state, or ``branch_hints`` of another length than the
-    state, raises ``ValueError``.
+    mu, t); 'to_calogero' inverts.  Every coordinate of a VI state shares
+    one context: 'to_painleve' reuses ``ctx`` when ``ctx.tau`` is the
+    state's time, and 'to_calogero' finds the target tau from t by Newton,
+    seeded by ``ctx.tau`` (required).  A non-finite entry of the state, or
+    ``branch_hints`` of another length than the state, raises ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
@@ -345,27 +364,22 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     _require_finite("the state", *state.coords, *state.momenta, state.time)
     if direction == "to_painleve":
         T = state.time
-        if eq == "VI":
-            c = context_at(T, ctx)
-            t_out = time_map_pvi(T, c)
-        else:
-            c, t_out = ctx, T
+        c = ctx if ctx is not None and ctx.tau == T else _context(eq, T)
+        t_out = _time_map(c) if eq == "VI" else T
         pieces = [_mu_pieces(eq, qj, T, aux, c) for qj in state.coords]
         lams = tuple(lam for _, _, lam in pieces)
         mus = tuple(coef * pj + rest for (coef, rest, _), pj in zip(pieces, state.momenta))
         _check_pairwise(lams)
         return PhaseState(lams, mus, t_out)
 
-    t = state.time
+    T = state.time
     if eq == "VI":
         if ctx is None:
             raise ValueError("VI inversion needs ctx.tau as the Newton seed for the time map")
-        T = time_map_pvi_inverse(t, ctx.tau)
-        c = context_at(T, ctx)
-    else:
-        T, c = t, ctx
+        T = time_map_pvi_inverse(T, ctx.tau)
+    c = _context(eq, T)
     hints = branch_hints if branch_hints is not None else (None,) * state.rank
-    out = [pq_of_lambdamu(eq, lam, mu, T, aux, c, hint)
+    out = [_pq_of_lambdamu(eq, lam, mu, T, aux, c, hint)
            for lam, mu, hint in zip(state.coords, state.momenta, hints, strict=True)]
     qs = tuple(o[0] for o in out)
     _check_pairwise(qs)

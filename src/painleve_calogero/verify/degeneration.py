@@ -15,10 +15,11 @@ points, one of three things:
     hyperbolic limit whose printed momentum rescale is undetermined).
 
 The defect must shrink to zero as eps -> 0; the suite reports the defect
-per eps against a linear-shrinkage envelope and the shrink ratio of an eps
-pair against a pinned bracket.  Schedules whose expansions cancel beyond
-first order (rational -> second rational is O(eps^2), second rational ->
-PI is O(eps^6)) carry a lower bound only; the measured ratio is recorded.
+at each eps of a pair against a linear-shrinkage envelope, and the shrink
+ratio of the pair against a bracket [RATIO_MIN, ratio_max].  Schedules
+whose expansions cancel beyond first order (rational -> second rational
+is O(eps^2), second rational -> PI is O(eps^6)) carry the lower bound
+only; the measured ratio is recorded.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 # the tilded (target) parameters alpha~, beta~, gamma~, delta~
 _AT, _BT, _GT, _DT = 0.23 + 0.11j, 0.31 - 0.07j, 0.19 + 0.05j, 0.27 - 0.09j
+# lower end of every schedule's shrink-ratio bracket
+RATIO_MIN = 3.3
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,9 @@ class DegenerationSchedule:
     source: str
     target: str
     defect: Callable[[float, int], float]  # (eps, seed) -> max defect over the samples
-    epsilon: float                      # reference eps for the envelope check
-    eps_pair: tuple[float, float]       # (larger, smaller) for the shrink ratio
-    ratio_bracket: tuple[float, float]  # (lo, hi); hi = inf for superconvergent
-    envelope_coeff: float               # tolerance at eps is coeff * eps^order
+    eps_pair: tuple[float, float]  # (larger, smaller): the checked eps and the shrink ratio
+    ratio_max: float               # upper end of the bracket; inf for superconvergent
+    envelope_coeff: float          # tolerance at eps is coeff * eps^order
     order: int = 1
 
     def envelope(self, eps: float) -> float:
@@ -222,60 +224,50 @@ _PII_TARGET = PainleveParams("II", alpha=_AT)
 SCHEDULES: dict[str, DegenerationSchedule] = {s.name: s for s in (
     DegenerationSchedule(
         "pvi_to_pv", "PVI-ode", "PV-ode", _ode_defect_pvi_to_pv,
-        epsilon=1e-3, eps_pair=(1e-2, 1e-3), ratio_bracket=(3.3, 30.0),
-        envelope_coeff=100.0),
+        eps_pair=(1e-2, 1e-3), ratio_max=30.0, envelope_coeff=100.0),
     DegenerationSchedule(
         "elliptic_to_hyperbolic", "elliptic", "hyperbolic", _potential_defect_elliptic,
-        epsilon=1e-4, eps_pair=(1e-3, 1e-4), ratio_bracket=(3.3, 30.0),
-        envelope_coeff=1e-3 / 1e-4),
+        eps_pair=(1e-3, 1e-4), ratio_max=30.0, envelope_coeff=1e-3 / 1e-4),
     _calogero_limit(
         "hyperbolic_to_rational", "V", "IV", _subs_551,
         lambda eps: (1 / math.sqrt(eps), 2 * math.sqrt(eps), 2 * eps),
         PainleveParams("IV", alpha=_AT, beta=_BT),
-        epsilon=1e-3, eps_pair=(1e-2, 1e-3), ratio_bracket=(3.3, 30.0),
-        envelope_coeff=500.0),
+        eps_pair=(1e-2, 1e-3), ratio_max=30.0, envelope_coeff=500.0),
     _calogero_limit(
         "hyperbolic_to_exp_hyperbolic", "V", "III", _subs_552,
         lambda eps: (-1.0, -1.0, 1.0),
         PainleveParams("III", alpha=_AT, beta=_BT, gamma=_GT, delta=_DT),
         g4sq=0.11 + 0.04j, rank=2,
-        epsilon=1e-3, eps_pair=(1e-2, 1e-3), ratio_bracket=(3.3, 30.0),
-        envelope_coeff=20.0),
+        eps_pair=(1e-2, 1e-3), ratio_max=30.0, envelope_coeff=20.0),
     _calogero_limit(
         "rational_to_second_rational", "IV", "II", _subs_553a,
         lambda eps: (eps ** -0.5 / 2 ** (2 / 3), math.sqrt(eps) / 4 ** (2 / 3),
                      4 ** (-1 / 3) * eps),
         _PII_TARGET,
-        epsilon=1e-2, eps_pair=(1e-1, 1e-2), ratio_bracket=(3.3, math.inf),
-        envelope_coeff=50.0, order=2),
+        eps_pair=(1e-1, 1e-2), ratio_max=math.inf, envelope_coeff=50.0, order=2),
     _calogero_limit(
         "exp_hyperbolic_to_second_rational", "III", "II", _subs_553b,
         lambda eps: (1 / (2 * eps), eps, 2 * eps**2),
         _PII_TARGET, g4sq=0.11 + 0.04j, rank=2,
-        epsilon=1e-2, eps_pair=(1e-1, 1e-2), ratio_bracket=(3.3, 30.0),
-        envelope_coeff=100.0),
+        eps_pair=(1e-1, 1e-2), ratio_max=30.0, envelope_coeff=100.0),
     _calogero_limit(
         "second_rational_to_pi", "II", "I", _subs_554,
         lambda eps: (1 / eps, eps, eps**2),
         PainleveParams("I"), g4sq=0.11 + 0.04j, rank=2,
-        epsilon=0.25, eps_pair=(0.5, 0.25), ratio_bracket=(3.3, math.inf),
-        envelope_coeff=50.0, order=6),
+        eps_pair=(0.5, 0.25), ratio_max=math.inf, envelope_coeff=50.0, order=6),
 )}
 
 
 def run_degeneration_suite(sched: DegenerationSchedule, seed: int = 7) -> list[CheckReport]:
     """Per-eps defect reports plus the shrink-ratio report for the eps pair."""
-    defects = {}
-    reports = []
-    for eps in sorted(set(sched.eps_pair) | {sched.epsilon}, reverse=True):
-        d = defects[eps] = sched.defect(eps, seed)
-        reports.append(CheckReport(
-            f"degeneration.{sched.name}.defect_eps{eps:g}", d, sched.envelope(eps), 3,
-            metadata={"eps": f"{eps:g}", "source": sched.source, "target": sched.target}))
     e1, e2 = sched.eps_pair
-    d1, d2 = defects[e1], defects[e2]
+    d1, d2 = sched.defect(e1, seed), sched.defect(e2, seed)
+    reports = [CheckReport(
+        f"degeneration.{sched.name}.defect_eps{eps:g}", d, sched.envelope(eps), 3,
+        metadata={"eps": f"{eps:g}", "source": sched.source, "target": sched.target})
+        for eps, d in ((e1, d1), (e2, d2))]
     ratio = d1 / d2 if d2 > 0 else math.inf
-    lo, hi = sched.ratio_bracket
+    lo, hi = RATIO_MIN, sched.ratio_max
     # report max_error as distance-from-bracket so passed <=> in bracket
     violation = 0.0 if lo <= ratio <= hi else min(abs(ratio - lo), abs(ratio - hi))
     reports.append(CheckReport(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from painleve_calogero import PhaseState
+from painleve_calogero import EllipticContext, PhaseState
 
 
 def painleve_state(eq, rank, rng, time=None):
@@ -18,3 +18,17 @@ def painleve_state(eq, rank, rng, time=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """A one-item list counting the ``EllipticContext`` constructions."""
+    count = [0]
+    post_init = EllipticContext.__post_init__
+
+    def counting(ctx):
+        count[0] += 1
+        post_init(ctx)
+
+    monkeypatch.setattr(EllipticContext, "__post_init__", counting)
+    return count

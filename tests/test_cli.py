@@ -106,6 +106,31 @@ def test_missing_params_for_parametrized_equation(capsys, i0):
     assert "kappa0" in capsys.readouterr().err
 
 
+def test_integrate_p6_without_params_names_the_missing_keys(capsys, i0):
+    code = main(["integrate", "--equation", "p6", "--side", "calogero",
+                 "--initial", i0, "--t-end", "2"])
+    assert code == 1
+    assert "missing ['kappa0', 'kappa1', 'theta', 'kappa']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", (
+    (["p6", "kappa0=1", "kappa1=2", "theta=3", "kappa=0.5"],
+     {"alpha": [11.5, 0.0], "beta": [-0.5, 0.0], "delta": [-4.0, 0.0], "gamma": [2.0, 0.0]}),
+    (["p5", "kappa0=1", "theta1=2", "eta1=3", "kappa=0.5"],
+     {"alpha": [3.5, 0.0], "beta": [-0.5, 0.0], "delta": [-4.5, 0.0], "gamma": [9.0, 0.0]}),
+    (["p4", "theta_inf=1", "kappa0=2"],  # IV prints its unread gamma and delta as zeros
+     {"alpha": [1.0, 0.0], "beta": [-8.0, 0.0], "delta": [0.0, 0.0], "gamma": [0.0, 0.0]}),
+    (["p3", "eta_inf=1", "theta_inf=2", "eta0=3", "theta0=4"],
+     {"alpha": [-8.0, 0.0], "beta": [60.0, 0.0], "delta": [-36.0, 0.0], "gamma": [4.0, 0.0]}),
+    (["p2", "alpha=0.5+1i"], {"alpha": [0.5, 1.0]}),
+    (["p1"], {}),
+), ids=("p6", "p5", "p4", "p3", "p2", "p1"))
+def test_params_output_text(capsys, argv, expected):
+    code = main(["params", "--equation", argv[0]] + (["--aux", *argv[1:]] if argv[1:] else []))
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_json_to_stdout(capsys, i0):
     code = main(["integrate", "--equation", "p1", "--side", "painleve",
                  "--initial", i0, "--t-end", "0.5", "--format", "json", "--out", "-"])

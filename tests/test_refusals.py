@@ -6,24 +6,29 @@ may also end early with a tagged termination.  Each draw takes arguments
 in the period cell, large, tiny, huge, at special points (lattice points,
 half periods, 0 and 1) or non-finite, with tau at eight values of
 Im tau from 0.01 to 20.  Below Im tau = 0.01 the series take 10^5 - 10^6
-terms by design, so no draw goes there.
+terms by design, so no draw goes there.  Parameter sets, and the systems
+holding them, are built inside the fuzzed call (``_Later``): one set in
+ten has a non-finite constant and one in ten a constant its equation does
+not read, and their refusal is then that call's declared error.
 """
 
 import cmath
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 import painleve_calogero as pc
 from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, STEP_UNDERFLOW
+from painleve_calogero.elliptic import asymptotic_p23_sum
 from painleve_calogero.errors import (
     CoordinateSingularity,
     MapSingularity,
     PainleveCalogeroError,
     PoleAt,
 )
-from painleve_calogero.params import AUX_KEYS, EQUATIONS
+from painleve_calogero.params import AUX_KEYS, EQUATIONS, PAINLEVE_KEYS
 from painleve_calogero.verify.correspondence import default_aux
 
 DECLARED = (PainleveCalogeroError, ValueError)
@@ -53,8 +58,43 @@ def _eq(rng):
     return rng.choice(EQUATIONS)
 
 
+def _finite(rng):
+    z = _z(rng)
+    return z if cmath.isfinite(z) else _finite(rng)
+
+
+class _Later:
+    """A constructor call made inside the fuzzed call, where its refusal is
+    that call's declared error rather than a skipped draw."""
+
+    def __init__(self, cls, *args, **kwargs):
+        self.cls, self.args, self.kwargs = cls, args, kwargs
+
+    def __repr__(self):
+        return f"{self.cls.__name__}(*{self.args!r}, **{self.kwargs!r})"
+
+
+def _built(x):
+    return x.cls(*map(_built, x.args), **x.kwargs) if isinstance(x, _Later) else x
+
+
+def _params(rng, cls, eq):
+    """A parameter set of ``eq`` built by ``_Later``: finite constants of its
+    own, but one set in ten has a non-finite one and one in ten a nonzero
+    constant ``eq`` does not read."""
+    keys = (AUX_KEYS if cls is pc.AuxParams else PAINLEVE_KEYS)[eq]
+    unread = [f.name for f in fields(cls) if f.name not in keys + ("equation",)]
+    kw = {k: _finite(rng) for k in keys}
+    r = rng.random()
+    if r < 0.1 and keys:
+        kw[rng.choice(keys)] = rng.choice(NONFINITE)
+    elif r < 0.2 and unread:
+        kw[rng.choice(unread)] = _finite(rng) or 1.0
+    return _Later(cls, eq, **kw)
+
+
 def _aux(rng, eq):
-    return pc.AuxParams(eq, **{k: _z(rng) for k in AUX_KEYS[eq]})
+    return _params(rng, pc.AuxParams, eq)
 
 
 def _time(rng, eq, side):
@@ -74,9 +114,8 @@ def _state(rng, rank, time, tau=1j):
 
 
 def _system(rng, eq, side, rank):
-    params = _aux(rng, eq) if rng.random() < 0.7 else pc.PainleveParams(eq, *(
-        _z(rng) for _ in range(4)))
-    return pc.SystemDescriptor(eq, side, rank, rng.choice((0j, 0.7, _z(rng))), params)
+    params = _params(rng, pc.AuxParams if rng.random() < 0.7 else pc.PainleveParams, eq)
+    return _Later(pc.SystemDescriptor, eq, side, rank, rng.choice((0j, 0.7, _z(rng))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +155,7 @@ def _draw_time_map_inverse(rng):
 def _draw_lambda_of_q(rng):
     eq = _eq(rng)
     time = _time(rng, eq, "calogero")
-    return (eq, _z(rng), time, _ctx(rng, eq, time)), {}
+    return (eq, _z(rng), time), {}
 
 
 def _hint(rng):
@@ -126,7 +165,7 @@ def _hint(rng):
 def _draw_q_of_lambda(rng):
     eq = _eq(rng)
     time = _time(rng, eq, "calogero")
-    return (eq, _z(rng), time, _ctx(rng, eq, time), _hint(rng)), {}
+    return (eq, _z(rng), time, _hint(rng)), {}
 
 
 def _map_aux(rng, eq):
@@ -136,14 +175,13 @@ def _map_aux(rng, eq):
 def _draw_mu_of_pq(rng):
     eq = _eq(rng)
     time = _time(rng, eq, "calogero")
-    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq), _ctx(rng, eq, time)), {}
+    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq)), {}
 
 
 def _draw_pq_of_lambdamu(rng):
     eq = _eq(rng)
     time = _time(rng, eq, "calogero")
-    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq), _ctx(rng, eq, time),
-            _hint(rng)), {}
+    return (eq, _z(rng), _z(rng), time, _map_aux(rng, eq), _hint(rng)), {}
 
 
 def _draw_multi_transform(rng):
@@ -177,7 +215,7 @@ def _draw_phase_state(rng):
 
 def _draw_system_descriptor(rng):
     eq = rng.choice(EQUATIONS + ("VII",))
-    params = rng.choice((None, _aux(rng, _eq(rng)), pc.PainleveParams(_eq(rng))))
+    params = rng.choice((None, _aux(rng, _eq(rng)), _params(rng, pc.PainleveParams, _eq(rng))))
     return (eq, rng.choice(("painleve", "calogero", "other")), rng.randrange(-1, 4),
             _z(rng), params), {}
 
@@ -210,7 +248,7 @@ def _short_run(rng, side, rank, max_steps, dense=False):
         kwargs["max_step"] = 0.05 / 25
     elif rng.random() < 0.2:
         kwargs["max_step"] = rng.choice((1e-3, 0.0, -1.0, math.inf))
-    sys = pc.SystemDescriptor(eq, side, rank, rng.choice((0j, 0.7)), _aux(rng, eq))
+    sys = _Later(pc.SystemDescriptor, eq, side, rank, rng.choice((0j, 0.7)), _aux(rng, eq))
     return (sys, pc.PhaseState(coords, momenta, t0), t_end, *tols), kwargs
 
 
@@ -222,7 +260,7 @@ def _draw_painleve_residual(rng):
     side = "painleve" if rng.random() < 0.9 else "calogero"
     args, kwargs = _short_run(rng, side, 1, 40, dense=True)
     try:
-        traj = pc.integrate(*args, **kwargs)
+        traj = pc.integrate(*map(_built, args), **kwargs)
     except DECLARED:
         traj = pc.integrate(pc.SystemDescriptor("I", side), pc.PhaseState((0.1,), (0.1,), 0.5),
                             0.55, max_step=0.05 / 25)
@@ -231,7 +269,7 @@ def _draw_painleve_residual(rng):
 
 def _draw_painleve_ode_rhs(rng):
     eq = _eq(rng)
-    return (_z(rng), _z(rng), _z(rng), pc.PainleveParams(eq, *(_z(rng) for _ in range(4)))), {}
+    return (_z(rng), _z(rng), _z(rng), _params(rng, pc.PainleveParams, eq)), {}
 
 
 DRAWS = {
@@ -274,18 +312,35 @@ DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
 @pytest.mark.parametrize("call, error", (
     (lambda: pc.asymptotic_p(220 + 128j, 2, -0.4 + 0.5j), ValueError),  # cos overflows
     (lambda: pc.asymptotic_p(0, 0, 1j), PoleAt),
+    (lambda: asymptotic_p23_sum(0.1 + 60j, 1j), ValueError),  # cos overflows
     (lambda: pc.q_of_lambda("V", 0.5 + 0.2j, 0.8, branch_hint=complex(1, -math.inf)), ValueError),
     (lambda: pc.q_of_lambda("III", 0.5 + 0.2j, 0.8, branch_hint=complex("nan")), ValueError),
     (lambda: pc.painleve_ode_rhs(0, 1, 0.5, pc.PainleveParams("IV")), CoordinateSingularity),
     (lambda: pc.painleve_ode_rhs(1e300, 0, 1, pc.PainleveParams("II")), CoordinateSingularity),
     (lambda: pc.mu_of_pq("VI", 0.5, 0.1, 0.3 + 0.02j, default_aux("VI")), MapSingularity),
     (lambda: pc.param_to_painleve(pc.AuxParams("VI", kappa0=1e200)), ValueError),
-), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "q_of_lambda-inf-hint",
-        "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow", "mu_of_pq-VI-lambda-0",
-        "param_to_painleve-overflow"))
+), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
+        "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
+        "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
     # an OverflowError, a ZeroDivisionError, or (the NaN hint) a hint silently ignored
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", (
+    lambda: pc.AuxParams("V", kappa0=0.31, theta=0.22 - 0.11j, eta1=0.35, kappa=0.17),
+    lambda: pc.PainleveParams("IV", alpha=1, beta=2, gamma=5, delta=7),
+    lambda: pc.PainleveParams("I", alpha=0.5),
+    lambda: pc.AuxParams("VI", kappa0=math.nan),
+    lambda: pc.PainleveParams("II", alpha=complex(1, math.inf)),
+    lambda: pc.param_to_painleve(pc.AuxParams("IV", kappa0=1e200)),
+    lambda: pc.param_to_painleve(pc.AuxParams("III", eta_inf=1e200, theta_inf=1)),
+), ids=("aux-unread-theta", "painleve-unread-gamma-delta", "painleve-I-alpha",
+        "aux-nan", "painleve-inf", "param_to_painleve-IV-product", "param_to_painleve-III-product"))
+def test_parameter_sets_refuse_unread_and_nonfinite_constants(call):
+    # each was accepted, and evaluated as if absent or infinite
+    with pytest.raises(ValueError):
         call()
 
 
@@ -301,9 +356,9 @@ def test_only_declared_errors_escape(name):
         try:
             args, kwargs = DRAWS[name](rng)
         except DECLARED:
-            continue  # a drawn argument (a context or a system) was itself refused
+            continue  # a drawn argument (such as a context) was itself refused
         try:
-            out = fn(*args, **kwargs)
+            out = fn(*map(_built, args), **kwargs)
         except DECLARED:
             continue
         except Exception as exc:  # the contract under test: nothing else escapes

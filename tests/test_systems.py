@@ -6,6 +6,7 @@ import pytest
 from painleve_calogero import (
     AuxParams,
     EllipticContext,
+    PainleveParams,
     PhaseState,
     SystemDescriptor,
     canonical_field,
@@ -15,7 +16,7 @@ from painleve_calogero import (
     param_to_painleve,
     systems,
 )
-from painleve_calogero.errors import TwoBodyCollision, UnsupportedEquation
+from painleve_calogero.errors import TwoBodyCollision
 from painleve_calogero.systems import gauge_factor
 from painleve_calogero.verify.correspondence import BASE_TIME, default_aux, sample_calogero_state
 from tests.conftest import painleve_state
@@ -38,11 +39,10 @@ def test_param_to_painleve_iii():
     assert (p.alpha, p.beta, p.gamma, p.delta) == (-4, 8, 4, -4)
 
 
-def test_param_to_painleve_rejects_ii_i():
-    with pytest.raises(UnsupportedEquation):
-        param_to_painleve(AuxParams("II", alpha=1))
-    with pytest.raises(UnsupportedEquation):
-        param_to_painleve(AuxParams("I"))
+def test_param_to_painleve_ii_passes_alpha_i_has_none():
+    assert param_to_painleve(AuxParams("II", alpha=0.37 + 0.21j)) == PainleveParams(
+        "II", alpha=0.37 + 0.21j)
+    assert param_to_painleve(AuxParams("I")) == PainleveParams("I")
 
 
 def test_param_round_trip():

@@ -82,19 +82,17 @@ def test_q_lambda_round_trip(eq, q):
 
 def test_q_lambda_round_trip_vi():
     tau = 0.13 + 1.17j
-    ctx = EllipticContext(tau)
     q = 0.23 + 0.31 * tau
-    lam = lambda_of_q("VI", q, tau, ctx)
-    q_back = q_of_lambda("VI", lam, tau, ctx, branch_hint=q)
+    lam = lambda_of_q("VI", q, tau)
+    q_back = q_of_lambda("VI", lam, tau, branch_hint=q)
     assert abs(q_back - q) < 1e-9
-    assert abs(lambda_of_q("VI", q_back, tau, ctx) - lam) < 1e-9
+    assert abs(lambda_of_q("VI", q_back, tau) - lam) < 1e-9
 
 
 def test_q_of_lambda_vi_at_t_is_omega3():
     tau = 1.2j + 0.1
-    ctx = EllipticContext(tau)
-    t = time_map_pvi(tau, ctx)
-    q = q_of_lambda("VI", t * (1 + 1e-9), tau, ctx, branch_hint=tau / 2)
+    t = time_map_pvi(tau)
+    q = q_of_lambda("VI", t * (1 + 1e-9), tau, branch_hint=tau / 2)
     assert abs(q - tau / 2) < 1e-4  # wp is critical at omega_3, so sqrt-accuracy
 
 
@@ -103,7 +101,7 @@ def test_q_of_lambda_vi_at_t_is_omega3():
 def test_nonfinite_lambda_is_refused(eq, lam):
     tau = 0.13 + 1.17j
     with pytest.raises(ValueError):
-        q_of_lambda(eq, lam, tau, EllipticContext(tau) if eq == "VI" else None)
+        q_of_lambda(eq, lam, tau)
 
 
 def test_branch_cuts_raise():
@@ -120,12 +118,12 @@ def test_abel_map_quadrature_oracle():
     tau = 0.13 + 1.17j
     ctx = EllipticContext(tau)
     e1, e2, e3 = half_period_values(ctx)
-    t = time_map_pvi(tau, ctx)
+    t = time_map_pvi(tau)
 
     q_base = 0.37 + 0.41 * tau
-    lam_base = lambda_of_q("VI", q_base, tau, ctx)
+    lam_base = lambda_of_q("VI", q_base, tau)
     q_true = 0.19 + 0.27 * tau
-    lam_target = lambda_of_q("VI", q_true, tau, ctx)
+    lam_target = lambda_of_q("VI", q_true, tau)
 
     # composite Gauss-Legendre with sign continuity of the square root
     nodes, weights = np.polynomial.legendre.leggauss(10)
@@ -146,7 +144,7 @@ def test_abel_map_quadrature_oracle():
             total += wgt * half * (lam_target - lam_base) / w
     dq = total / (2 * cmath.sqrt(e2 - e1))
 
-    q_prod = q_of_lambda("VI", lam_target, tau, ctx, branch_hint=q_true)
+    q_prod = q_of_lambda("VI", lam_target, tau, branch_hint=q_true)
     best = math.inf
     for sign in (1, -1):
         q_oracle = q_base + sign * dq
@@ -162,9 +160,9 @@ def _invert_unhinted(q, tau, ctx):
     """The un-hinted VI inverse of lambda(q), its wp residual checked
     against the stated bound."""
     e1, e2, _ = half_period_values(ctx)
-    lam = lambda_of_q("VI", q, tau, ctx)
+    lam = lambda_of_q("VI", q, tau)
     x = e1 + (e2 - e1) * lam
-    got = q_of_lambda("VI", lam, tau, ctx)
+    got = q_of_lambda("VI", lam, tau)
     assert abs(weierstrass_p(got, ctx) - x) <= 1e-11 * max(1.0, abs(x))
     return got
 
@@ -258,7 +256,7 @@ def test_mu_pvi_termwise_oracle():
     term2 = TWO_PI_I * (e2 - e1) ** 2 / pp**2 * ftau
     term3 = (e2 - e1) / 2 * (aux.kappa0 / (wp - e1) + aux.kappa1 / (wp - e2)
                              + (aux.theta - 1) / (wp - e3))
-    mu = mu_of_pq("VI", q, p, tau, aux, ctx)
+    mu = mu_of_pq("VI", q, p, tau, aux)
     assert abs(mu - (term1 + term2 + term3)) < 1e-10
 
 
@@ -267,10 +265,9 @@ def test_pq_round_trip(eq, rng):
     aux = default_aux(eq)
     st = sample_calogero_state(eq, 1, rng)
     q, p, T = st.coords[0], st.momenta[0], st.time
-    ctx = EllipticContext(T) if eq == "VI" else None
-    lam = lambda_of_q(eq, q, T, ctx)
-    mu = mu_of_pq(eq, q, p, T, aux, ctx)
-    q2, p2 = pq_of_lambdamu(eq, lam, mu, T, aux, ctx, branch_hint=q)
+    lam = lambda_of_q(eq, q, T)
+    mu = mu_of_pq(eq, q, p, T, aux)
+    q2, p2 = pq_of_lambdamu(eq, lam, mu, T, aux, branch_hint=q)
     assert abs(q2 - q) < 1e-9
     assert abs(p2 - p) < 1e-9
 
@@ -332,8 +329,8 @@ def test_multi_transform_rank1_matches_componentwise(rng):
         st = sample_calogero_state(eq, 1, rng)
         ctx = EllipticContext(st.time) if eq == "VI" else None
         out = multi_transform(eq, "to_painleve", st, aux, ctx)
-        lam = lambda_of_q(eq, st.coords[0], st.time, ctx)
-        mu = mu_of_pq(eq, st.coords[0], st.momenta[0], st.time, aux, ctx)
+        lam = lambda_of_q(eq, st.coords[0], st.time)
+        mu = mu_of_pq(eq, st.coords[0], st.momenta[0], st.time, aux)
         assert abs(out.coords[0] - lam) < 1e-14
         assert abs(out.momenta[0] - mu) < 1e-14
 
@@ -345,8 +342,8 @@ def test_fused_forward_map_matches_componentwise(eq, rank, rng):
     st = sample_calogero_state(eq, rank, rng)
     ctx = EllipticContext(st.time) if eq == "VI" else None
     out = multi_transform(eq, "to_painleve", st, aux, ctx)
-    lams = tuple(lambda_of_q(eq, q, st.time, ctx) for q in st.coords)
-    mus = tuple(mu_of_pq(eq, q, p, st.time, aux, ctx) for q, p in zip(st.coords, st.momenta))
+    lams = tuple(lambda_of_q(eq, q, st.time) for q in st.coords)
+    mus = tuple(mu_of_pq(eq, q, p, st.time, aux) for q, p in zip(st.coords, st.momenta))
     if eq != "VI":
         assert (out.coords, out.momenta) == (lams, mus)
         return
@@ -362,15 +359,15 @@ def test_nonfinite_arguments_are_refused(eq):
     ctx = EllipticContext(T) if eq == "VI" else None
     for bad in (math.nan, math.inf, complex(0.1, -math.inf)):
         with pytest.raises(ValueError):
-            lambda_of_q(eq, bad, T, ctx)
+            lambda_of_q(eq, bad, T)
         with pytest.raises(ValueError):
-            lambda_of_q(eq, q, bad, ctx)
+            lambda_of_q(eq, q, bad)
         with pytest.raises(ValueError):
-            mu_of_pq(eq, bad, p, T, aux, ctx)
+            mu_of_pq(eq, bad, p, T, aux)
         with pytest.raises(ValueError):
-            mu_of_pq(eq, q, bad, T, aux, ctx)
+            mu_of_pq(eq, q, bad, T, aux)
         with pytest.raises(ValueError):
-            mu_of_pq(eq, q, p, bad, aux, ctx)
+            mu_of_pq(eq, q, p, bad, aux)
         with pytest.raises(ValueError):
             multi_transform(eq, "to_painleve", PhaseState((q,), (bad,), T), aux, ctx)
     with pytest.raises(ValueError):
@@ -405,6 +402,17 @@ def test_multi_transform_round_trip_vi(rng):
         assert abs(a - b) < 1e-7
 
 
+def test_to_calogero_shares_one_context_for_all_coordinates(rng, contexts):
+    # the seed, one per Newton step of the time map (5 from 0.02 off), one
+    # for the three coordinates
+    aux = default_aux("VI")
+    st = sample_calogero_state("VI", 3, rng)
+    img = multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time))
+    contexts[0] = 0
+    multi_transform("VI", "to_calogero", img, aux, EllipticContext(st.time + 0.02j))
+    assert contexts[0] <= 7
+
+
 def test_pv_two_body_identity(rng):
     # per-pair rewrite of the hyperbolic pair potential in lambda variables
     for _ in range(10):
@@ -421,12 +429,12 @@ def test_pvi_two_body_identity(rng):
     tau = 0.13 + 1.17j
     ctx = EllipticContext(tau)
     e1, e2, _ = half_period_values(ctx)
-    t = time_map_pvi(tau, ctx)
+    t = time_map_pvi(tau)
     for _ in range(10):
         q1 = rng.uniform(0.08, 0.2) + rng.uniform(0.1, 0.2) * tau
         q2 = rng.uniform(0.26, 0.4) + rng.uniform(0.26, 0.4) * tau
-        l1 = lambda_of_q("VI", q1, tau, ctx)
-        l2 = lambda_of_q("VI", q2, tau, ctx)
+        l1 = lambda_of_q("VI", q1, tau)
+        l2 = lambda_of_q("VI", q2, tau)
         P1 = l1 * (l1 - 1) * (l1 - t)
         P2 = l2 * (l2 - 1) * (l2 - t)
         lhs = weierstrass_p(q1 - q2, ctx) + weierstrass_p(q1 + q2, ctx)

@@ -140,11 +140,10 @@ def _g4sq(rank):
     return 0j if rank == 1 else RANK3_G4SQ
 
 
-def _columnwise_pushed_field(cal, state, ctx, step=1e-6):
+def _columnwise_pushed_field(cal, state, dT_dt, step=1e-6):
     """J_Phi . v from the full Jacobian, one central difference per column."""
     eq, rank, aux = cal.equation, cal.rank, cal.params
     qdot, pdot = canonical_field(cal, state)
-    dT_dt = jacobian_dtau_dt(state.time, ctx) if eq == "VI" else 1.0 + 0j
     vel = [v * dT_dt for v in qdot] + [v * dT_dt for v in pdot] + [dT_dt]
 
     def phi_flat(x):
@@ -166,16 +165,28 @@ def _columnwise_pushed_field(cal, state, ctx, step=1e-6):
     return pushed
 
 
+# EllipticContext constructions of run_suite at seed 1000; a change that
+# stops sharing one context among the coordinates of a state, or among the
+# maps at one time, raises them
+CONTEXT_BUDGET = {"correspondence": 754, "dynamic": 81, "degeneration": 2}
+
+
+@pytest.mark.parametrize("suite", sorted(CONTEXT_BUDGET))
+def test_suite_context_budget(suite, contexts):
+    run_suite(suite, seed=1000)
+    assert contexts[0] <= CONTEXT_BUDGET[suite]
+
+
 @pytest.mark.parametrize("rank", (1, 3))
 @pytest.mark.parametrize("eq", _EQUATIONS)
 def test_circle_rule_matches_columnwise_jacobian(eq, rank):
     cal = SystemDescriptor(eq, "calogero", rank, _g4sq(rank), default_aux(eq))
-    ctx = EllipticContext(BASE_TIME[eq]) if eq == "VI" else None
+    dT_dt = jacobian_dtau_dt(BASE_TIME[eq]) if eq == "VI" else 1.0 + 0j
     rng = rng_for(3, f"test.circle_rule.{eq}.{rank}")
     for _ in range(3):
         state = sample_calogero_state(eq, rank, rng)
-        pushed = _pushed_field(cal, state, ctx)
-        oracle = _columnwise_pushed_field(cal, state, ctx)
+        pushed = _pushed_field(cal, state, dT_dt)
+        oracle = _columnwise_pushed_field(cal, state, dT_dt)
         for a, b in zip(pushed, oracle):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
