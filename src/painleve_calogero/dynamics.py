@@ -17,10 +17,13 @@ automatic path deformation around them.  Rejected steps are counted, the
 singular ones (a stage raised or went non-finite) also on their own.
 
 Dense output retakes a partial DOP853 step from the left end of the
-segment holding the requested point.  ``painleve_residual`` resamples a
-Painleve-side trajectory through it and measures how well lambda(t)
-satisfies the printed second-order Painleve equation of the trajectory's
-own system, using 4th-order finite-difference stencils.
+segment holding the requested point, so what post-processing reads does
+not depend on how finely the integrator stepped.  ``painleve_residual``
+resamples a Painleve-side trajectory through it and measures how well
+lambda(t) satisfies the printed second-order Painleve equation of the
+trajectory's own system, using 4th-order finite-difference stencils; it
+refuses a trajectory without an accepted step, and a coupled
+multi-component one, with ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
+from .errors import BadContext, CoordinateSingularity, PoleAt
 from .params import PainleveParams
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
 
@@ -141,12 +144,16 @@ class Trajectory:
         return self.termination == COMPLETED
 
     def interpolate(self, s: float) -> np.ndarray:
-        """State at path parameter s in [0, s_last].
+        """State at path parameter s in [0, s_last]; any other s, NaN
+        included, raises ``ValueError``.
 
         One DOP853 step of length s - s0 from the left end (s0, y0, f0) of
         the segment holding s; at the right end it is the accepted step
         again, so every sample is returned exactly.
         """
+        s_last = self._dense[-1][1] if self._dense else 0.0
+        if not 0.0 <= s <= s_last:
+            raise ValueError(f"s must lie in [0, {s_last}], got {s!r}")
         if not self._dense:
             st = self.samples[0][1]
             return np.array(st.coords + st.momenta, dtype=complex)
@@ -166,13 +173,11 @@ class Trajectory:
         return times, states
 
 
-def _check_tolerances(rel_tol, abs_tol, max_step) -> None:
+def _check_tolerances(rel_tol, abs_tol) -> None:
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     if not (math.isfinite(abs_tol) and abs_tol >= 0):
         raise ValueError(f"abs_tol must be finite and >= 0, got {abs_tol!r}")
-    if max_step is not None and not (math.isfinite(max_step) and max_step > 0):
-        raise ValueError(f"max_step must be None or finite and > 0, got {max_step!r}")
 
 
 def _check_finite(initial: PhaseState, t_end) -> None:
@@ -222,21 +227,18 @@ def _error_norm(h: float, k: list, y_max: np.ndarray, rel_tol: float, abs_tol: f
 
 def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
               rel_tol: float = 1e-8, abs_tol: float = 1e-10,
-              max_steps: int = 100000,
-              max_step: float | None = None) -> Trajectory:
+              max_steps: int = 100000) -> Trajectory:
     """Integrate the canonical equations along the straight time segment.
 
     The segment runs from initial.time to t_end in the system's own time
     variable; it must keep distance > 1e-3 from the fixed singularities
     (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at
     Im tau > 0 (``BadContext`` otherwise, raised before any step).
-    ``rel_tol`` must be finite and > 0, ``abs_tol`` finite and >= 0, and
-    ``max_step``, which caps |dt| per accepted step (useful to force dense
-    sampling for post-processing), None or finite and > 0; anything else,
-    or a non-finite entry in ``initial`` or ``t_end``, raises ``ValueError``
-    before any field call.  Movable poles terminate the trajectory with a
-    'pole_detected' or 'step_underflow' tag instead of raising; an
-    overflowing step is rejected without a numpy warning.
+    ``rel_tol`` must be finite and > 0 and ``abs_tol`` finite and >= 0;
+    anything else, or a non-finite entry in ``initial`` or ``t_end``, raises
+    ``ValueError`` before any field call.  Movable poles terminate the
+    trajectory with a 'pole_detected' or 'step_underflow' tag instead of
+    raising; an overflowing step is rejected without a numpy warning.
 
     Each step is a DOP853 step of twelve stages, accepted when its error
     estimate is <= 1 against ``_TOL_MARGIN`` (0.1) times the tolerance
@@ -246,7 +248,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     1 + 11 * (n_accepted + n_rejected) + n_accepted field calls.  The
     trajectory keeps each step's start and field for ``interpolate``.
     """
-    _check_tolerances(rel_tol, abs_tol, max_step)
+    _check_tolerances(rel_tol, abs_tol)
     _check_finite(initial, t_end)
     check_state(sys, initial)
     t0 = complex(initial.time)
@@ -264,7 +266,6 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     traj = Trajectory(sys, [(t0, initial)], rel_tol, abs_tol, COMPLETED, _field=field_at)
     if span == 0:
         return traj
-    h_cap = max_step / abs(span) if max_step is not None else 1.0
 
     def rhs(s: float, y: list) -> list:
         out = field_at(s, y)
@@ -274,7 +275,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     y = list(initial.coords + initial.momenta)
     abs_y = np.abs(np.array(y, dtype=complex))
     s = 0.0
-    h = min(1e-2, h_cap)
+    h = 1e-2
     last_rejected = False
     # overflow in a step leaves inf or nan, which rejects it: no warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -283,7 +284,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
         for _ in range(max_steps):
             if s >= 1.0:
                 return traj
-            h = min(h, 1.0 - s, h_cap)
+            h = min(h, 1.0 - s)
             if h < _MIN_STEP_FRACTION:
                 traj.termination = STEP_UNDERFLOW
                 return traj
@@ -398,22 +399,27 @@ def painleve_residual(traj: Trajectory) -> float:
     """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points
     of the trajectory's own equation, inf if any of them is NaN.
 
-    The trajectory must be on the Painleve side with at least 20 accepted
-    samples; lambda(t) is resampled to 41 uniform points through the dense
-    output and differentiated with 4th-order central stencils.  For rank >
-    1 the residual is evaluated componentwise against the scalar equation
-    (meaningful for decoupled components, i.e. g4sq = 0).
+    lambda(t) is resampled to 41 uniform points through the dense output,
+    however few steps it took, and differentiated with 4th-order central
+    stencils; each component is held to the scalar equation.  A
+    Calogero-side trajectory, one without an accepted step, or a coupled
+    one (rank > 1 and g4sq != 0, whose components obey no scalar equation)
+    raises ``ValueError``.
     """
-    if traj.system.side != "painleve":
+    sys = traj.system
+    if sys.side != "painleve":
         raise ValueError("painleve_residual expects a Painleve-side trajectory")
-    if len(traj.samples) < 20:
-        raise TooSparse(f"need >= 20 samples, got {len(traj.samples)}")
+    if not traj._dense:
+        raise ValueError("painleve_residual needs a trajectory with an accepted step")
+    if sys.rank > 1 and sys.g4sq != 0:
+        raise ValueError(f"the components of a coupled system (g4sq={sys.g4sq}) "
+                         "obey no scalar Painleve equation")
     n_grid = 41
     times, states = traj.resample(n_grid)
     h = (times[-1] - times[0]) / (n_grid - 1)
-    pparams = traj.system.painleve_params()
+    pparams = sys.painleve_params()
     worst = 0.0
-    for comp in range(traj.system.rank):
+    for comp in range(sys.rank):
         lam = states[:, comp]
         for i in range(2, n_grid - 2):
             d1 = (lam[i - 2] - 8 * lam[i - 1] + 8 * lam[i + 1] - lam[i + 2]) / (12 * h)

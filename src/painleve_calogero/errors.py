@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Other bad input (a non-finite number, an unknown option, an input the call
+does not read, a trajectory without an accepted step) raises ``ValueError``.
+"""
 
 
 class PainleveCalogeroError(Exception):
@@ -47,7 +51,3 @@ class NoConvergence(PainleveCalogeroError):
 
 class UnsupportedEquation(PainleveCalogeroError):
     """Operation is not defined for the requested Painleve equation."""
-
-
-class TooSparse(PainleveCalogeroError):
-    """Trajectory has too few samples for finite-difference post-processing."""

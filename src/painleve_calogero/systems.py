@@ -51,11 +51,11 @@ class SystemDescriptor:
     or PainleveParams (accepted on the Calogero side, whose potentials are
     written in the alpha..delta vocabulary), of the system's own equation:
     a set tagged with another raises ``ValueError``.  ``g4sq`` is the two-body
-    coupling g_4^2; it only acts for rank > 1.  Derived once, here: the
-    PainleveParams and the AuxParams of the one-body Painleve terms,
-    ``time_gauge`` ('tau' for 2 pi i d/dtau, 'log_t' for t d/dt, 't' for
-    d/dt) and ``singular_times``, the fixed singular points of the time
-    variable.
+    coupling g_4^2; it only acts for rank > 1, and a non-finite one raises
+    ``ValueError``.  Derived once, here: the PainleveParams and the
+    AuxParams of the one-body Painleve terms, ``time_gauge`` ('tau' for
+    2 pi i d/dtau, 'log_t' for t d/dt, 't' for d/dt) and
+    ``singular_times``, the fixed singular points of the time variable.
     """
 
     equation: str
@@ -77,6 +77,8 @@ class SystemDescriptor:
         if self.params is not None and self.params.equation != eq:
             raise ValueError(f"P{eq} system given parameters of P{self.params.equation}")
         object.__setattr__(self, "g4sq", complex(self.g4sq))
+        if not cmath.isfinite(self.g4sq):
+            raise ValueError(f"g4sq must be finite, got {self.g4sq}")
         painleve = self.side == "painleve"
         if painleve and eq not in ("I", "II") and not isinstance(self.params, AuxParams):
             raise ValueError(f"P{eq} Painleve side requires AuxParams")

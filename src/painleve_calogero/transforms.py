@@ -355,12 +355,19 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     mu, t); 'to_calogero' inverts.  Every coordinate of a VI state shares
     one context: 'to_painleve' reuses ``ctx`` when ``ctx.tau`` is the
     state's time, and 'to_calogero' finds the target tau from t by Newton,
-    seeded by ``ctx.tau`` (required).  A non-finite entry of the state, or
-    ``branch_hints`` of another length than the state, raises ``ValueError``.
+    seeded by ``ctx.tau`` (required).  An input the call does not read (a
+    ``ctx`` for PV..PI, ``branch_hints`` with 'to_painleve'), a non-finite
+    entry of the state, or ``branch_hints`` of another length than the
+    state raises ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
         raise ValueError(f"direction must be to_painleve|to_calogero, got {direction!r}")
+    if ctx is not None and eq != "VI":
+        raise ValueError(f"the P{eq} maps read no elliptic context; pass ctx=None")
+    if branch_hints is not None and direction == "to_painleve":
+        raise ValueError("branch_hints choose the branches of 'to_calogero'; "
+                         "'to_painleve' reads none")
     _require_finite("the state", *state.coords, *state.momenta, state.time)
     if direction == "to_painleve":
         T = state.time

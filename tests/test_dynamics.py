@@ -16,7 +16,7 @@ from painleve_calogero import (
 )
 from painleve_calogero import dynamics
 from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, Trajectory
-from painleve_calogero.errors import BadContext, CoordinateSingularity, PoleAt, TooSparse
+from painleve_calogero.errors import BadContext, CoordinateSingularity, PoleAt
 from painleve_calogero.systems import canonical_field
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
 from tests.conftest import painleve_state
@@ -48,7 +48,7 @@ def test_zero_interval_returns_initial():
 def test_pi_second_difference_residual():
     sd = SystemDescriptor("I", "painleve")
     st = PhaseState((0.2 + 0.1j,), (0.3,), 0.1)
-    traj = integrate(sd, st, 0.7, 1e-10, 1e-12, max_step=0.004)
+    traj = integrate(sd, st, 0.7, 1e-10, 1e-12)
     # second differences of the resampled lambda(t), Richardson-combined at
     # steps h and 2h to beat their own h^2 truncation
     times, states = traj.resample(81)
@@ -65,12 +65,16 @@ def test_pi_second_difference_residual():
 
 def test_painleve_residual_is_inf_at_a_nan_point():
     sd = SystemDescriptor("I", "painleve")
-    traj = integrate(sd, PhaseState((0.1,), (0.1,), 0), 0.5, 1e-10, 1e-12, max_step=0.01)
-    assert len(traj._dense) == 51 and painleve_residual(traj) < 1e-5
+    traj = integrate(sd, PhaseState((0.1,), (0.1,), 0), 0.5, 1e-10, 1e-12)
+    assert painleve_residual(traj) < 1e-5
     mid = len(traj._dense) // 2
     s0, s1, y0, *rest = traj._dense[mid]
     traj._dense[mid] = (s0, s1, np.full(len(y0), np.nan + 0j), *rest)
-    assert np.isnan(traj.resample(41)[1]).any(axis=1).sum() == 1
+    # the grid rows in the segment (s0, s1], and only they, turn NaN
+    grid = np.linspace(0.0, traj._dense[-1][1], 41)
+    served = np.flatnonzero((s0 < grid) & (grid <= s1)).tolist()
+    assert len(served) == 9
+    assert np.flatnonzero(np.isnan(traj.resample(41)[1]).any(axis=1)).tolist() == served
     assert painleve_residual(traj) == np.inf
 
 
@@ -91,17 +95,22 @@ def test_tolerance_scaling_on_pii():
 
 
 def test_observed_order_on_pii():
-    # fixed steps on t in [0, -20], where PII oscillates: the caps 1/128 and
-    # 1/256 of the path lie below its first step 1e-2, and rel_tol 1 accepts
-    # every capped step
+    # fixed DOP853 steps of 1/128 and 1/256 of t in [0, -20], where PII
+    # oscillates, in the path parameter s = t / -20 as integrate takes them
     sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
     st = PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.0)
     ref = _endpoint(integrate(sd, st, -20.0, 1e-13, 1e-15))
+
+    def rhs(s, y):
+        dq, dp = canonical_field(sd, PhaseState(y[:1], y[1:], -20.0 * s))
+        return [-20.0 * d for d in dq + dp]
+
     err = {}
     for steps in (128, 256):
-        traj = integrate(sd, st, -20.0, 1.0, 1.0, max_step=20 / steps)
-        assert (traj.n_accepted, traj.n_rejected) == (steps, 0)
-        err[steps] = float(np.max(np.abs(_endpoint(traj) - ref)))
+        y = [*st.coords, *st.momenta]
+        for i in range(steps):
+            y, _ = dynamics._step(rhs, i / steps, y, 1 / steps, rhs(i / steps, y))
+        err[steps] = float(np.max(np.abs(np.array(y) - ref)))
     assert err[256] > 1e-12  # well above the reference's own error
     assert np.log2(err[128] / err[256]) >= 7.5
 
@@ -111,7 +120,7 @@ def test_painleve_residuals(eq):
     t0, t1, lam0 = RESIDUAL_CASES[eq]
     sd = SystemDescriptor(eq, "painleve", params=default_aux(eq))
     st = PhaseState((lam0,), (0.4 - 0.1j,) if eq != "I" else (0.3,), t0)
-    traj = integrate(sd, st, t1, 1e-10, 1e-12, max_step=abs(t1 - t0) / 30)
+    traj = integrate(sd, st, t1, 1e-10, 1e-12)
     assert traj.termination == COMPLETED
     tol = 1e-4 if eq in ("III", "IV") else 1e-4
     assert painleve_residual(traj) < tol
@@ -153,11 +162,46 @@ def test_interpolate_returns_every_sample_exactly(rng):
             assert traj.interpolate(s).tolist() == list(state.coords + state.momenta)
 
 
-def test_too_sparse_raises():
+def test_painleve_residual_refuses_a_trajectory_without_a_step():
     sd = SystemDescriptor("I", "painleve")
-    traj = integrate(sd, PhaseState((0.1,), (0.1,), 0.0), 0.05, 1e-6, 1e-8)
-    with pytest.raises(TooSparse):
-        painleve_residual(traj)
+    st = PhaseState((0.1,), (0.1,), 0.0)
+    # a few steps are enough: the residual reads the dense output
+    few = integrate(sd, st, 0.05, 1e-6, 1e-8)
+    assert few.n_accepted == 4 and painleve_residual(few) < 1e-9
+    for traj in (integrate(sd, st, 0.0), integrate(sd, st, 0.05, max_steps=0)):
+        assert traj.n_accepted == 0
+        with pytest.raises(ValueError):
+            painleve_residual(traj)
+
+
+def test_painleve_residual_refuses_a_coupled_system():
+    # each component of a coupled system obeys no scalar Painleve equation
+    for g4sq in (0j, 0.7):
+        sd = SystemDescriptor("II", "painleve", 3, g4sq, default_aux("II"))
+        st = PhaseState((1.45 + 0.35j, 1.1 + 0.5j, 0.8 + 0.2j), (0.4 - 0.1j, 0.3, 0.2j),
+                        0.54 + 0.13j)
+        traj = integrate(sd, st, st.time + 0.3, 1e-10, 1e-12)
+        assert traj.completed
+        if g4sq:
+            with pytest.raises(ValueError):
+                painleve_residual(traj)
+        else:
+            assert painleve_residual(traj) < 1e-4
+
+
+def test_interpolate_refuses_s_outside_the_arc():
+    sd = SystemDescriptor("I", "painleve")
+    st = PhaseState((0.2 + 0.1j,), (0.3,), 0.0)
+    traj = integrate(sd, st, 0.5)
+    assert traj._dense[-1][1] == 1.0
+    for s in (3.0, -0.5, 1.0 + 1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            traj.interpolate(s)
+    # one with no step holds only s = 0
+    still = integrate(sd, st, 0.0)
+    assert still.interpolate(0.0).tolist() == [0.2 + 0.1j, 0.3]
+    with pytest.raises(ValueError):
+        still.interpolate(0.5)
 
 
 def test_pole_detection_on_pi_blowup():
@@ -387,7 +431,6 @@ def test_numpy_overflow_in_a_step_is_a_singular_rejection():
 @pytest.mark.parametrize("kwargs", [
     dict(rel_tol=0, abs_tol=0), dict(rel_tol=float("nan")), dict(rel_tol=-1e-8),
     dict(rel_tol=float("inf")), dict(abs_tol=-1e-10), dict(abs_tol=float("nan")),
-    dict(max_step=0), dict(max_step=-0.1), dict(max_step=float("inf")),
 ])
 def test_bad_tolerances_are_refused(kwargs, monkeypatch):
     calls = []

@@ -556,9 +556,15 @@ def test_multi_transform_argument_validation(rng):
     img = multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time))
     with pytest.raises(ValueError):
         multi_transform("VI", "to_calogero", img, aux)  # no tau seed
+    with pytest.raises(ValueError):  # the forward map takes no branches
+        multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time),
+                        branch_hints=st.coords)
     two = PhaseState((1.45 + 0.35j, 2.1 + 0.3j), (0.4, 0.3), 0.8)
     with pytest.raises(ValueError):  # one hint for two components
         multi_transform("V", "to_calogero", two, default_aux("V"), branch_hints=(0.5,))
+    for direction in ("to_painleve", "to_calogero"):  # PV..PI read no context
+        with pytest.raises(ValueError):
+            multi_transform("V", direction, two, default_aux("V"), EllipticContext(1j))
 
 
 def test_bad_context_for_calogero_vi():
