@@ -17,8 +17,12 @@ terms are summed in nome form,
 and wp' term-wise from the same x.  Each sequence starts at
 e^{2 pi i (tau +- u)}, which cannot overflow, and every further term costs
 one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
-in the cell, N = ceil(1.5 + 39/(2 pi Im tau)) terms leave a tail below
-e^{-39} at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
+in the cell, the tail of both sides past N terms is at most
+2|Q|^{N+1/2}/(1-|Q|), and N is the least N >= 1 that puts it below e^{-39},
+
+    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2),
+
+at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
 tau-only constant are cached on the context, so tau is all a context
 holds.  ``weierstrass_p_and_prime`` sums both series from one run of the
 same x.  The slow double lattice sum survives only as a test oracle
@@ -129,7 +133,8 @@ def _series(ctx: EllipticContext) -> tuple[complex, int, complex]:
     constant c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau); cached."""
     if ctx.cached_series is None:
         tau = ctx.tau
-        n_terms = math.ceil(1.5 + 39 / (2 * PI * tau.imag))
+        decay = 2 * PI * tau.imag  # -ln|Q|; 1 - |Q| is -expm1(-decay)
+        n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
         tail = sum(_inv_sin2(PI * n * tau) for n in range(1, n_terms + 1))
         ctx.cached_series = (cmath.exp(TWO_PI_I * tau), n_terms, -PI * PI / 3 - 2 * PI * PI * tail)
     return ctx.cached_series
@@ -147,8 +152,9 @@ def _nome_start(u: complex, ctx: EllipticContext):
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
     """wp(u | 1, tau): the n = 0 sine term plus N nome terms per side.
 
-    N = ceil(1.5 + 39/(2 pi Im tau)); see the module docstring for the
-    series and the bound behind N.
+    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
+    the tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}; see the
+    module docstring for the series and the bound.
     """
     u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
     total = 0j

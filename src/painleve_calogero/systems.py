@@ -258,9 +258,10 @@ def _calogero_one_body(eq, q, p, t, pp: PainleveParams, ctx: EllipticContext | N
         alphas = pp.alpha, -pp.beta, pp.gamma, -pp.delta + 0.5
         v = 0j
         dv = 0j
-        for n in range(4):
-            v -= alphas[n] * elliptic.shifted_p(q, n, ctx)
-            dv -= alphas[n] * elliptic.weierstrass_p_prime(q + ctx.half_periods[n], ctx)
+        for alpha, omega in zip(alphas, ctx.half_periods):
+            u = q + omega
+            v -= alpha * elliptic.weierstrass_p(u, ctx)
+            dv -= alpha * elliptic.weierstrass_p_prime(u, ctx)
     elif eq == "V":
         sh = _guard(cmath.sinh(q / 2), "sinh(q/2)")
         ch = _guard(cmath.cosh(q / 2), "cosh(q/2)")
@@ -383,6 +384,9 @@ def _evaluate(sys, state):
                 pairs += val
                 pair_dx[j] += dj
                 pair_dx[k] += dk
+        # complex products overflow to inf or nan without raising
+        if not (cmath.isfinite(pairs) and all(map(cmath.isfinite, pair_dx))):
+            raise CoordinateSingularity(f"P{eq} {sys.side} pair terms overflow at coordinates {xs}")
     return total + pairs, tuple(map(add, dx, pair_dx)), tuple(dm)
 
 

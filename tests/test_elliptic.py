@@ -20,7 +20,7 @@ from painleve_calogero import (
     weierstrass_p_and_prime,
     weierstrass_p_prime,
 )
-from painleve_calogero.elliptic import asymptotic_p23_sum, reduce_to_cell, theta_du2
+from painleve_calogero.elliptic import _series, asymptotic_p23_sum, reduce_to_cell, theta_du2
 from painleve_calogero.errors import BadContext, HalfPeriodSingularity, PoleAt
 
 PI = math.pi
@@ -421,7 +421,7 @@ def mp_sine_series(u, tau, derivative=False, dps=40):
             n += 1
 
 
-@pytest.mark.parametrize("im_tau", (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 1.17, 2.0, 4.0, 8.0))
+@pytest.mark.parametrize("im_tau", (0.05, 0.1, 0.2, 0.3, 0.5, 0.95, 1.0, 1.17, 1.35, 2.0, 4.0, 8.0))
 def test_nome_series_against_mpmath_twin(im_tau):
     tau = complex(0.13, im_tau)
     ctx = EllipticContext(tau)
@@ -437,6 +437,20 @@ def test_nome_series_against_mpmath_twin(im_tau):
                                         ("joint wp'", joint[1], True)):
             ref = mp_sine_series(u, tau, derivative)
             assert abs(value - ref) <= 1e-13 * abs(ref), (name, u)
+
+
+@pytest.mark.parametrize("im_tau", (0.05, 0.1, 0.5, 0.95, 1.17, 1.35, 2.0, 8.0))
+def test_nome_term_count_is_the_least_that_meets_the_tail_bound(im_tau):
+    # |x_n| <= |Q|^{n-1/2} in the cell, so the tails of both sides past N
+    # terms sum to at most 2|Q|^{N+1/2}/(1-|Q|)
+    q = math.exp(-2 * PI * im_tau)
+
+    def tail(n):
+        return 2 * q ** (n + 0.5) / (1 - q)
+
+    n_terms = _series(EllipticContext(complex(0.13, im_tau)))[1]
+    assert tail(n_terms) <= math.exp(-39)
+    assert n_terms == 1 or tail(n_terms - 1) > math.exp(-39)
 
 
 def test_no_overflow_at_large_imtau():

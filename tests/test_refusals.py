@@ -317,12 +317,20 @@ DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
     (lambda: pc.param_to_painleve(pc.AuxParams("VI", kappa0=1e200)), ValueError),
     (lambda: pc.canonical_field(pc.SystemDescriptor("I", "painleve", 2, complex("nan")),
                                 pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), ValueError),
+    (lambda: pc.canonical_field(pc.SystemDescriptor("I", "painleve", 2, 1e308),
+                                pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), CoordinateSingularity),
+    (lambda: pc.canonical_field(pc.SystemDescriptor("IV", "calogero", 2, 1e308),
+                                pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), CoordinateSingularity),
+    (lambda: pc.hamiltonian(pc.SystemDescriptor("I", "painleve", 2, 1e308),
+                            pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), CoordinateSingularity),
 ), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
         "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
-        "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow", "system-nan-g4sq"))
+        "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow", "system-nan-g4sq",
+        "field-I-painleve-huge-g4sq", "field-IV-calogero-huge-g4sq", "hamiltonian-huge-g4sq"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
-    # an OverflowError, a ZeroDivisionError, or (the NaN hint and the NaN
-    # coupling) an input silently ignored or spread into NaN
+    # an OverflowError, a ZeroDivisionError, or (the NaN hint, the NaN
+    # coupling and the huge one) an input silently ignored or spread into
+    # NaN or inf
     with pytest.raises(error):
         call()
 
