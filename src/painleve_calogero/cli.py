@@ -234,10 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: building costs several times what parsing one command line does
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

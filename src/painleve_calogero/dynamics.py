@@ -149,7 +149,8 @@ class Trajectory:
 
         One DOP853 step of length s - s0 from the left end (s0, y0, f0) of
         the segment holding s; at the right end it is the accepted step
-        again, so every sample is returned exactly.
+        again, so every sample is returned exactly.  A stage the field
+        refuses (a non-finite y0 or f0 included) raises as the field does.
         """
         s_last = self._dense[-1][1] if self._dense else 0.0
         if not 0.0 <= s <= s_last:
@@ -363,41 +364,48 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
 def painleve_ode_rhs(lam: complex, dlam: complex, t: complex, p: PainleveParams) -> complex:
     """Right-hand side of lambda'' = F(lambda, lambda', t) as printed, for
     the equation ``p`` is tagged with.  A division by zero (lambda or t at
-    a fixed singular point) or an overflow raises ``CoordinateSingularity``."""
+    a fixed singular point), an overflow or a value that is not finite (a
+    non-finite argument included) raises ``CoordinateSingularity``."""
     eq, a, b, g, d = p.equation, p.alpha, p.beta, p.gamma, p.delta
     try:
         if eq == "VI":
-            return ((1 / lam + 1 / (lam - 1) + 1 / (lam - t)) / 2 * dlam**2
-                    - (1 / t + 1 / (t - 1) + 1 / (lam - t)) * dlam
-                    + lam * (lam - 1) * (lam - t) / (t**2 * (t - 1) ** 2)
-                    * (a + b * t / lam**2 + g * (t - 1) / (lam - 1) ** 2
-                       + d * t * (t - 1) / (lam - t) ** 2))
-        if eq == "V":
-            return ((1 / (2 * lam) + 1 / (lam - 1)) * dlam**2 - dlam / t
-                    + lam * (lam - 1) ** 2 / t**2
-                    * (a + b / lam**2 + g * t / (lam - 1) ** 2
-                       + d * t**2 * (lam + 1) / (lam - 1) ** 3))
-        if eq == "IV":
-            return (dlam**2 / (2 * lam) + 1.5 * lam**3 + 4 * t * lam**2
-                    + 2 * (t * t - a) * lam + b / lam)
-        if eq == "III":
+            f = ((1 / lam + 1 / (lam - 1) + 1 / (lam - t)) / 2 * dlam**2
+                 - (1 / t + 1 / (t - 1) + 1 / (lam - t)) * dlam
+                 + lam * (lam - 1) * (lam - t) / (t**2 * (t - 1) ** 2)
+                 * (a + b * t / lam**2 + g * (t - 1) / (lam - 1) ** 2
+                    + d * t * (t - 1) / (lam - t) ** 2))
+        elif eq == "V":
+            f = ((1 / (2 * lam) + 1 / (lam - 1)) * dlam**2 - dlam / t
+                 + lam * (lam - 1) ** 2 / t**2
+                 * (a + b / lam**2 + g * t / (lam - 1) ** 2
+                    + d * t**2 * (lam + 1) / (lam - 1) ** 3))
+        elif eq == "IV":
+            f = (dlam**2 / (2 * lam) + 1.5 * lam**3 + 4 * t * lam**2
+                 + 2 * (t * t - a) * lam + b / lam)
+        elif eq == "III":
             # last bracket term is delta*t^2/lam^3: this is what the polynomial
             # Hamiltonian flow satisfies, and what reproduces the standard PIII
             # under (t, lambda) -> (t^2, t*lambda)
-            return (dlam**2 / lam - dlam / t
-                    + lam**2 / (4 * t**2)
-                    * (a + b * t / lam**2 + g * lam + d * t**2 / lam**3))
-        if eq == "II":
-            return 2 * lam**3 + t * lam + a
-        return 6 * lam**2 + t  # PI
+            f = (dlam**2 / lam - dlam / t
+                 + lam**2 / (4 * t**2)
+                 * (a + b * t / lam**2 + g * lam + d * t**2 / lam**3))
+        elif eq == "II":
+            f = 2 * lam**3 + t * lam + a
+        else:  # PI
+            f = 6 * lam**2 + t
+        # complex products overflow to inf or nan without raising
+        if not cmath.isfinite(f):
+            raise OverflowError
     except (ZeroDivisionError, OverflowError) as exc:
         raise CoordinateSingularity(f"the P{eq} right-hand side is singular or overflows at "
                                     f"lambda={lam}, lambda'={dlam}, t={t}") from exc
+    return f
 
 
 def painleve_residual(traj: Trajectory) -> float:
     """Max |lambda'' - F(lambda, lambda', t)| over interior resampled points
-    of the trajectory's own equation, inf if any of them is NaN.
+    of the trajectory's own equation, inf if any residual is NaN.  A point
+    the field or ``painleve_ode_rhs`` refuses raises their error.
 
     lambda(t) is resampled to 41 uniform points through the dense output,
     however few steps it took, and differentiated with 4th-order central

@@ -299,11 +299,14 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     n = 3: -pi^2/3 - 8 pi^2 cos(2 pi u) e^{pi i tau}
 
     Only the tests use it, as an independent check of ``weierstrass_p``.
-    u = 0 at n = 0 raises ``PoleAt``, a u whose term overflows ``ValueError``.
+    u = 0 at n = 0 raises ``PoleAt``, a non-finite u or one whose term
+    overflows ``ValueError``.
     """
     if not (complex(tau).imag > 0):
         raise BadContext(f"Im tau must be positive, got {tau}")
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     try:
         if n == 0:
             return PI * PI / cmath.sin(PI * u) ** 2 - PI * PI / 3

@@ -349,8 +349,10 @@ def _evaluate(sys, state):
     """(H, dH/dcoords, dH/dmomenta): one-body terms, then the j < k pairs.
 
     The PVI Calogero side builds one ``EllipticContext`` at tau =
-    state.time.  A term that overflows raises ``CoordinateSingularity``
-    naming its coordinates."""
+    state.time.  One rule refuses overflow: the terms are summed under one
+    ``try``, and a term that raises ``OverflowError`` or a result that is
+    not finite (an overflow, or a non-finite state) raises
+    ``CoordinateSingularity`` naming the coordinates."""
     check_state(sys, state)
     eq, t, g4sq, xs = sys.equation, state.time, sys.g4sq, state.coords
     if sys.side == "painleve":
@@ -358,36 +360,32 @@ def _evaluate(sys, state):
     else:
         one_body, pair, params = _calogero_one_body, _calogero_pair, sys._painleve
     cc = EllipticContext(t) if sys.time_gauge == "tau" else None
-    total = 0j
+    n = len(xs)
+    total = pairs = 0j
     dx = []
     dm = []
-    for x, m in zip(xs, state.momenta):
-        try:
-            h1, d1, d2 = one_body(eq, x, m, t, params, cc)
-        except OverflowError as exc:
-            raise CoordinateSingularity(
-                f"P{eq} {sys.side} one-body term overflows at coordinate {x}") from exc
-        total += h1
-        dx.append(d1)
-        dm.append(d2)
-    n = len(xs)
-    pairs = 0j
     pair_dx = [0j] * n
-    if g4sq != 0:
-        for j in range(n):
-            for k in range(j + 1, n):
-                try:
+    try:
+        for x, m in zip(xs, state.momenta):
+            h1, d1, d2 = one_body(eq, x, m, t, params, cc)
+            total += h1
+            dx.append(d1)
+            dm.append(d2)
+        if g4sq != 0:
+            for j in range(n):
+                for k in range(j + 1, n):
                     val, dj, dk = pair(eq, xs[j], xs[k], t, g4sq, cc)
-                except OverflowError as exc:
-                    raise CoordinateSingularity(f"P{eq} {sys.side} pair term overflows at "
-                                                f"coordinates {xs[j]}, {xs[k]}") from exc
-                pairs += val
-                pair_dx[j] += dj
-                pair_dx[k] += dk
+                    pairs += val
+                    pair_dx[j] += dj
+                    pair_dx[k] += dk
+        h, dc, dm = total + pairs, tuple(map(add, dx, pair_dx)), tuple(dm)
         # complex products overflow to inf or nan without raising
-        if not (cmath.isfinite(pairs) and all(map(cmath.isfinite, pair_dx))):
-            raise CoordinateSingularity(f"P{eq} {sys.side} pair terms overflow at coordinates {xs}")
-    return total + pairs, tuple(map(add, dx, pair_dx)), tuple(dm)
+        if not all(map(cmath.isfinite, (h, *dc, *dm))):
+            raise OverflowError
+    except OverflowError as exc:
+        raise CoordinateSingularity(
+            f"P{eq} {sys.side} Hamiltonian overflows at coordinates {xs}") from exc
+    return h, dc, dm
 
 
 def canonical_field(

@@ -127,28 +127,33 @@ def _out_of_range(eq: str, q: complex) -> MapSingularity:
 
 def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     """Evaluate the printed coordinate map q -> lambda; non-finite q or time
-    raise ``ValueError``, a q whose lambda overflows ``MapSingularity``."""
+    raise ``ValueError``, a q whose lambda overflows or is not finite
+    ``MapSingularity``."""
     eq = check_equation(eq)
     q = complex(q)
     _require_finite("q and time", q, time)
-    if eq == "VI":
-        c = EllipticContext(time)
-        e1, e2, _ = elliptic.half_period_values(c)
-        return (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
+    lam = q  # II, I
     try:
-        if eq == "V":
+        if eq == "VI":
+            c = EllipticContext(time)
+            e1, e2, _ = elliptic.half_period_values(c)
+            lam = (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
+        elif eq == "V":
             s = cmath.sinh(q / 2)
             if abs(s) < 1e-12:
                 raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
             r = cmath.cosh(q / 2) / s
-            return r * r
-        if eq == "IV":
-            return (q / 2) ** 2
-        if eq == "III":
-            return cmath.exp(q)
+            lam = r * r
+        elif eq == "IV":
+            lam = (q / 2) ** 2
+        elif eq == "III":
+            lam = cmath.exp(q)
     except OverflowError as exc:
         raise _out_of_range(eq, q) from exc
-    return q  # II, I
+    # complex products overflow to inf or nan without raising
+    if not cmath.isfinite(lam):
+        raise _out_of_range(eq, q)
+    return lam
 
 
 def _nearest_in_lattice(cands, hint, tau):

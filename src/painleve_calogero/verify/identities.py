@@ -176,9 +176,8 @@ def asymptotics_checks() -> list[CheckReport]:
     t8 = (e3 - e1) / (e2 - e1)
     out.append(CheckReport(
         "asymptotic.t_expansion",
-        abs(t8 - 1 - 16 * PI * PI * cmath.exp(1j * PI * tau8)), 1e-8, 1,
-        metadata={"im_tau": "8", "note": "at Im tau = 8 the term e^{pi i tau} ~ 1e-11 makes "
-                  "this absolute check insensitive to the coefficient prefactor; "
+        abs(t8 - 1 - 16 * cmath.exp(1j * PI * tau8)), 1e-8, 1,
+        metadata={"im_tau": "8", "note": "t - 1 = 16 e^{pi i tau} + O(e^{2 pi i tau}); "
                   "asymptotic.t_coefficient pins the sharp form (t-1)/e^{pi i tau} -> 16"}))
     # coefficient-resolving check, sharp in double precision at Im tau = 4
     ctx4 = EllipticContext(4j)

@@ -63,19 +63,23 @@ def test_pi_second_difference_residual():
     assert painleve_residual(traj) < 1e-5
 
 
-def test_painleve_residual_is_inf_at_a_nan_point():
+def test_a_nan_dense_segment_is_refused_where_it_serves():
     sd = SystemDescriptor("I", "painleve")
     traj = integrate(sd, PhaseState((0.1,), (0.1,), 0), 0.5, 1e-10, 1e-12)
     assert painleve_residual(traj) < 1e-5
     mid = len(traj._dense) // 2
     s0, s1, y0, *rest = traj._dense[mid]
     traj._dense[mid] = (s0, s1, np.full(len(y0), np.nan + 0j), *rest)
-    # the grid rows in the segment (s0, s1], and only they, turn NaN
+    # the retaken step's first stage refuses the grid points in (s0, s1],
+    # and only they
     grid = np.linspace(0.0, traj._dense[-1][1], 41)
-    served = np.flatnonzero((s0 < grid) & (grid <= s1)).tolist()
-    assert len(served) == 9
-    assert np.flatnonzero(np.isnan(traj.resample(41)[1]).any(axis=1)).tolist() == served
-    assert painleve_residual(traj) == np.inf
+    served = (s0 < grid) & (grid <= s1)
+    assert served.sum() == 9
+    with pytest.raises(CoordinateSingularity):
+        traj.interpolate(grid[served][0])
+    with pytest.raises(CoordinateSingularity):
+        painleve_residual(traj)
+    assert all(np.isfinite(traj.interpolate(s)).all() for s in grid[~served])
 
 
 def test_tolerance_scaling_on_pii():

@@ -14,6 +14,7 @@ not read, and their refusal is then that call's declared error.
 
 import cmath
 import math
+import numbers
 import random
 from dataclasses import fields
 
@@ -39,6 +40,7 @@ TAUS = (0.01j, 0.3 + 0.02j, 0.1j, -0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j, 20j)
 FLOW_TAUS = (-0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j)
 BAD_TAUS = (0j, -1j, 0.5 - 0.2j, complex("nan"), complex(0, math.inf))
 NONFINITE = (complex("nan"), complex(math.inf, 0), complex(1, -math.inf))
+HUGE = 1e160 + 1e160j  # finite, but its square overflows
 
 
 def _z(rng, tau=1j):
@@ -303,6 +305,23 @@ DRAWS = {
 # not callables: a constant table, and the record integrate returns
 NOT_FUZZED = {"CANONICAL_FACTORS", "Trajectory"}
 DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
+# a PhaseState stores its arguments as given, and a residual reads inf at
+# a NaN point: every other returned number is finite
+MAY_RETURN_NONFINITE = {"PhaseState", "painleve_residual"}
+
+
+def _numbers(out):
+    """Every number in a returned value: tuples, the fields of a PhaseState
+    and the samples of a Trajectory unpacked."""
+    if isinstance(out, pc.Trajectory):
+        out = out.samples
+    if isinstance(out, pc.PhaseState):
+        out = (out.coords, out.momenta, out.time)
+    if isinstance(out, (tuple, list)):
+        for x in out:
+            yield from _numbers(x)
+    elif isinstance(out, numbers.Complex):
+        yield out
 
 
 @pytest.mark.parametrize("call, error", (
@@ -323,14 +342,33 @@ DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
                                 pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), CoordinateSingularity),
     (lambda: pc.hamiltonian(pc.SystemDescriptor("I", "painleve", 2, 1e308),
                             pc.PhaseState((0.1, 0.5), (0.1, 0.2), 0.5)), CoordinateSingularity),
+    (lambda: pc.canonical_field(
+        pc.SystemDescriptor("II", "painleve", 1, params=pc.PainleveParams("II", alpha=0.1)),
+        pc.PhaseState((1e200 + 1e200j,), (0.1,), 0.5)), CoordinateSingularity),
+    *((lambda eq=eq: pc.canonical_field(pc.SystemDescriptor(eq, "painleve", 1,
+                                                            params=default_aux(eq)),
+                                        pc.PhaseState((0.3 + 0.1j,), (HUGE,), 0.5 + 0.1j)),
+       CoordinateSingularity) for eq in ("VI", "V", "IV", "III")),
+    (lambda: pc.hamiltonian(pc.SystemDescriptor("VI", "painleve", 1, params=default_aux("VI")),
+                            pc.PhaseState((0.3 + 0.1j,), (HUGE,), 0.5 + 0.1j)),
+     CoordinateSingularity),
+    *((lambda eq=eq: pc.painleve_ode_rhs(1e200 + 1e200j, 0.1, 0.5 + 0.1j,
+                                         pc.param_to_painleve(default_aux(eq))),
+       CoordinateSingularity) for eq in ("VI", "V", "IV", "III")),
+    (lambda: pc.lambda_of_q("IV", 1e200 + 1e200j, 0.5 + 0.1j), MapSingularity),
+    (lambda: pc.asymptotic_p(complex(math.inf, 0), 3, -0.4 + 0.5j), ValueError),
 ), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
         "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
         "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow", "system-nan-g4sq",
-        "field-I-painleve-huge-g4sq", "field-IV-calogero-huge-g4sq", "hamiltonian-huge-g4sq"))
+        "field-I-painleve-huge-g4sq", "field-IV-calogero-huge-g4sq", "hamiltonian-huge-g4sq",
+        "field-II-painleve-huge-lambda", "field-VI-painleve-huge-mu", "field-V-painleve-huge-mu",
+        "field-IV-painleve-huge-mu", "field-III-painleve-huge-mu", "hamiltonian-VI-huge-mu",
+        "ode_rhs-VI-huge-lambda", "ode_rhs-V-huge-lambda", "ode_rhs-IV-huge-lambda",
+        "ode_rhs-III-huge-lambda", "lambda_of_q-IV-huge-q", "asymptotic_p-inf-u"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
     # an OverflowError, a ZeroDivisionError, or (the NaN hint, the NaN
-    # coupling and the huge one) an input silently ignored or spread into
-    # NaN or inf
+    # coupling, the huge one and the huge coordinates and momenta) an input
+    # silently ignored or spread into NaN or inf
     with pytest.raises(error):
         call()
 
@@ -373,3 +411,6 @@ def test_only_declared_errors_escape(name):
                         f"{type(exc).__name__}: {exc}")
         if isinstance(out, pc.Trajectory):
             assert out.termination in TERMINATIONS
+        if name not in MAY_RETURN_NONFINITE:
+            assert all(map(cmath.isfinite, _numbers(out))), \
+                f"draw {i}: {name}(*{args!r}, **{kwargs!r}) returned {out!r}"
