@@ -7,7 +7,9 @@ system's own time variable (tau for the PVI Calogero flow, t otherwise);
 each field call reads the time, and so the PVI lattice, from its own state.
 A step has twelve stages; the field at the accepted point is a
 thirteenth, reused as the next step's first, so a rejected step costs
-eleven field calls and an accepted one twelve.  A step is accepted when
+eleven field calls and an accepted one twelve.  A step sums the stages over
+the nonzero tableau entries only, in plain Python complex arithmetic, so its
+rounding does not depend on numpy's SIMD loops.  A step is accepted when
 Hairer's combined 5th/3rd-order error estimate is <= 1 against
 ``_TOL_MARGIN`` = 0.1 times the requested tolerance.  Bad tolerances and a
 non-finite initial state or end time raise ValueError before any field call.
@@ -97,6 +99,17 @@ _E3 = (
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082,
 )
+
+# The (stage, coefficient) pairs of the nonzero entries of each row of _A
+# and of _E5 and _E3, which is all a step sums: 16 of the 66 stage
+# coefficients and 4 of the 12 in _B, _E5 and _E3 are 0.
+def _nonzero(row: tuple) -> tuple:
+    return tuple((j, a) for j, a in enumerate(row) if a != 0)
+
+
+_A_PAIRS = tuple(map(_nonzero, _A))
+_E5_PAIRS = _nonzero(_E5)
+_E3_PAIRS = _nonzero(_E3)
 
 # Each step's error estimate is held to this fraction of the requested
 # tolerance.  The combined estimate is sharper than an embedded-pair
@@ -188,18 +201,15 @@ def _check_finite(initial: PhaseState, t_end) -> None:
         raise ValueError(f"t_end must be finite, got {t_end!r}")
 
 
-def _sums(coeffs: tuple, k: list) -> list:
-    """coeffs[0] k[0] + coeffs[1] k[1] + ..., componentwise over the stages k.
-
-    Left to right from 0j, zero coefficients kept: the same sum on numpy
-    arrays rounds identically (float-times-complex products, complex adds).
-    """
+def _combine(y: list, h: float, pairs: tuple, k: list) -> list:
+    """y + h (a_1 k_1 + a_2 k_2 + ...) componentwise, over the (j, a_j)
+    pairs of nonzero coefficients; each sum runs left to right from 0j."""
     out = []
-    for col in zip(*k):
+    for c, yc in enumerate(y):
         acc = 0j
-        for a, kc in zip(coeffs, col):
-            acc += a * kc
-        out.append(acc)
+        for j, a in pairs:
+            acc += a * k[j][c]
+        out.append(yc + h * acc)
     return out
 
 
@@ -208,22 +218,38 @@ def _step(rhs, s: float, y: list, h: float, f0: list) -> tuple[list, list]:
     the 8th-order update and the twelve stages."""
     k = [f0]
     for i in range(1, 12):
-        yi = [yc + h * d for yc, d in zip(y, _sums(_A[i], k))]
-        k.append(rhs(s + _C[i] * h, yi))
-    return [yc + h * d for yc, d in zip(y, _sums(_B, k))], k
+        k.append(rhs(s + _C[i] * h, _combine(y, h, _A_PAIRS[i], k)))
+    return _combine(y, h, _A_PAIRS[12], k), k
 
 
-def _error_norm(h: float, k: list, y_max: np.ndarray, rel_tol: float, abs_tol: float) -> float:
+def _moduli(v: list) -> list:
+    # hypot returns inf where a modulus overflows; abs(complex) raises
+    return [math.hypot(z.real, z.imag) for z in v]
+
+
+def _error_norm(h: float, k: list, y_max: list, rel_tol: float, abs_tol: float) -> float:
     """Hairer's combined estimate h err5^2 / sqrt(err5^2 + 0.01 err3^2) in
-    RMS norms scaled by _TOL_MARGIN * (abs_tol + rel_tol * y_max)."""
-    scale = _TOL_MARGIN * (abs_tol + rel_tol * y_max)
-    e5 = np.abs(np.array(_sums(_E5, k), dtype=complex)) / scale
-    e3 = np.abs(np.array(_sums(_E3, k), dtype=complex)) / scale
-    sq5 = float((e5 * e5).sum())
+    RMS norms scaled by _TOL_MARGIN * (abs_tol + rel_tol * y_max), each
+    sum over the nonzero weights.  A zero scale (abs_tol = 0 at a component
+    that is 0) or an err5 sum whose modulus overflows makes it NaN, which
+    rejects the step."""
+    sq5 = sq3 = 0.0
+    for c, m in enumerate(y_max):
+        e5 = e3 = 0j
+        for j, a in _E5_PAIRS:
+            e5 += a * k[j][c]
+        for j, a in _E3_PAIRS:
+            e3 += a * k[j][c]
+        scale = _TOL_MARGIN * (abs_tol + rel_tol * m)
+        if scale == 0:
+            return math.nan
+        r5 = math.hypot(e5.real, e5.imag) / scale
+        r3 = math.hypot(e3.real, e3.imag) / scale
+        sq5 += r5 * r5
+        sq3 += r3 * r3
     if sq5 == 0:
         return 0.0
-    sq3 = float((e3 * e3).sum())
-    return h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * e5.size)
+    return h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y_max))
 
 
 def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
@@ -239,7 +265,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     anything else, or a non-finite entry in ``initial`` or ``t_end``, raises
     ``ValueError`` before any field call.  Movable poles terminate the
     trajectory with a 'pole_detected' or 'step_underflow' tag instead of
-    raising; an overflowing step is rejected without a numpy warning.
+    raising; an overflowing step is rejected, not raised.
 
     Each step is a DOP853 step of twelve stages, accepted when its error
     estimate is <= 1 against ``_TOL_MARGIN`` (0.1) times the tolerance
@@ -248,6 +274,8 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     so a run without singular rejections makes
     1 + 11 * (n_accepted + n_rejected) + n_accepted field calls.  The
     trajectory keeps each step's start and field for ``interpolate``.
+    Steps run in plain Python complex arithmetic, without numpy, so the
+    result does not depend on which SIMD loops numpy would dispatch to.
     """
     _check_tolerances(rel_tol, abs_tol)
     _check_finite(initial, t_end)
@@ -261,8 +289,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     def field_at(s: float, y: list) -> list:
         time = t0 + s * span
         dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], time))
-        # a numpy product: CPython's complex product rounds differently
-        return (span * np.array(dq + dp, dtype=complex)).tolist()
+        return [span * v for v in dq + dp]
 
     traj = Trajectory(sys, [(t0, initial)], rel_tol, abs_tol, COMPLETED, _field=field_at)
     if span == 0:
@@ -274,64 +301,61 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
         return out
 
     y = list(initial.coords + initial.momenta)
-    abs_y = np.abs(np.array(y, dtype=complex))
+    abs_y = _moduli(y)
     s = 0.0
     h = 1e-2
     last_rejected = False
-    # overflow in a step leaves inf or nan, which rejects it: no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_now = rhs(s, y)
+    f_now = rhs(s, y)
 
-        for _ in range(max_steps):
-            if s >= 1.0:
+    for _ in range(max_steps):
+        if s >= 1.0:
+            return traj
+        h = min(h, 1.0 - s)
+        if h < _MIN_STEP_FRACTION:
+            traj.termination = STEP_UNDERFLOW
+            return traj
+        s_new = s + h
+        h = s_new - s  # the length interpolate retakes from s to s_new
+        try:
+            y_new, k = _step(rhs, s, y, h, f_now)
+        except _SINGULAR:
+            singular = True
+        else:
+            # complex products overflow to inf or nan without raising
+            singular = not all(map(cmath.isfinite, y_new))
+        if singular:
+            err = math.inf
+        else:
+            abs_new = _moduli(y_new)
+            err = _error_norm(h, k, list(map(max, abs_y, abs_new)), rel_tol, abs_tol)
+        if err <= 1.0:
+            if max(abs_new) > BLOWUP_LIMIT:
+                traj.termination = POLE_DETECTED
                 return traj
-            h = min(h, 1.0 - s)
-            if h < _MIN_STEP_FRACTION:
-                traj.termination = STEP_UNDERFLOW
-                return traj
-            s_new = s + h
-            h = s_new - s  # the length interpolate retakes from s to s_new
-            singular = False
             try:
-                y_new, k = _step(rhs, s, y, h, f_now)
+                f_new = rhs(s_new, y_new)  # the thirteenth stage
             except _SINGULAR:
-                singular = True
-            if not singular:
-                new_arr = np.array(y_new, dtype=complex)
-                singular = not np.isfinite(new_arr).all()
+                singular, err = True, math.inf
+        if err <= 1.0:
+            t_new = t0 + s_new * span
+            traj._dense.append((s, s_new, y, f_now))
+            traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
+            traj.n_accepted += 1
+            y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
+            # Hairer's controller: safety 0.9, factor in [0.333, 6],
+            # and no growth on the step after a rejection
+            fac = 6.0 if err == 0 else min(6.0, max(0.333, 0.9 * err ** (-1 / 8)))
+            h *= min(1.0, fac) if last_rejected else fac
+            last_rejected = False
+        else:
+            traj.n_rejected += 1
             if singular:
-                err = math.inf
+                traj.n_rejected_singular += 1
+            if not math.isfinite(err):
+                h *= 0.2
             else:
-                abs_new = np.abs(new_arr)
-                err = _error_norm(h, k, np.maximum(abs_y, abs_new), rel_tol, abs_tol)
-            if err <= 1.0:
-                if abs_new.max() > BLOWUP_LIMIT:
-                    traj.termination = POLE_DETECTED
-                    return traj
-                try:
-                    f_new = rhs(s_new, y_new)  # the thirteenth stage
-                except _SINGULAR:
-                    singular, err = True, math.inf
-            if err <= 1.0:
-                t_new = t0 + s_new * span
-                traj._dense.append((s, s_new, y, f_now))
-                traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
-                traj.n_accepted += 1
-                y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
-                # Hairer's controller: safety 0.9, factor in [0.333, 6],
-                # and no growth on the step after a rejection
-                fac = 6.0 if err == 0 else min(6.0, max(0.333, 0.9 * err ** (-1 / 8)))
-                h *= min(1.0, fac) if last_rejected else fac
-                last_rejected = False
-            else:
-                traj.n_rejected += 1
-                if singular:
-                    traj.n_rejected_singular += 1
-                if not math.isfinite(err):
-                    h *= 0.2
-                else:
-                    h *= max(0.333, 0.9 * err ** (-1 / 8))
-                last_rejected = True
+                h *= max(0.333, 0.9 * err ** (-1 / 8))
+            last_rejected = True
     if s < 1.0:
         traj.termination = MAX_STEPS
     return traj

@@ -394,8 +394,15 @@ def canonical_field(
     """(d coords/dT, d momenta/dT) in the system's own time variable T.
 
     T is tau for the PVI Calogero flow and t otherwise; the gauge factor
-    (2 pi i, t or 1) is applied to the canonical right-hand side.
+    (2 pi i, t or 1) is applied to the canonical right-hand side.  A
+    derivative that the division by t (PV and PIII Calogero) overflows
+    raises ``CoordinateSingularity``.
     """
     dc, dm = hamiltonian_gradients(sys, state)
     g = gauge_factor(sys, state.time)
-    return tuple(d / g for d in dm), tuple(-d / g for d in dc)
+    dq, dp = tuple(d / g for d in dm), tuple(-d / g for d in dc)
+    # only t can be small enough to overflow a finite gradient
+    if sys.time_gauge == "log_t" and not all(map(cmath.isfinite, dq + dp)):
+        raise CoordinateSingularity(f"P{sys.equation} {sys.side} field overflows at "
+                                    f"coordinates {state.coords}, t={state.time}")
+    return dq, dp

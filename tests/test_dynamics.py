@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 import painleve_calogero
 from painleve_calogero import (
+    AuxParams,
     PhaseState,
     SystemDescriptor,
     integrate,
@@ -306,10 +309,12 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng):
         integrate(sd, st, 0.1 - 0.2j, max_steps=10)
 
 
-def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol):
-    """Reference: the DOP853 loop on numpy arrays, with its error estimate,
-    step-size controller and singular rejections written out again.
-    Returns (samples, n_accepted, n_rejected, n_rhs, termination)."""
+def _reference_step_loop(sys, initial, t_end, rel_tol, abs_tol):
+    """Reference: the DOP853 loop in plain complex arithmetic over the full
+    tableau, zero coefficients included (they leave a finite sum as it is),
+    with its error estimate, step-size controller and singular rejections
+    written out again.  Returns (samples, n_accepted, n_rejected, n_rhs,
+    termination)."""
     A, B, C, E5, E3 = dynamics._A, dynamics._B, dynamics._C, dynamics._E5, dynamics._E3
     t0, n = complex(initial.time), len(initial.coords)
     span = complex(t_end) - t0
@@ -319,12 +324,21 @@ def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol):
     def rhs(s, y):
         dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span))
         counts["rhs"] += 1
-        return span * np.array(list(dq) + list(dp), dtype=complex)
+        return [span * v for v in list(dq) + list(dp)]
+
+    def weighted(coeffs, k, c):  # coeffs[0] k[0][c] + coeffs[1] k[1][c] + ..., from 0j
+        acc = 0j
+        for a, kj in zip(coeffs, k):
+            acc += a * kj[c]
+        return acc
+
+    def modulus(z):
+        return math.hypot(z.real, z.imag)
 
     def done(termination):
         return samples, counts["acc"], counts["rej"], counts["rhs"], termination
 
-    y = np.array(list(initial.coords) + list(initial.momenta), dtype=complex)
+    y = list(initial.coords) + list(initial.momenta)
     s, h, rejected, f_now = 0.0, 1e-2, False, rhs(0.0, y)
     k = [None] * 12
     while s < 1.0:
@@ -333,22 +347,26 @@ def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol):
             return done(dynamics.STEP_UNDERFLOW)
         s_new = s + h
         h = s_new - s
-        k[0], err = f_now, np.inf
+        k[0], err = f_now, math.inf
         try:
             for i in range(1, 12):
-                k[i] = rhs(s + C[i] * h, y + h * sum(a * k[j] for j, a in enumerate(A[i])))
-            y_new = y + h * sum(b * ki for b, ki in zip(B, k))
-            if np.all(np.isfinite(y_new)):
-                scale = 0.1 * (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-                sq5 = np.sum((np.abs(sum(e * ki for e, ki in zip(E5, k))) / scale) ** 2)
-                sq3 = np.sum((np.abs(sum(e * ki for e, ki in zip(E3, k))) / scale) ** 2)
-                err = 0.0 if sq5 == 0 else h * sq5 / np.sqrt((sq5 + 0.01 * sq3) * len(y))
+                k[i] = rhs(s + C[i] * h, [y[c] + h * weighted(A[i], k, c) for c in range(2 * n)])
+            y_new = [y[c] + h * weighted(B, k, c) for c in range(2 * n)]
+            if all(cmath.isfinite(v) for v in y_new):
+                sq5 = sq3 = 0.0
+                for c in range(2 * n):
+                    scale = 0.1 * (abs_tol + rel_tol * max(modulus(y[c]), modulus(y_new[c])))
+                    r5 = modulus(weighted(E5, k, c)) / scale
+                    r3 = modulus(weighted(E3, k, c)) / scale
+                    sq5 += r5 * r5
+                    sq3 += r3 * r3
+                err = 0.0 if sq5 == 0 else h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * 2 * n)
             if err <= 1.0:
-                if np.max(np.abs(y_new)) > dynamics.BLOWUP_LIMIT:
+                if max(map(modulus, y_new)) > dynamics.BLOWUP_LIMIT:
                     return done(POLE_DETECTED)
                 f_now = rhs(s_new, y_new)
         except singular_errors:
-            err = np.inf
+            err = math.inf
         if err <= 1.0:
             s, y = s_new, y_new
             samples.append((t0 + s * span, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span)))
@@ -358,7 +376,7 @@ def _numpy_step_loop(sys, initial, t_end, rel_tol, abs_tol):
             rejected = False
         else:
             counts["rej"] += 1
-            h *= 0.2 if not np.isfinite(err) else max(0.333, 0.9 * err ** (-1 / 8))
+            h *= 0.2 if not math.isfinite(err) else max(0.333, 0.9 * err ** (-1 / 8))
             rejected = True
     return done(COMPLETED)
 
@@ -375,11 +393,12 @@ def _oracle_cases(rng):
     yield pvi, st, st.time + 0.01 * (1 + 0.2j), 1e-10, 1e-10
 
 
-def test_step_loop_matches_numpy_reference(rng):
+def test_step_loop_matches_reference(rng):
     rejected = 0
     for sd, st, t_end, rel_tol, abs_tol in _oracle_cases(rng):
         traj = integrate(sd, st, t_end, rel_tol, abs_tol)
-        samples, n_acc, n_rej, n_rhs, termination = _numpy_step_loop(sd, st, t_end, rel_tol, abs_tol)
+        samples, n_acc, n_rej, n_rhs, termination = _reference_step_loop(
+            sd, st, t_end, rel_tol, abs_tol)
         assert traj.termination == termination
         assert traj.samples == samples
         assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (n_acc, n_rej, n_rhs)
@@ -422,14 +441,52 @@ def test_field_raising_at_the_accepted_point_rejects_the_step(monkeypatch):
     assert traj.n_rhs == len(calls) - 1 == 1 + 11 * (traj.n_accepted + 1) + traj.n_accepted
 
 
-def test_numpy_overflow_in_a_step_is_a_singular_rejection():
-    # the stages overflow in numpy (the span product), not in CPython; the
-    # suite turns RuntimeWarning into an error, so a warning would raise here
+def test_overflow_in_a_step_is_a_singular_rejection():
+    # the span product overflows to inf without raising, and the field
+    # refuses the non-finite stage it feeds
     sd = SystemDescriptor("II", "painleve", params=default_aux("II"))
     traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 + 0.1j,), 0.5 + 0.1j), 1e50,
                      max_steps=5)
     assert traj.termination == "max_steps"
     assert traj.n_rejected == traj.n_rejected_singular == 5
+
+
+def test_initial_momentum_with_overflowing_modulus_is_refused_by_the_field():
+    # |1.5e308 - 1.5e308i| overflows: the step's moduli read inf rather than
+    # raise, and the field refuses the state
+    with pytest.raises(CoordinateSingularity):
+        integrate(SystemDescriptor("I", "painleve"),
+                  PhaseState((0.1,), (1.5e308 - 1.5e308j,), 0.5), 1.0)
+
+
+def test_overflowing_error_sums_reject_the_step(monkeypatch):
+    # stages 0, 8, 9, 10 of +-BIG: the 8th-order update stays finite, while
+    # each error sum has parts near 1.4e308 and an overflowing modulus
+    big = 1.79e308 * (1 + 1j)
+    stages = {0: big, 8: -big, 9: big, 10: big}
+    calls = []
+
+    def field(sys, state):  # stage i of every step, after the initial call
+        i = (len(calls) - 1) % 11 + 1 if calls else 0
+        calls.append(i)
+        return (stages.get(i, 0j),), (stages.get(i, 0j),)
+
+    k = [[stages.get(i, 0j)] * 2 for i in range(12)]
+    assert math.isnan(dynamics._error_norm(0.01, k, [1.0, 1.0], 1e-8, 1e-10))
+    monkeypatch.setattr(dynamics, "canonical_field", field)
+    traj = integrate(SystemDescriptor("I", "painleve"), PhaseState((0.2,), (0.3,), 0.0), 1.0,
+                     max_steps=3)
+    assert traj.termination == MAX_STEPS
+    assert traj.n_rejected == 3 and traj.n_rejected_singular == 0
+
+
+def test_zero_error_scale_does_not_raise():
+    # mu = 0 is invariant for PII at alpha = -1/2, so with abs_tol = 0 its
+    # error scale is 0: the estimate divides by it without raising
+    sd = SystemDescriptor("II", "painleve", params=AuxParams("II", alpha=-0.5))
+    traj = integrate(sd, PhaseState((0.3,), (0,), 0.1), 1.0, abs_tol=0)
+    assert traj.termination in (COMPLETED, dynamics.STEP_UNDERFLOW)
+    assert traj.n_rejected_singular == 0
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -356,6 +356,10 @@ def _numbers(out):
                                          pc.param_to_painleve(default_aux(eq))),
        CoordinateSingularity) for eq in ("VI", "V", "IV", "III")),
     (lambda: pc.lambda_of_q("IV", 1e200 + 1e200j, 0.5 + 0.1j), MapSingularity),
+    (lambda: pc.canonical_field(
+        pc.SystemDescriptor("III", "calogero", 1,
+                            params=pc.PainleveParams("III", alpha=1, beta=1)),
+        pc.PhaseState((700,), (0.1,), 1e-11)), CoordinateSingularity),  # dH/dq / t
     (lambda: pc.asymptotic_p(complex(math.inf, 0), 3, -0.4 + 0.5j), ValueError),
 ), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
         "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
@@ -364,7 +368,8 @@ def _numbers(out):
         "field-II-painleve-huge-lambda", "field-VI-painleve-huge-mu", "field-V-painleve-huge-mu",
         "field-IV-painleve-huge-mu", "field-III-painleve-huge-mu", "hamiltonian-VI-huge-mu",
         "ode_rhs-VI-huge-lambda", "ode_rhs-V-huge-lambda", "ode_rhs-IV-huge-lambda",
-        "ode_rhs-III-huge-lambda", "lambda_of_q-IV-huge-q", "asymptotic_p-inf-u"))
+        "ode_rhs-III-huge-lambda", "lambda_of_q-IV-huge-q", "field-III-calogero-log-gauge",
+        "asymptotic_p-inf-u"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
     # an OverflowError, a ZeroDivisionError, or (the NaN hint, the NaN
     # coupling, the huge one and the huge coordinates and momenta) an input
