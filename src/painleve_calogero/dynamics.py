@@ -230,9 +230,10 @@ def _moduli(v: list) -> list:
 def _error_norm(h: float, k: list, y_max: list, rel_tol: float, abs_tol: float) -> float:
     """Hairer's combined estimate h err5^2 / sqrt(err5^2 + 0.01 err3^2) in
     RMS norms scaled by _TOL_MARGIN * (abs_tol + rel_tol * y_max), each
-    sum over the nonzero weights.  A zero scale (abs_tol = 0 at a component
-    that is 0) or an err5 sum whose modulus overflows makes it NaN, which
-    rejects the step."""
+    sum over the nonzero weights.  A component whose scale is 0 (abs_tol =
+    0 at a component that is 0) adds 0 when its err5 and err3 sums are both
+    exactly 0; otherwise it makes the estimate NaN, which rejects the step,
+    as does an err5 sum whose modulus overflows."""
     sq5 = sq3 = 0.0
     for c, m in enumerate(y_max):
         e5 = e3 = 0j
@@ -242,6 +243,8 @@ def _error_norm(h: float, k: list, y_max: list, rel_tol: float, abs_tol: float) 
             e3 += a * k[j][c]
         scale = _TOL_MARGIN * (abs_tol + rel_tol * m)
         if scale == 0:
+            if e5 == 0 and e3 == 0:
+                continue
             return math.nan
         r5 = math.hypot(e5.real, e5.imag) / scale
         r3 = math.hypot(e3.real, e3.imag) / scale

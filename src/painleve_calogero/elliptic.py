@@ -25,8 +25,17 @@ in the cell, the tail of both sides past N terms is at most
 at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
 tau-only constant are cached on the context, so tau is all a context
 holds.  ``weierstrass_p_and_prime`` sums both series from one run of the
-same x.  The slow double lattice sum survives only as a test oracle
-(tests/test_elliptic.py).
+same x, each rounded as the value-only loop of ``weierstrass_p`` rounds
+it, and ``weierstrass_p_prime`` is its second half.  The context keeps the
+last joint pass as one (argument, (wp, wp')) entry, and ``weierstrass_p``
+returns its wp without a pass when called with that same argument object
+(``is``, not ``==``), so wp' then wp at one argument costs one pass; any
+other argument gets the value-only loop.  The slow double lattice sum
+survives only as a test oracle (tests/test_elliptic.py).
+
+u is reduced as a + b tau with real a, b; once |a| or |b| reaches 2^52 no
+fractional bit of them is left, and the reduction raises ``ValueError``
+instead of returning a cell point that the digits of u do not fix.
 
 The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u) over
 |n| <= N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1: the terms peak
@@ -59,6 +68,9 @@ POLE_TOL = 1e-12
 # 1/sin^2 underflows to 0 well before |Im z| reaches this; guards overflow.
 _IM_OVERFLOW = 300.0
 
+# a double of this modulus or more has no fractional bit
+_LOST_FRACTION = 2.0**52
+
 # e2 - e1 is taken as lost to rounding at or below this fraction of max|e_i|
 _E_SPLIT_TOL = 1e-13
 
@@ -72,12 +84,18 @@ class EllipticContext:
     term count, constant) are cached on first use, so ``tau`` must not
     change afterwards.  The caches are write-once/read-many: concurrent
     writers recompute the same values, so the benign race is harmless.
+    ``last_pass`` is (u, (wp(u), wp'(u))) from the last joint pass at a u
+    of type ``complex``, and it hits only for that same u object.  It is replaced
+    by one tuple store and read once per lookup, so concurrent use of a
+    context can at worst miss, never return another argument's value.
     """
 
     tau: complex
     cached_e: tuple[complex, complex, complex] | None = field(
         default=None, init=False, repr=False, compare=False)
     cached_series: tuple[complex, int, complex] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    last_pass: tuple[complex, tuple[complex, complex]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,14 +113,18 @@ def reduce_to_cell(u: complex, tau: complex) -> complex:
     """Reduce u modulo Z + tau*Z to the cell centred at the origin.
 
     Returns a + b*tau with a, b in [-1/2, 1/2), which keeps every term of
-    the sine series uniformly away from its poles.  A non-finite u raises
-    ``ValueError``.
+    the sine series uniformly away from its poles.  A non-finite u, or one
+    whose lattice coordinate a or b reaches 2^52 in modulus (no fractional
+    bit left), raises ``ValueError``.
     """
     u = complex(u)
     if not cmath.isfinite(u):
         raise ValueError(f"u must be finite, got u={u}")
     b = u.imag / tau.imag
     a = u.real - b * tau.real
+    if not (abs(a) < _LOST_FRACTION and abs(b) < _LOST_FRACTION):
+        raise ValueError(f"u={u} cannot be reduced to the cell of tau={tau}: its lattice "
+                         f"coordinates ({a:.3g}, {b:.3g}) keep no fractional bit")
     a -= math.floor(a + 0.5)
     b -= math.floor(b + 0.5)
     return complex(a + b * tau.real, b * tau.imag)
@@ -154,8 +176,13 @@ def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
 
     N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
     the tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}; see the
-    module docstring for the series and the bound.
+    module docstring for the series and the bound.  When u is the argument
+    object of the context's last joint pass, its wp is returned without
+    reducing or summing; it equals the value this loop gives bit for bit.
     """
+    last = ctx.last_pass
+    if last is not None and last[0] is u:
+        return last[1][0]
     u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
     total = 0j
     for _ in range(n_terms):
@@ -167,22 +194,18 @@ def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
 
 
 def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
-    """wp'(u), term-wise derivative of the series of ``weierstrass_p``."""
-    u, q, n_terms, _, xp, xm = _nome_start(u, ctx)
-    total = 0j
-    for _ in range(n_terms):
-        dp, dm = 1 - xp, 1 - xm
-        total += xp * (1 + xp) / (dp * dp * dp) - xm * (1 + xm) / (dm * dm * dm)
-        xp *= q
-        xm *= q
-    return -2 * PI**3 * _inv_sin3_cos(PI * u) - 8j * PI**3 * total
+    """wp'(u), term-wise derivative of the series of ``weierstrass_p``: the
+    second half of ``weierstrass_p_and_prime``, whose pass the context keeps,
+    so that a following ``weierstrass_p`` at the same u object is a lookup."""
+    return weierstrass_p_and_prime(u, ctx)[1]
 
 
 def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, complex]:
-    """(wp(u), wp'(u)) from one run of the nome terms: the sums of
-    ``weierstrass_p`` and ``weierstrass_p_prime``, taken together and
-    rounded as they are."""
-    u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
+    """(wp(u), wp'(u)) from one run of the nome terms, each sum rounded as
+    the value-only loop of ``weierstrass_p`` rounds it.  A u of type
+    ``complex`` is kept with the pair as the context's ``last_pass``: its
+    value cannot change, so the same object means the same argument."""
+    u0, q, n_terms, const, xp, xm = _nome_start(u, ctx)
     total = total_prime = 0j
     for _ in range(n_terms):
         dp, dm = 1 - xp, 1 - xm
@@ -191,8 +214,11 @@ def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, 
         total_prime += xp * (1 + xp) / (dp2 * dp) - xm * (1 + xm) / (dm2 * dm)
         xp *= q
         xm *= q
-    return (const + PI * PI * _inv_sin2(PI * u) - 4 * PI * PI * total,
-            -2 * PI**3 * _inv_sin3_cos(PI * u) - 8j * PI**3 * total_prime)
+    values = (const + PI * PI * _inv_sin2(PI * u0) - 4 * PI * PI * total,
+              -2 * PI**3 * _inv_sin3_cos(PI * u0) - 8j * PI**3 * total_prime)
+    if type(u) is complex:
+        ctx.last_pass = (u, values)
+    return values
 
 
 def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]:

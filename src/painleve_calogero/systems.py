@@ -260,8 +260,9 @@ def _calogero_one_body(eq, q, p, t, pp: PainleveParams, ctx: EllipticContext | N
         dv = 0j
         for alpha, omega in zip(alphas, ctx.half_periods):
             u = q + omega
-            v -= alpha * elliptic.weierstrass_p(u, ctx)
+            # wp' first: its joint pass makes wp at the same u a lookup
             dv -= alpha * elliptic.weierstrass_p_prime(u, ctx)
+            v -= alpha * elliptic.weierstrass_p(u, ctx)
     elif eq == "V":
         sh = _guard(cmath.sinh(q / 2), "sinh(q/2)")
         ch = _guard(cmath.cosh(q / 2), "cosh(q/2)")
@@ -302,9 +303,10 @@ def _calogero_pair(eq, qj, qk, t, g4sq, ctx: EllipticContext | None):
     if abs(dq) < _SING_TOL:
         raise TwoBodyCollision(f"q_j = q_k = {qj}")
     if eq == "VI":
-        val = g4sq * (elliptic.weierstrass_p(dq, ctx) + elliptic.weierstrass_p(sq, ctx))
-        gd = g4sq * elliptic.weierstrass_p_prime(dq, ctx)
+        gd = g4sq * elliptic.weierstrass_p_prime(dq, ctx)  # wp' before wp, as above
+        wd = elliptic.weierstrass_p(dq, ctx)
         gs = g4sq * elliptic.weierstrass_p_prime(sq, ctx)
+        val = g4sq * (wd + elliptic.weierstrass_p(sq, ctx))
     elif eq == "V":
         vd, dd = _inv_sinh2(dq / 2)
         vs, ds = _inv_sinh2(sq / 2)
@@ -352,7 +354,10 @@ def _evaluate(sys, state):
     state.time.  One rule refuses overflow: the terms are summed under one
     ``try``, and a term that raises ``OverflowError`` or a result that is
     not finite (an overflow, or a non-finite state) raises
-    ``CoordinateSingularity`` naming the coordinates."""
+    ``CoordinateSingularity`` naming the coordinates.  So does an elliptic
+    argument that ``reduce_to_cell`` refuses with ``ValueError`` (not
+    finite, or too large to keep a fractional lattice bit), so that an
+    integrator stage there is a singular rejection."""
     check_state(sys, state)
     eq, t, g4sq, xs = sys.equation, state.time, sys.g4sq, state.coords
     if sys.side == "painleve":
@@ -385,6 +390,9 @@ def _evaluate(sys, state):
     except OverflowError as exc:
         raise CoordinateSingularity(
             f"P{eq} {sys.side} Hamiltonian overflows at coordinates {xs}") from exc
+    except ValueError as exc:  # PVI: an elliptic argument the cell reduction refuses
+        raise CoordinateSingularity(
+            f"P{eq} {sys.side} Hamiltonian at coordinates {xs}: {exc}") from exc
     return h, dc, dm
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from painleve_calogero import EllipticContext, PhaseState
+from painleve_calogero import EllipticContext, PhaseState, elliptic
 
 
 def painleve_state(eq, rank, rng, time=None):
@@ -31,4 +31,18 @@ def contexts(monkeypatch):
         post_init(ctx)
 
     monkeypatch.setattr(EllipticContext, "__post_init__", counting)
+    return count
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A one-item list counting the wp/wp' series passes (``_nome_start`` calls)."""
+    count = [0]
+    nome_start = elliptic._nome_start
+
+    def counting(u, ctx):
+        count[0] += 1
+        return nome_start(u, ctx)
+
+    monkeypatch.setattr(elliptic, "_nome_start", counting)
     return count

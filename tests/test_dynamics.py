@@ -451,6 +451,15 @@ def test_overflow_in_a_step_is_a_singular_rejection():
     assert traj.n_rejected == traj.n_rejected_singular == 5
 
 
+def test_stage_beyond_the_cell_reduction_is_a_singular_rejection():
+    # p = 1e150 moves the PVI coordinate of the first stage to about 1e145,
+    # where the cell reduction keeps no fractional bit; the field refuses it
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    traj = integrate(sd, PhaseState((0.2 + 0.3j,), (1e150,), 0.1 + 1j), 0.1 + 1.3j)
+    assert traj.termination == dynamics.STEP_UNDERFLOW and traj.n_accepted == 0
+    assert traj.n_rejected == traj.n_rejected_singular > 0
+
+
 def test_initial_momentum_with_overflowing_modulus_is_refused_by_the_field():
     # |1.5e308 - 1.5e308i| overflows: the step's moduli read inf rather than
     # raise, and the field refuses the state
@@ -482,11 +491,23 @@ def test_overflowing_error_sums_reject_the_step(monkeypatch):
 
 def test_zero_error_scale_does_not_raise():
     # mu = 0 is invariant for PII at alpha = -1/2, so with abs_tol = 0 its
-    # error scale is 0: the estimate divides by it without raising
+    # error scale is 0; its error sums are exactly 0 too, so it counts as
+    # exact and the other component alone sets the step
     sd = SystemDescriptor("II", "painleve", params=AuxParams("II", alpha=-0.5))
     traj = integrate(sd, PhaseState((0.3,), (0,), 0.1), 1.0, abs_tol=0)
-    assert traj.termination in (COMPLETED, dynamics.STEP_UNDERFLOW)
+    assert traj.termination == COMPLETED
     assert traj.n_rejected_singular == 0
+    assert all(state.momenta == (0j,) for _, state in traj.samples)
+
+
+def test_zero_error_scale_with_a_nonzero_error_rejects_the_step():
+    # a component at 0 with abs_tol = 0 whose error sums are not 0 has no
+    # scale to measure them against: NaN, so the step is rejected
+    k = [[0j, 0j] for _ in range(13)]
+    assert dynamics._error_norm(0.1, k, [1.0, 0.0], 1e-8, 0.0) == 0.0
+    j, _ = dynamics._E5_PAIRS[0]
+    k[j][1] = 1e-20 + 0j
+    assert math.isnan(dynamics._error_norm(0.1, k, [1.0, 0.0], 1e-8, 0.0))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,8 +1,10 @@
 import cmath
 import math
+import random
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from painleve_calogero import (
     asymptotic_p,
     f_and_derivatives,
     half_period_values,
+    lambda_of_q,
     shifted_p,
     theta,
     theta_dtau,
@@ -339,6 +342,114 @@ def test_cache_roundtrip():
     assert half_period_values(ctx) == first
 
 
+def _reuse_cases():
+    """Seeded tau and arguments: four in the cell, two a few periods out."""
+    rng = random.Random(20)
+    for _ in range(4):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0))
+        us = [rng.uniform(-0.45, 0.45) + rng.uniform(-0.45, 0.45) * tau for _ in range(4)]
+        us += [u + rng.randint(-3, 3) + rng.choice((-2, 1, 3)) * tau for u in us[:2]]
+        yield tau, us
+
+
+@pytest.mark.parametrize("between", (None, weierstrass_p, weierstrass_p_prime),
+                         ids=("adjacent", "wp-between", "wp_prime-between"))
+@pytest.mark.parametrize("first, second", ((weierstrass_p_prime, weierstrass_p),
+                                           (weierstrass_p, weierstrass_p_prime)),
+                         ids=("wp_prime-then-wp", "wp-then-wp_prime"))
+def test_last_pass_reuse_is_bit_identical(first, second, between):
+    # a reused pass returns what a fresh context computes, in either order
+    # and with a call at another argument between the two
+    for tau, us in _reuse_cases():
+        ctx = EllipticContext(tau)
+        for u, v in zip(us, us[1:] + us[:1]):
+            got = {first: first(u, ctx)}
+            if between is not None:
+                between(v, ctx)
+            got[second] = second(u, ctx)
+            for fn in (weierstrass_p, weierstrass_p_prime):
+                assert got[fn] == fn(u, EllipticContext(tau)), (fn.__name__, tau, u)
+
+
+def test_equal_but_distinct_argument_takes_a_fresh_pass(passes):
+    tau, u = 0.13 + 1.17j, 0.21 + 0.17j
+    ctx = EllipticContext(tau)
+    weierstrass_p_prime(u, ctx)
+    wp = weierstrass_p(u, ctx)
+    assert passes[0] == 1 and ctx.last_pass[0] is u
+    twin = complex(u.real, u.imag)
+    assert twin == u and twin is not u
+    assert weierstrass_p(twin, ctx) == wp
+    assert passes[0] == 2
+
+
+def test_a_freed_argument_cannot_pass_its_identity_on():
+    # the context holds the argument it keeps, so a temporary is not freed
+    # and a new object cannot take its address and read its values
+    tau = 0.13 + 1.17j
+    ctx = EllipticContext(tau)
+    for k in range(20):
+        weierstrass_p_prime(complex(0.1, 0.01 * k), ctx)
+        assert weierstrass_p(complex(0.3, 0.01 * k), ctx) == \
+            weierstrass_p(complex(0.3, 0.01 * k), EllipticContext(tau))
+
+
+def test_only_a_complex_argument_is_kept():
+    # an object whose value can change in place must not be reused by identity
+    ctx = EllipticContext(0.13 + 1.17j)
+    for u in (0.21, np.array(0.21 + 0.17j)):
+        weierstrass_p_and_prime(u, ctx)
+        assert ctx.last_pass is None
+
+
+def test_shared_context_never_returns_another_arguments_value():
+    # threads share one context and interleave wp'/wp pairs at their own
+    # arguments; a lookup may miss, but each value is its argument's own
+    import concurrent.futures
+    import sys
+
+    tau = 0.13 + 1.17j
+    ctx = EllipticContext(tau)
+    us = [0.05 * k + 0.031j * k - 0.2 for k in range(1, 9)]
+    expected = {u: (weierstrass_p(u, EllipticContext(tau)),
+                    weierstrass_p_prime(u, EllipticContext(tau))) for u in us}
+
+    def work(u):
+        for _ in range(100):
+            arg = complex(u.real, u.imag)  # a new object each round
+            pp = weierstrass_p_prime(arg, ctx)
+            if (weierstrass_p(arg, ctx), pp) != expected[u]:
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(us)) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(work, u) for u in us]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * len(us)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: weierstrass_p(1e16 + 0.3j, EllipticContext(0.5 + 0.1j)),
+    lambda: weierstrass_p_prime(0.3 + 3e16j, EllipticContext(0.13 + 1.17j)),
+    lambda: f_and_derivatives(1e16 + 0.3j, EllipticContext(0.5 + 0.1j)),
+    lambda: lambda_of_q("VI", 1e200 + 1e200j, 0.5 + 0.1j),
+), ids=("wp-a-1e16", "wp_prime-b-2.6e16", "f-a-1e16", "lambda_of_q-VI-1e200"))
+def test_argument_without_a_fractional_lattice_bit_is_refused(call):
+    # the lattice coordinates a, b of u keep no fractional bit, so the cell
+    # point is rounding noise: it was refused as a pole, or summed as given
+    with pytest.raises(ValueError, match="keep no fractional bit"):
+        call()
+
+
+def test_reduction_keeps_a_fractional_bit_below_2_to_52():
+    # the spacing of doubles just below 2^52 is 1/2, and that half survives
+    assert reduce_to_cell((2.0**52 - 1.5) + 0.25j, 1j) == -0.5 + 0.25j
+
+
 def test_cache_is_thread_safe():
     import concurrent.futures
 
@@ -430,11 +541,12 @@ def test_nome_series_against_mpmath_twin(im_tau):
     for a, b in ((0.23, 0.49), (-0.37, -0.49), (0.11, 0.31), (0.42, -0.17), (-0.05, 0.12)):
         u = a + b * tau
         joint = weierstrass_p_and_prime(u, ctx)
-        assert joint == (weierstrass_p(u, ctx), weierstrass_p_prime(u, ctx))  # same sums
-        for name, value, derivative in (("wp", weierstrass_p(u, ctx), False),
-                                        ("wp'", weierstrass_p_prime(u, ctx), True),
+        # a fresh context runs the value-only loop: no joint pass at u to reuse
+        wp = weierstrass_p(u, EllipticContext(tau))
+        assert joint == (wp, weierstrass_p_prime(u, ctx))  # same sums
+        for name, value, derivative in (("wp", wp, False),
                                         ("joint wp", joint[0], False),
-                                        ("joint wp'", joint[1], True)):
+                                        ("wp'", joint[1], True)):
             ref = mp_sine_series(u, tau, derivative)
             assert abs(value - ref) <= 1e-13 * abs(ref), (name, u)
 

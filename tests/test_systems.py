@@ -183,6 +183,18 @@ def test_overflowing_term_raises_coordinate_singularity(eq, side, coords):
         integrate(sd, st, 0.6 + 0.5j)
 
 
+@pytest.mark.parametrize("q, reason", [(1e16 + 0.3j, "no fractional bit"),
+                                       (complex("nan"), "must be finite")])
+def test_unreducible_pvi_coordinate_raises_coordinate_singularity(q, reason):
+    # the cell reduction's ValueError, under the field's one refusal
+    from painleve_calogero.errors import CoordinateSingularity
+
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    for call in (canonical_field, hamiltonian):
+        with pytest.raises(CoordinateSingularity, match=reason):
+            call(sd, PhaseState((q,), (0.5,), 0.13 + 1.17j))
+
+
 def autonomous_check(sys, state, dt=1e-6):
     """Chain-rule consistency diagnostic of the analytic gradients.
 
@@ -256,9 +268,10 @@ def test_calogero_side_accepts_painleve_params(rng):
     assert h_aux == h_pp
 
 
-def test_pvi_rank3_field_call_counts(monkeypatch, rng):
+def test_pvi_rank3_field_call_counts(monkeypatch, rng, passes):
     # one PVI rank-3 field call: 4 shifted wp per coordinate plus wp(q_j - q_k)
-    # and wp(q_j + q_k) per pair, each with its wp', in one context
+    # and wp(q_j + q_k) per pair, each with its wp', in one context; wp at an
+    # argument follows its wp' and reuses that joint pass: 18 passes, not 36
     calls = {"wp": 0, "wp_prime": 0, "context": 0}
 
     def counted(key, fn):
@@ -275,6 +288,7 @@ def test_pvi_rank3_field_call_counts(monkeypatch, rng):
     sd = SystemDescriptor("VI", "calogero", 3, 0.7, default_aux("VI"))
     canonical_field(sd, sample_calogero_state("VI", 3, rng))
     assert calls == {"wp": 18, "wp_prime": 18, "context": 1}
+    assert passes[0] == 18
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,17 @@ def test_suite_context_budget(suite, contexts):
     assert contexts[0] <= CONTEXT_BUDGET[suite]
 
 
+# wp/wp' series passes of run_suite at seed 1000; a caller that takes wp
+# before wp' at one argument, or a cache that stops hitting, raises them
+PASS_BUDGET = {"correspondence": 4362, "dynamic": 318, "degeneration": 180, "identities": 3627}
+
+
+@pytest.mark.parametrize("suite", sorted(PASS_BUDGET))
+def test_suite_pass_budget(suite, passes):
+    run_suite(suite, seed=1000)
+    assert passes[0] <= PASS_BUDGET[suite]
+
+
 @pytest.mark.parametrize("rank", (1, 3))
 @pytest.mark.parametrize("eq", _EQUATIONS)
 def test_circle_rule_matches_columnwise_jacobian(eq, rank):
