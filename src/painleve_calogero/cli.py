@@ -6,9 +6,10 @@ keyed by the Hamiltonian symbol names of the chosen equation
 (``params.AUX_KEYS``: kappa0, kappa1, theta, kappa for p6, ..., alpha for
 p2, none for p1) plus optional g4sq.  Exit codes: 0 success, 1 usage error
 (bad tolerances, non-finite input, a parameter key the equation does not
-use and malformed input files included), 2 integration stopped at a
-movable pole.  ``integrate`` takes the rank from the length of the
-initial state's ``coords``.  ``integrate --stats`` prints the step
+use and malformed input files included, a JSON true or false where a
+number belongs too), 2 integration stopped at a movable pole, 3 a
+``verify`` check failed.  ``integrate`` takes the rank from the length of
+the initial state's ``coords``.  ``integrate --stats`` prints the step
 counters to stderr; the trajectory output is the same with or without it.
 
     painleve-calogero integrate --equation p1 --side painleve \
@@ -39,11 +40,15 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
+def _is_number(x) -> bool:
+    # bool is an int, but JSON true and false are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_from_json(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ValueError(f"{name}: expected number or [re, im] pair, got {value!r}")
 

@@ -26,6 +26,10 @@ lambda(t) satisfies the printed second-order Painleve equation of the
 trajectory's own system, using 4th-order finite-difference stencils; it
 refuses a trajectory without an accepted step, and a coupled
 multi-component one, with ValueError.
+
+numpy is imported only where arrays are returned, in
+``Trajectory.interpolate`` and ``Trajectory.resample`` (and so in
+``painleve_residual``); importing this module and ``integrate`` load none.
 """
 
 from __future__ import annotations
@@ -35,13 +39,15 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
-
-import numpy as np
+from operator import index, itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import BadContext, CoordinateSingularity, PoleAt
 from .params import PainleveParams
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 8(5,3) tableau (DOP853), from Hairer's dop853.f.  Row 12
 # of _A is the 8th-order weights _B and its node is 1: the thirteenth stage
@@ -168,6 +174,8 @@ class Trajectory:
         s_last = self._dense[-1][1] if self._dense else 0.0
         if not 0.0 <= s <= s_last:
             raise ValueError(f"s must lie in [0, {s_last}], got {s!r}")
+        import numpy as np
+
         if not self._dense:
             st = self.samples[0][1]
             return np.array(st.coords + st.momenta, dtype=complex)
@@ -177,7 +185,16 @@ class Trajectory:
         return np.array(y, dtype=complex)
 
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, states) on a uniform grid of n points over the full arc."""
+        """(times, states) on a uniform grid of n points over the full arc;
+        n must be an integer >= 2 (``ValueError`` otherwise)."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}") from None
+        if n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        import numpy as np
+
         s_end = self._dense[-1][1] if self._dense else 0.0
         t0 = self.samples[0][0]
         t1 = self.samples[-1][0]

@@ -7,8 +7,10 @@ import math
 import zlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -53,7 +55,11 @@ def reports_to_json(reports: list[CheckReport]) -> str:
 
 
 def rng_for(seed: int, check_id: str) -> np.random.Generator:
-    """Deterministic per-check generator derived from (seed, check_id)."""
+    """Deterministic per-check generator derived from (seed, check_id):
+    numpy's PCG64.  numpy is imported here, at a run's first seeded draw,
+    not when the harness is imported."""
+    import numpy as np
+
     return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
 
 

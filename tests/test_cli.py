@@ -291,8 +291,20 @@ def test_params_file_that_is_not_an_object_exits_1(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, key", [({"alpha": True}, "alpha"),
+                                      ({"alpha": 1, "g4sq": True}, "g4sq")])
+def test_json_boolean_in_params_file_exits_1(tmp_path, capsys, raw, key):
+    # bool is an int in Python; true must not be read as 1
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(raw))
+    code = main(["params", "--equation", "p2", "--aux", str(aux)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
 @pytest.mark.parametrize("key, value", [("time", ["a", 0]), ("coords", 5),
-                                        ("momenta", [["0.3", 0]])])
+                                        ("momenta", [["0.3", 0]]), ("time", True),
+                                        ("coords", [[True, 0]])])
 def test_malformed_initial_state_exits_1(tmp_path, capsys, key, value):
     init = tmp_path / "bad.json"
     init.write_text(json.dumps({**I0, key: value}))

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -209,6 +210,21 @@ def test_interpolate_refuses_s_outside_the_arc():
     assert still.interpolate(0.0).tolist() == [0.2 + 0.1j, 0.3]
     with pytest.raises(ValueError):
         still.interpolate(0.5)
+
+
+@pytest.mark.parametrize("n", [2.5, "4", None, 0, 1, True, -3])
+def test_resample_refuses_n_that_is_not_an_integer_of_at_least_2(n):
+    traj = integrate(SystemDescriptor("I", "painleve"), PhaseState((0.2,), (0.3,), 0.0), 0.5)
+    with pytest.raises(ValueError, match="n must be"):
+        traj.resample(n)
+
+
+def test_resample_takes_numpy_integers_and_spans_the_arc():
+    traj = integrate(SystemDescriptor("I", "painleve"), PhaseState((0.2,), (0.3,), 0.0), 0.5)
+    times, states = traj.resample(np.int64(2))
+    assert times.tolist() == [0.0, 0.5]
+    assert states.tolist() == [[0.2, 0.3], list(traj.samples[-1][1].coords
+                                                 + traj.samples[-1][1].momenta)]
 
 
 def test_pole_detection_on_pi_blowup():
@@ -549,6 +565,14 @@ def test_non_finite_input_is_refused(state, t_end, equation, side, monkeypatch):
     assert not calls
 
 
+def _run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this package."""
+    src = str(Path(painleve_calogero.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def test_integrate_does_not_import_scipy():
     code = ("import sys\n"
             "from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
@@ -556,11 +580,35 @@ def test_integrate_does_not_import_scipy():
             "traj.resample(9)\n"
             "assert traj.completed\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(painleve_calogero.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_cli_integrate_and_params_do_not_import_numpy(tmp_path):
+    # numpy costs more than half of a short integrate call's process time;
+    # only the seeded verify draws and the resampled arrays load it
+    (tmp_path / "i0.json").write_text(json.dumps(
+        {"coords": [[0.2, 0]], "momenta": [[0.3, 0]], "time": [0, 0]}))
+    code = ("import sys\n"
+            "from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
+            "from painleve_calogero.cli import main\n"
+            "d = sys.argv[1]\n"
+            "assert main(['integrate', '--equation', 'p1', '--initial', d + '/i0.json',\n"
+            "             '--t-end', '0.5', '--out', d + '/tr.csv']) == 0\n"
+            "assert main(['params', '--equation', 'p2', '--aux', 'alpha=1',\n"
+            "             '--out', d + '/p.json']) == 0\n"
+            "traj = integrate(SystemDescriptor('I', 'painleve'), PhaseState((0.2,), (0.3,), 0), 0.5)\n"
+            "try:\n"
+            "    traj.resample(1)\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded before a draw or a resample'\n"
+            "assert main(['verify', '--suite', 'degeneration', '--seed', '7',\n"
+            "             '--out', d + '/v.json']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "times, states = traj.resample(9)\n"
+            "assert type(states).__module__ == 'numpy' and states.shape == (9, 2)\n")
+    _run_fresh(code, str(tmp_path))
+    assert (tmp_path / "tr.csv").read_text().startswith("re_t,im_t,re_l1,im_l1")
 
 
 def test_tableau_is_hairers_dop853():
