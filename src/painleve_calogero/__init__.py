@@ -26,7 +26,6 @@ from .systems import (
     hamiltonian_gradients,
 )
 from .transforms import (
-    CANONICAL_FACTORS,
     jacobian_dtau_dt,
     lambda_of_q,
     mu_of_pq,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxParams",
-    "CANONICAL_FACTORS",
     "EllipticContext",
     "PainleveParams",
     "PhaseState",

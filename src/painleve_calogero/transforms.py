@@ -23,7 +23,7 @@ by one wp evaluation and cross-checked in the tests by an Abel-map
 quadrature; its time map t(tau) is inverted by Newton iteration.
 
 Every map multiplies the 1-form pair by a constant factor c (1, 1/2, 1/4,
-1/2, 1, 1 for VI..I); ``CANONICAL_FACTORS`` exposes these for reporting.
+1/2, 1, 1 for VI..I).
 A PVI map builds the one ``EllipticContext`` it reads at its time, tau;
 ``multi_transform`` shares one among all coordinates of a state.
 """
@@ -38,8 +38,6 @@ from .elliptic import PI, TWO_PI_I, EllipticContext
 from .errors import BadContext, BranchCut, MapSingularity, NoConvergence, TwoBodyCollision
 from .params import AuxParams, check_equation
 from .systems import PhaseState
-
-CANONICAL_FACTORS = {"VI": 1.0, "V": 0.5, "IV": 0.25, "III": 0.5, "II": 1.0, "I": 1.0}
 
 _NEWTON_STEPS = 50
 # accepted residual of an inverse: |t(tau) - t|, and |wp(q) - x|/max(1, |x|)

@@ -145,25 +145,25 @@ def test_criterion_5_dynamic_correspondence():
 
 
 def test_criterion_6_degeneration_suite():
-    """PVI->PV defect ratio in [3.3, 30]; elliptic->hyperbolic potential
-    residual < 1e-3 at eps = 1e-4; at-least-first-order shrinkage for the
-    remaining schedules."""
+    """PVI->PV defect ratio in [3.3, 30]; elliptic->hyperbolic field
+    defect < 1e-8 at eps = 1e-4; at-least-first-order shrinkage for the
+    Calogero schedules."""
     d1 = SCHEDULES["pvi_to_pv"].defect(1e-2, 7)
     d2 = SCHEDULES["pvi_to_pv"].defect(1e-3, 7)
     ratio_ok = 3.3 <= d1 / d2 <= 30
-    pot = SCHEDULES["elliptic_to_hyperbolic"].defect(1e-4, 7)
-    pot_ok = pot < 1e-3
-    details = [f"PVI->PV ratio {d1/d2:.3g}", f"potential residual {pot:.2e}"]
+    field = SCHEDULES["elliptic_to_hyperbolic"].defect(1e-4, 7)
+    field_ok = field < 1e-8
+    details = [f"PVI->PV ratio {d1/d2:.3g}", f"elliptic->hyperbolic field defect {field:.2e}"]
     others_ok = True
-    for name in ("hyperbolic_to_rational", "hyperbolic_to_exp_hyperbolic",
-                 "rational_to_second_rational", "exp_hyperbolic_to_second_rational",
-                 "second_rational_to_pi"):
+    for name in ("elliptic_to_hyperbolic", "hyperbolic_to_rational",
+                 "hyperbolic_to_exp_hyperbolic", "rational_to_second_rational",
+                 "exp_hyperbolic_to_second_rational", "second_rational_to_pi"):
         sched = SCHEDULES[name]
         e1, e2 = sched.eps_pair
         r = sched.defect(e1, 7) / sched.defect(e2, 7)
         others_ok &= RATIO_MIN <= r <= sched.ratio_max
         details.append(f"{name} ratio {r:.3g}")
-    _report("criterion 6 (degeneration suite)", ratio_ok and pot_ok and others_ok,
+    _report("criterion 6 (degeneration suite)", ratio_ok and field_ok and others_ok,
             "; ".join(details))
 
 

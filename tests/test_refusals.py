@@ -302,8 +302,8 @@ DRAWS = {
     "weierstrass_p_and_prime": _elliptic_u,
     "weierstrass_p_prime": _elliptic_u,
 }
-# not callables: a constant table, and the record integrate returns
-NOT_FUZZED = {"CANONICAL_FACTORS", "Trajectory"}
+# not callable: the record integrate returns
+NOT_FUZZED = {"Trajectory"}
 DRAWS_PER_NAME = {"integrate": 40, "painleve_residual": 12}
 # a PhaseState stores its arguments as given, and a residual reads inf at
 # a NaN point: every other returned number is finite

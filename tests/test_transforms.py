@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_calogero import (
-    CANONICAL_FACTORS,
     EllipticContext,
     PhaseState,
     f_and_derivatives,
@@ -440,11 +439,6 @@ def test_pvi_two_body_identity(rng):
         lhs = weierstrass_p(q1 - q2, ctx) + weierstrass_p(q1 + q2, ctx)
         rhs = -4 * e1 - 2 * (e2 - e1) * (l1 + l2) + 2 * (e2 - e1) * (P1 + P2) / (l1 - l2) ** 2
         assert abs(lhs - rhs) / abs(lhs) < 1e-9
-
-
-def test_canonical_factors():
-    assert CANONICAL_FACTORS == {"VI": 1.0, "V": 0.5, "IV": 0.25,
-                                 "III": 0.5, "II": 1.0, "I": 1.0}
 
 
 @pytest.mark.parametrize("eq", EQS)
