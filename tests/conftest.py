@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import painleve_calogero
 from painleve_calogero import EllipticContext, PhaseState, elliptic
 
 
@@ -13,6 +19,14 @@ def painleve_state(eq, rank, rng, time=None):
         lams.append(lam)
         mus.append(complex(rng.uniform(0.2, 0.7), rng.uniform(-0.3, 0.3)))
     return PhaseState(tuple(lams), tuple(mus), t)
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this package."""
+    src = str(Path(painleve_calogero.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
 
 
 @pytest.fixture

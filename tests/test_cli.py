@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from painleve_calogero import cli
 from painleve_calogero.cli import main
+from painleve_calogero.verify import SUITE_NAMES
+from tests.conftest import run_fresh
 
 I0 = {"coords": [[0.2, 0.1]], "momenta": [[0.3, 0.0]], "time": [0.1, 0.0]}
 
@@ -97,6 +100,27 @@ def test_params_missing_keys(capsys):
 
 def test_unknown_suite_exit_1(capsys):
     assert main(["verify", "--suite", "bogus"]) == 1
+
+
+def test_suite_names_are_the_harness_suites():
+    assert cli.SUITE_NAMES == SUITE_NAMES
+
+
+def test_negative_seed_exits_1_naming_it(capsys):
+    assert main(["verify", "--suite", "dynamic", "--seed", "-1"]) == 1
+    assert "got -1" in capsys.readouterr().err
+
+
+def test_integrate_and_params_do_not_load_the_verify_harness(tmp_path, i0):
+    code = ("import sys\n"
+            "from painleve_calogero.cli import main\n"
+            "i0, d = sys.argv[1:]\n"
+            "assert main(['integrate', '--equation', 'p1', '--initial', i0,\n"
+            "             '--t-end', '0.5', '--out', d + '/tr.csv']) == 0\n"
+            "assert main(['params', '--equation', 'p2', '--aux', 'alpha=1',\n"
+            "             '--out', d + '/p.json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('painleve_calogero.verify')))\n")
+    assert run_fresh(code, i0, str(tmp_path)).strip() == "[]"
 
 
 def test_missing_params_for_parametrized_equation(capsys, i0):

@@ -1,15 +1,10 @@
 import cmath
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import painleve_calogero
 from painleve_calogero import (
     AuxParams,
     PhaseState,
@@ -23,7 +18,7 @@ from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, Traj
 from painleve_calogero.errors import BadContext, CoordinateSingularity, PoleAt
 from painleve_calogero.systems import canonical_field
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
-from tests.conftest import painleve_state
+from tests.conftest import painleve_state, run_fresh
 
 # (t0, t1, lambda0) arcs with comfortable residual margins
 RESIDUAL_CASES = {
@@ -565,14 +560,6 @@ def test_non_finite_input_is_refused(state, t_end, equation, side, monkeypatch):
     assert not calls
 
 
-def _run_fresh(code: str, *args: str) -> str:
-    """stdout of ``code`` run in a new interpreter that imports this package."""
-    src = str(Path(painleve_calogero.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True).stdout
-
-
 def test_integrate_does_not_import_scipy():
     code = ("import sys\n"
             "from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
@@ -580,12 +567,12 @@ def test_integrate_does_not_import_scipy():
             "traj.resample(9)\n"
             "assert traj.completed\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    assert _run_fresh(code).strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_cli_integrate_and_params_do_not_import_numpy(tmp_path):
     # numpy costs more than half of a short integrate call's process time;
-    # only the seeded verify draws and the resampled arrays load it
+    # only the resampled arrays load it
     (tmp_path / "i0.json").write_text(json.dumps(
         {"coords": [[0.2, 0]], "momenta": [[0.3, 0]], "time": [0, 0]}))
     code = ("import sys\n"
@@ -601,13 +588,14 @@ def test_cli_integrate_and_params_do_not_import_numpy(tmp_path):
             "    traj.resample(1)\n"
             "except ValueError:\n"
             "    pass\n"
-            "assert 'numpy' not in sys.modules, 'numpy loaded before a draw or a resample'\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded before a resample'\n"
             "assert main(['verify', '--suite', 'degeneration', '--seed', '7',\n"
             "             '--out', d + '/v.json']) == 0\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded by verify'\n"
             "times, states = traj.resample(9)\n"
+            "assert 'numpy' in sys.modules\n"
             "assert type(states).__module__ == 'numpy' and states.shape == (9, 2)\n")
-    _run_fresh(code, str(tmp_path))
+    run_fresh(code, str(tmp_path))
     assert (tmp_path / "tr.csv").read_text().startswith("re_t,im_t,re_l1,im_l1")
 
 

@@ -1,8 +1,11 @@
 import json
 import math
+import re
 import runpy
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from painleve_calogero import (
@@ -34,8 +37,9 @@ from painleve_calogero.verify.correspondence import (
     default_aux,
     sample_calogero_state,
 )
-from painleve_calogero.verify import correspondence, degeneration
-from painleve_calogero.verify.report import rng_for, worst
+from painleve_calogero.verify import correspondence, degeneration, identities, report
+from painleve_calogero.verify.report import cbox, rng_for, worst
+from tests.conftest import run_fresh
 
 NAN = complex("nan")
 
@@ -342,3 +346,72 @@ def test_reports_reproducible_and_sorted():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+@pytest.fixture(scope="module")
+def drawn_check_ids():
+    """Every check id that ``run_suite("all", 7)`` seeds a generator with."""
+    ids = set()
+
+    def recording(seed, check_id):
+        ids.add(check_id)
+        return rng_for(seed, check_id)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (report, identities, correspondence):
+            mp.setattr(module, "rng_for", recording)
+        run_suite("all", 7)
+    return sorted(ids)
+
+
+def _numpy_rng(seed, check_id):
+    return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
+
+
+@pytest.mark.parametrize("seed", (0, 7, 1000, 2**32 + 5))
+def test_rng_for_draws_numpys_default_rng_stream(seed, drawn_check_ids):
+    assert len(drawn_check_ids) >= 50
+    for check_id in drawn_check_ids:
+        ours, theirs = rng_for(seed, check_id), _numpy_rng(seed, check_id)
+        assert [ours.uniform(0, 1) for _ in range(4)] == \
+            [theirs.uniform(0, 1) for _ in range(4)], check_id
+    # _draw_u's interleaving: a 64-bit draw leaves the buffered 32-bit half alone
+    ours, theirs = rng_for(seed, "identity.cubic.0+1j"), _numpy_rng(seed, "identity.cubic.0+1j")
+    for _ in range(200):
+        a = [ours.uniform(0.06, 0.44), ours.uniform(0.06, 0.44), ours.integers(2)]
+        assert a == [theirs.uniform(0.06, 0.44), theirs.uniform(0.06, 0.44), theirs.integers(2)]
+    # the rectangles the suites draw from
+    boxes = [(0.25, 0.75, -0.3, 0.3), (0.25, 0.6, -0.2, 0.2), (0.75, 0.95, 0.08, 0.18),
+             (0.45, 0.7, 0.15, 0.35), (0.3, 0.5, -0.15, 0.15), (0.2, 1.2, 0.05, 0.6),
+             (-1.2, -0.2, 0.05, 0.6)]
+    boxes += [(0.08, 0.42, lo, hi) for im in (1.0, 1.5, 2.0)
+              for lo, hi in ((0.05, 0.35 * im), (-0.35 * im, -0.05))]
+    for box in boxes * 20:
+        assert cbox(ours, *box) == cbox(theirs, *box), box
+
+
+def test_rng_for_takes_numpy_integers_bools_and_long_seeds_as_numpy_does():
+    # a seed of more than 96 bits is mixed into the full 4-word pool afterwards
+    for seed in (np.int64(7), np.uint32(1000), True, 2**200 + 17):
+        ours, theirs = rng_for(seed, "x"), _numpy_rng(seed, "x")
+        assert [ours.uniform(0, 1) for _ in range(3)] == [theirs.uniform(0, 1) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", (7.5, -1, "7"))
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    with pytest.raises(ValueError, match=re.escape(repr(seed))):
+        run_suite("dynamic", seed)
+
+
+def test_verify_process_matches_the_golden_report_without_numpy(tmp_path):
+    out = tmp_path / "all.json"
+    code = ("import runpy, sys\n"
+            "sys.argv = ['painleve_calogero', 'verify', '--suite', 'all', '--seed', '7',\n"
+            "            '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('painleve_calogero', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'numpy' in sys.modules)\n")
+    assert run_fresh(code, str(out)).split()[-2:] == ["0", "False"]
+    golden = Path(__file__).parent / "data" / "verify_all_seed7.json"
+    assert out.read_bytes() == golden.read_bytes()
