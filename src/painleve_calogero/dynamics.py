@@ -39,10 +39,11 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import BadContext, CoordinateSingularity, PoleAt
+from .elliptic import check_tau
+from .errors import CoordinateSingularity, PoleAt, check_index
 from .params import PainleveParams
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
 
@@ -187,12 +188,7 @@ class Trajectory:
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, states) on a uniform grid of n points over the full arc;
         n must be an integer >= 2 (``ValueError`` otherwise)."""
-        try:
-            n = index(n)
-        except TypeError:
-            raise ValueError(f"n must be an integer >= 2, got {n!r}") from None
-        if n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        n = check_index(n, "n", 2)
         import numpy as np
 
         s_end = self._dense[-1][1] if self._dense else 0.0
@@ -279,13 +275,14 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
     The segment runs from initial.time to t_end in the system's own time
     variable; it must keep distance > 1e-3 from the fixed singularities
-    (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at
-    Im tau > 0 (``BadContext`` otherwise, raised before any step).
-    ``rel_tol`` must be finite and > 0 and ``abs_tol`` finite and >= 0;
-    anything else, or a non-finite entry in ``initial`` or ``t_end``, raises
-    ``ValueError`` before any field call.  Movable poles terminate the
-    trajectory with a 'pole_detected' or 'step_underflow' tag instead of
-    raising; an overflowing step is rejected, not raised.
+    (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at a tau
+    ``elliptic.check_tau`` takes (``BadContext`` otherwise).  ``rel_tol``
+    must be finite and > 0, ``abs_tol`` finite and >= 0 and ``max_steps``
+    an integer >= 0; anything else, or a non-finite entry in ``initial`` or
+    ``t_end``, raises ``ValueError``, all before any field call.  Movable
+    poles terminate the trajectory with a 'pole_detected' or
+    'step_underflow' tag instead of raising; an overflowing step is
+    rejected, not raised.
 
     Each step is a DOP853 step of twelve stages, accepted when its error
     estimate is <= 1 against ``_TOL_MARGIN`` (0.1) times the tolerance
@@ -298,6 +295,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     result does not depend on which SIMD loops numpy would dispatch to.
     """
     _check_tolerances(rel_tol, abs_tol)
+    max_steps = check_index(max_steps, "max_steps", 0)
     _check_finite(initial, t_end)
     check_state(sys, initial)
     t0 = complex(initial.time)
@@ -383,8 +381,8 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
 def _check_segment(sys, t0, t1):
     # Im tau is linear along the segment and check_state has vetted t0
-    if sys.time_gauge == "tau" and not (t1.imag > 0):
-        raise BadContext(f"PVI Calogero segment leaves Im tau > 0 at tau={t1}")
+    if sys.time_gauge == "tau":
+        check_tau(t1)
     for b in sys.singular_times:
         if _segment_distance(t0, t1, b) < 1e-3:
             raise CoordinateSingularity(

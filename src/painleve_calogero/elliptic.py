@@ -1,5 +1,5 @@
 """Weierstrass p-function, theta function and related auxiliaries on the
-lattice Z + tau*Z (primitive periods 1 and tau, Im tau > 0).
+lattice Z + tau*Z (primitive periods 1 and tau, Im tau >= 1e-3; see below).
 
 Conventions
 -----------
@@ -20,18 +20,20 @@ one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
 in the cell, the tail of both sides past N terms is at most
 2|Q|^{N+1/2}/(1-|Q|), and N is the least N >= 1 that puts it below e^{-39},
 
-    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2),
+    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2).
 
-at every Im tau, at a cost that grows like 1/Im tau.  Q, N and the
-tau-only constant are cached on the context, so tau is all a context
-holds.  ``weierstrass_p_and_prime`` sums both series from one run of the
-same x, each rounded as the value-only loop of ``weierstrass_p`` rounds
-it, and ``weierstrass_p_prime`` is its second half.  The context keeps the
-last joint pass as one (argument, (wp, wp')) entry, and ``weierstrass_p``
-returns its wp without a pass when called with that same argument object
-(``is``, not ``==``), so wp' then wp at one argument costs one pass; any
-other argument gets the value-only loop.  The slow double lattice sum
-survives only as a test oracle (tests/test_elliptic.py).
+N grows like 1/Im tau, so ``check_tau``, the one test of the tau domain,
+raises ``BadContext`` unless tau is finite with Im tau >= ``MIN_IM_TAU`` =
+1e-3 (N = 7125).  A context computes Q, N, the tau-only constant and the
+half periods once, when it is built.  ``weierstrass_p_and_prime`` sums both
+series from one run of the same x, each rounded as the value-only loop of
+``weierstrass_p`` rounds it, and ``weierstrass_p_prime`` is its second
+half.  The context keeps the last joint pass as one (argument, (wp, wp'))
+entry, and ``weierstrass_p`` returns its wp without a pass when called with
+that same argument object (``is``, not ``==``), so wp' then wp at one
+argument costs one pass; any other argument gets the value-only loop.  The
+slow double lattice sum survives only as a test oracle
+(tests/test_elliptic.py).
 
 u is reduced as a + b tau with real a, b; once |a| or |b| reaches 2^52 no
 fractional bit of them is left, and the reduction raises ``ValueError``
@@ -39,18 +41,18 @@ instead of returning a cell point that the digits of u do not fix.
 
 The theta function is theta(u) = sum_n exp(pi i tau n^2 + 2 pi i n u) over
 |n| <= N = ceil(|Im u|/Im tau + sqrt(40/(pi Im tau))) + 1: the terms peak
-near n = |Im u|/Im tau and fall off like e^{-pi Im tau k^2} at k terms
-past it, so the tail is below e^{-40} of the largest term, with no cap.
-Its u- and tau-derivatives are term-wise, and one run of terms gives all
-of them.  f(u) = (wp(u)-e1)/(e2-e1) and its tau-derivative f_tau are the
+near n = |Im u|/Im tau and fall off like e^{-pi Im tau k^2} at k terms past
+it, so the tail is below e^{-40} of the largest term; an overflowing term
+is refused, which at Im tau >= 1e-3 ends any sum by about 600 terms.  Its
+u- and tau-derivatives are term-wise, and one run of terms gives all of
+them.  f(u) = (wp(u)-e1)/(e2-e1) and its tau-derivative f_tau are the
 building blocks of the sixth Painleve transformation; f_tau is computed
 analytically from the logarithmic theta derivative (4 pi^2 f_tau/f'
-identity), with finite differences kept as a cross-check in the test
-suite.  ``f_and_derivatives`` reduces u to the cell first and costs one
-joint wp/wp' pass and one theta pass.  Where e2 - e1 is lost to rounding
-(small Im tau) the half-period values raise ``BadContext`` instead of
-feeding a meaningless denominator to f.  Non-finite arguments raise
-``ValueError``, a non-finite tau ``BadContext``.
+identity), with finite differences kept as a cross-check in the test suite.
+``f_and_derivatives`` reduces u to the cell first and costs one joint
+wp/wp' pass and one theta pass.  Where e2 - e1 is lost to rounding (small
+Im tau) the half-period values raise ``BadContext`` instead of feeding a
+meaningless denominator to f.  Non-finite arguments raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import BadContext, HalfPeriodSingularity, PoleAt
+from .errors import BadContext, HalfPeriodSingularity, PoleAt, check_index
 
 PI = math.pi
 TWO_PI_I = 2j * PI
@@ -74,16 +76,29 @@ _LOST_FRACTION = 2.0**52
 # e2 - e1 is taken as lost to rounding at or below this fraction of max|e_i|
 _E_SPLIT_TOL = 1e-13
 
+# the least Im tau a context takes: the nome series run N ~ 7/Im tau terms
+MIN_IM_TAU = 1e-3
+
+
+def check_tau(tau: complex) -> complex:
+    """tau as a complex, or ``BadContext`` unless it is finite with
+    Im tau >= ``MIN_IM_TAU``: the one test of the lattice's domain."""
+    tau = complex(tau)
+    if not (tau.imag >= MIN_IM_TAU and cmath.isfinite(tau)):
+        raise BadContext(f"tau must be finite with Im tau >= {MIN_IM_TAU:g}, got tau={tau}")
+    return tau
+
 
 @dataclass
 class EllipticContext:
-    """The modular parameter tau, with the tau-only values cached per context.
+    """The modular parameter tau and its tau-only data, computed once.
 
-    The series term counts follow from tau (see the module docstring).  The
-    half-period values (e1, e2, e3) and the tau-only series data (nome,
-    term count, constant) are cached on first use, so ``tau`` must not
-    change afterwards.  The caches are write-once/read-many: concurrent
-    writers recompute the same values, so the benign race is harmless.
+    Building a context runs ``check_tau`` and computes the nome
+    Q = e^{2 pi i tau}, the term count N of the nome series, the constant
+    c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau) and the half periods
+    (0, 1/2, -(1+tau)/2, tau/2), so ``tau`` must not change afterwards.  The
+    half-period values (e1, e2, e3) are cached on first use; the cache is
+    write-once/read-many, and concurrent writers recompute the same values.
     ``last_pass`` is (u, (wp(u), wp'(u))) from the last joint pass at a u
     of type ``complex``, and it hits only for that same u object.  It is replaced
     by one tuple store and read once per lookup, so concurrent use of a
@@ -91,22 +106,23 @@ class EllipticContext:
     """
 
     tau: complex
+    nome: complex = field(init=False, repr=False, compare=False)
+    n_terms: int = field(init=False, repr=False, compare=False)
+    const: complex = field(init=False, repr=False, compare=False)
+    half_periods: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     cached_e: tuple[complex, complex, complex] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    cached_series: tuple[complex, int, complex] | None = field(
         default=None, init=False, repr=False, compare=False)
     last_pass: tuple[complex, tuple[complex, complex]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.tau = complex(self.tau)
-        if not (self.tau.imag > 0 and cmath.isfinite(self.tau)):
-            raise BadContext(f"tau must be finite with Im tau > 0, got tau={self.tau}")
-
-    @property
-    def half_periods(self) -> tuple[complex, complex, complex, complex]:
-        """(omega_0, omega_1, omega_2, omega_3) = (0, 1/2, -(1+tau)/2, tau/2)."""
-        return 0j, 0.5 + 0j, -(1 + self.tau) / 2, self.tau / 2
+        self.tau = tau = check_tau(self.tau)
+        decay = 2 * PI * tau.imag  # -ln|Q|; 1 - |Q| is -expm1(-decay)
+        self.n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
+        tail = sum(_sine_terms(PI * n * tau)[0] for n in range(1, self.n_terms + 1))
+        self.nome = cmath.exp(TWO_PI_I * tau)
+        self.const = -PI * PI / 3 - 2 * PI * PI * tail
+        self.half_periods = (0j, 0.5 + 0j, -(1 + tau) / 2, tau / 2)
 
 
 def reduce_to_cell(u: complex, tau: complex) -> complex:
@@ -130,19 +146,14 @@ def reduce_to_cell(u: complex, tau: complex) -> complex:
     return complex(a + b * tau.real, b * tau.imag)
 
 
-def _inv_sin2(z: complex) -> complex:
+def _sine_terms(z: complex) -> tuple[complex, complex]:
+    """(1/sin^2 z, cos z/sin^3 z) from one sine: the n = 0 terms of wp, wp'."""
     if abs(z.imag) > _IM_OVERFLOW:
-        return 0j
+        return 0j, 0j
     s = cmath.sin(z)
-    return 1.0 / (s * s)
-
-
-def _inv_sin3_cos(z: complex) -> complex:
-    if abs(z.imag) > _IM_OVERFLOW:
-        return 0j
     # cot(z) first: sin^3 itself overflows to nan once |Im z| passes ~236
-    r = 1.0 / cmath.sin(z)
-    return cmath.cos(z) * r * r * r
+    r = 1.0 / s
+    return 1.0 / (s * s), cmath.cos(z) * r * r * r
 
 
 def _check_pole(u_red: complex) -> None:
@@ -150,25 +161,12 @@ def _check_pole(u_red: complex) -> None:
         raise PoleAt(u_red)
 
 
-def _series(ctx: EllipticContext) -> tuple[complex, int, complex]:
-    """(Q, N, c): the nome Q = e^{2 pi i tau}, the term count N and the
-    constant c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau); cached."""
-    if ctx.cached_series is None:
-        tau = ctx.tau
-        decay = 2 * PI * tau.imag  # -ln|Q|; 1 - |Q| is -expm1(-decay)
-        n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
-        tail = sum(_inv_sin2(PI * n * tau) for n in range(1, n_terms + 1))
-        ctx.cached_series = (cmath.exp(TWO_PI_I * tau), n_terms, -PI * PI / 3 - 2 * PI * PI * tail)
-    return ctx.cached_series
-
-
 def _nome_start(u: complex, ctx: EllipticContext):
-    """Reduced u, the series data and x_1 = e^{2 pi i (tau +- u)}."""
+    """Reduced u, the nome Q and x_1 = e^{2 pi i (tau +- u)}."""
     tau = ctx.tau
     u = reduce_to_cell(u, tau)
     _check_pole(u)
-    q, n_terms, const = _series(ctx)
-    return u, q, n_terms, const, cmath.exp(TWO_PI_I * (tau + u)), cmath.exp(TWO_PI_I * (tau - u))
+    return u, ctx.nome, cmath.exp(TWO_PI_I * (tau + u)), cmath.exp(TWO_PI_I * (tau - u))
 
 
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
@@ -183,14 +181,14 @@ def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
     last = ctx.last_pass
     if last is not None and last[0] is u:
         return last[1][0]
-    u, q, n_terms, const, xp, xm = _nome_start(u, ctx)
+    u, q, xp, xm = _nome_start(u, ctx)
     total = 0j
-    for _ in range(n_terms):
+    for _ in range(ctx.n_terms):
         dp, dm = 1 - xp, 1 - xm
         total += xp / (dp * dp) + xm / (dm * dm)
         xp *= q
         xm *= q
-    return const + PI * PI * _inv_sin2(PI * u) - 4 * PI * PI * total
+    return ctx.const + PI * PI * _sine_terms(PI * u)[0] - 4 * PI * PI * total
 
 
 def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
@@ -205,17 +203,18 @@ def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, 
     the value-only loop of ``weierstrass_p`` rounds it.  A u of type
     ``complex`` is kept with the pair as the context's ``last_pass``: its
     value cannot change, so the same object means the same argument."""
-    u0, q, n_terms, const, xp, xm = _nome_start(u, ctx)
+    u0, q, xp, xm = _nome_start(u, ctx)
     total = total_prime = 0j
-    for _ in range(n_terms):
+    for _ in range(ctx.n_terms):
         dp, dm = 1 - xp, 1 - xm
         dp2, dm2 = dp * dp, dm * dm
         total += xp / dp2 + xm / dm2
         total_prime += xp * (1 + xp) / (dp2 * dp) - xm * (1 + xm) / (dm2 * dm)
         xp *= q
         xm *= q
-    values = (const + PI * PI * _inv_sin2(PI * u0) - 4 * PI * PI * total,
-              -2 * PI**3 * _inv_sin3_cos(PI * u0) - 8j * PI**3 * total_prime)
+    inv_sin2, cos_inv_sin3 = _sine_terms(PI * u0)
+    values = (ctx.const + PI * PI * inv_sin2 - 4 * PI * PI * total,
+              -2 * PI**3 * cos_inv_sin3 - 8j * PI**3 * total_prime)
     if type(u) is complex:
         ctx.last_pass = (u, values)
     return values
@@ -229,8 +228,7 @@ def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]
     below about 0.095, where e2 and e1 agree to 1e-13 relative.
     """
     if ctx.cached_e is None:
-        _, w1, w2, w3 = ctx.half_periods
-        e = (weierstrass_p(w1, ctx), weierstrass_p(w2, ctx), weierstrass_p(w3, ctx))
+        e = tuple(weierstrass_p(w, ctx) for w in ctx.half_periods[1:])
         if abs(e[1] - e[0]) <= _E_SPLIT_TOL * max(map(abs, e)):
             raise BadContext(f"e2 - e1 is lost to rounding at tau={ctx.tau}")
         ctx.cached_e = e
@@ -238,11 +236,8 @@ def half_period_values(ctx: EllipticContext) -> tuple[complex, complex, complex]
 
 
 def shifted_p(u: complex, n: int, ctx: EllipticContext) -> complex:
-    """wp(u + omega_n) for n in 0..3 (omega_0 = 0)."""
-    if n not in (0, 1, 2, 3):
-        raise ValueError(f"half-period index must be 0..3, got {n}")
-    omega = ctx.half_periods[n]
-    return weierstrass_p(u + omega, ctx)
+    """wp(u + omega_n) for an integer n in 0..3 (omega_0 = 0)."""
+    return weierstrass_p(u + ctx.half_periods[check_index(n, "half-period index n", 0, 3)], ctx)
 
 
 def _theta_sums(u: complex, ctx: EllipticContext) -> tuple[complex, complex, complex]:
@@ -325,11 +320,11 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     n = 3: -pi^2/3 - 8 pi^2 cos(2 pi u) e^{pi i tau}
 
     Only the tests use it, as an independent check of ``weierstrass_p``.
-    u = 0 at n = 0 raises ``PoleAt``, a non-finite u or one whose term
-    overflows ``ValueError``.
+    tau goes through ``check_tau``; u = 0 at n = 0 raises ``PoleAt``, and a
+    non-finite u, an overflowing term or n not in 0..3 ``ValueError``.
     """
-    if not (complex(tau).imag > 0):
-        raise BadContext(f"Im tau must be positive, got {tau}")
+    tau = check_tau(tau)
+    n = check_index(n, "half-period index n", 0, 3)
     u = complex(u)
     if not cmath.isfinite(u):
         raise ValueError(f"u must be finite, got {u}")
@@ -341,13 +336,11 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
         q1 = cmath.exp(1j * PI * tau)
         if n == 2:
             return -PI * PI / 3 + 8 * PI * PI * cmath.cos(2 * PI * u) * q1
-        if n == 3:
-            return -PI * PI / 3 - 8 * PI * PI * cmath.cos(2 * PI * u) * q1
+        return -PI * PI / 3 - 8 * PI * PI * cmath.cos(2 * PI * u) * q1
     except ZeroDivisionError:
         raise PoleAt(u) from None
     except OverflowError:
         raise ValueError(f"the leading-order term overflows at u={u} (tau={tau})") from None
-    raise ValueError(f"half-period index must be 0..3, got {n}")
 
 
 def asymptotic_p23_sum(u: complex, tau: complex) -> complex:
@@ -355,11 +348,9 @@ def asymptotic_p23_sum(u: complex, tau: complex) -> complex:
 
     The e^{pi i tau} terms of the two shifts cancel; the surviving
     correction is (16 - 32 cos(4 pi u)) pi^2 e^{2 pi i tau}.  A u whose
-    cosine overflows raises ``ValueError``.
+    cosine overflows raises ``ValueError``; tau is held to ``check_tau``.
     """
-    if not (complex(tau).imag > 0):
-        raise BadContext(f"Im tau must be positive, got {tau}")
-    q2 = cmath.exp(2j * PI * tau)
+    q2 = cmath.exp(2j * PI * check_tau(tau))
     try:
         return -2 * PI * PI / 3 + (16 * PI * PI - 32 * PI * PI * cmath.cos(4 * PI * u)) * q2
     except OverflowError:

@@ -1,8 +1,11 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and ``check_index``.
 
 Other bad input (a non-finite number, an unknown option, an input the call
-does not read, a trajectory without an accepted step) raises ``ValueError``.
+does not read, a trajectory without an accepted step, an integer out of
+range) raises ``ValueError``.
 """
+
+import operator
 
 
 class PainleveCalogeroError(Exception):
@@ -10,7 +13,7 @@ class PainleveCalogeroError(Exception):
 
 
 class BadContext(PainleveCalogeroError):
-    """Elliptic context is unusable (Im tau <= 0, or e2 - e1 lost to rounding)."""
+    """Elliptic context is unusable (``elliptic.check_tau`` refuses tau, or e2 - e1 is lost)."""
 
 
 class PoleAt(PainleveCalogeroError):
@@ -51,3 +54,16 @@ class NoConvergence(PainleveCalogeroError):
 
 class UnsupportedEquation(PainleveCalogeroError):
     """Operation is not defined for the requested Painleve equation."""
+
+
+def check_index(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value through ``operator.index`` (numpy integers and bools pass);
+    anything but an integer in lo..hi raises ``ValueError`` naming ``name``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < lo or (hi is not None and n > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return n

@@ -36,7 +36,7 @@ from operator import add
 
 from . import elliptic
 from .elliptic import TWO_PI_I, EllipticContext
-from .errors import BadContext, CoordinateSingularity, TwoBodyCollision
+from .errors import CoordinateSingularity, TwoBodyCollision, check_index
 from .params import AuxParams, PainleveParams, check_equation, param_to_painleve
 
 SIDES = ("painleve", "calogero")
@@ -72,8 +72,7 @@ class SystemDescriptor:
         eq = check_equation(self.equation)
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        object.__setattr__(self, "rank", check_index(self.rank, "rank", 1))
         if self.params is not None and self.params.equation != eq:
             raise ValueError(f"P{eq} system given parameters of P{self.params.equation}")
         object.__setattr__(self, "g4sq", complex(self.g4sq))
@@ -124,8 +123,8 @@ def check_state(sys: SystemDescriptor, state: PhaseState) -> None:
     if state.rank != sys.rank:
         raise ValueError(f"state rank {state.rank} != system rank {sys.rank}")
     t = state.time
-    if sys.time_gauge == "tau" and not (t.imag > 0):
-        raise BadContext(f"PVI Calogero flow needs Im tau > 0, got {t}")
+    if sys.time_gauge == "tau":
+        elliptic.check_tau(t)
     for b in sys.singular_times:
         if abs(t - b) < _SING_TOL:
             raise CoordinateSingularity(

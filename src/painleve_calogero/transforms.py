@@ -90,24 +90,23 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
     """Solve t = time_map_pvi(tau) to INVERSE_TOL by Newton from tau_seed.
 
     A step longer than Im tau, which would leave the neighbourhood of the
-    current tau, raises ``NoConvergence`` naming the tau it starts from."""
+    current tau, raises ``NoConvergence`` naming the tau it starts from, as
+    does an iterate (or seed) that the context or time map refuses."""
     t = complex(t)
     _require_finite("t and tau_seed", t, tau_seed)
     if min(abs(t), abs(t - 1)) < 1e-12:
         raise MapSingularity(f"t={t} is a fixed singular point of the inverse map")
     tau = complex(tau_seed)
     for _ in range(_NEWTON_STEPS):
-        if not tau.imag > 0:
-            raise NoConvergence(f"Newton left the upper half plane from seed {tau_seed}", seed=tau_seed)
-        c = EllipticContext(tau)
         try:
+            c = EllipticContext(tau)
             val = _time_map(c) - t
             if abs(val) < INVERSE_TOL:
                 return tau
             step = -val * _jacobian(c)
         except BadContext as exc:
-            raise NoConvergence(f"Newton reached tau={tau}, where rounding loses e2 - e1 or t(t-1)",
-                                seed=tau_seed) from exc
+            raise NoConvergence(f"Newton from seed {tau_seed} reached a tau the time map "
+                                f"refuses: {exc}", seed=tau_seed) from exc
         if abs(step) > tau.imag:
             raise NoConvergence(f"Newton step {step:.4g} from tau={tau} exceeds Im tau "
                                 f"(seed {tau_seed})", seed=tau_seed)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import zlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+
+from ..errors import check_index
 
 
 @dataclass
@@ -158,16 +159,10 @@ class _PCG64:
 def rng_for(seed: int, check_id: str) -> _PCG64:
     """Deterministic per-check generator derived from (seed, check_id): the
     stream of numpy's ``default_rng([seed, zlib.crc32(check_id)])``, bit for
-    bit.  The seed is taken through ``operator.index`` (numpy integers and
-    bools pass); one that is not a non-negative integer raises ValueError
-    naming it."""
-    try:
-        n = operator.index(seed)
-    except TypeError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return _PCG64([n, zlib.crc32(check_id.encode())])
+    bit.  The seed goes through ``check_index`` (numpy integers and bools
+    pass); one that is not a non-negative integer raises ValueError naming
+    it."""
+    return _PCG64([check_index(seed, "seed", 0), zlib.crc32(check_id.encode())])
 
 
 def worst(errors: Iterable[float]) -> float:

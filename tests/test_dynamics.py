@@ -279,6 +279,19 @@ def test_fixed_singularity_guard(eq, side, rng):
         assert traj.termination == MAX_STEPS
 
 
+def test_pvi_calogero_segment_ending_below_the_tau_floor_is_refused_before_a_field_call(
+        monkeypatch, rng):
+    # the floor is Im tau >= 1e-3; the series there would run ~10^4 terms
+    def no_field_call(*args):
+        raise AssertionError("the field was called")
+
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    st = sample_calogero_state("VI", 1, rng)
+    monkeypatch.setattr(dynamics, "canonical_field", no_field_call)
+    with pytest.raises(BadContext):
+        integrate(sd, st, complex(st.time.real, 5e-4))
+
+
 def test_calogero_vi_integration_runs(rng):
     aux = default_aux("VI")
     sd = SystemDescriptor("VI", "calogero", params=aux)

@@ -5,9 +5,11 @@ Every public function either returns or raises a declared error: a
 may also end early with a tagged termination.  Each draw takes arguments
 in the period cell, large, tiny, huge, at special points (lattice points,
 half periods, 0 and 1) or non-finite, with tau at eight values of
-Im tau from 0.01 to 20.  Below Im tau = 0.01 the series take 10^5 - 10^6
-terms by design, so no draw goes there.  Parameter sets, and the systems
-holding them, are built inside the fuzzed call (``_Later``): one set in
+Im tau from 0.01 to 20, where a series takes at most about 680 terms per
+side.  Where tau is the argument, the draws also take taus a context
+refuses: not finite, Im tau <= 0, or below the floor ``MIN_IM_TAU`` = 1e-3
+(0.3 + 1e-4j and 1e-300j).  Parameter sets, and the systems holding
+them, are built inside the fuzzed call (``_Later``): one set in
 ten has a non-finite constant and one in ten a constant its equation does
 not read, and their refusal is then that call's declared error.
 """
@@ -21,6 +23,7 @@ from dataclasses import fields
 import pytest
 
 import painleve_calogero as pc
+from painleve_calogero import dynamics
 from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, STEP_UNDERFLOW
 from painleve_calogero.elliptic import asymptotic_p23_sum
 from painleve_calogero.errors import (
@@ -38,7 +41,7 @@ TAUS = (0.01j, 0.3 + 0.02j, 0.1j, -0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j, 20j)
 # a field call at Im tau = 0.01 sums about 600 nome terms per series; the
 # flows keep to the cheaper end so that the fuzz stays a few seconds
 FLOW_TAUS = (-0.4 + 0.5j, 1j, 0.13 + 1.17j, 3j)
-BAD_TAUS = (0j, -1j, 0.5 - 0.2j, complex("nan"), complex(0, math.inf))
+BAD_TAUS = (0j, -1j, 0.5 - 0.2j, complex("nan"), complex(0, math.inf), 1e-300j, 0.3 + 1e-4j)
 NONFINITE = (complex("nan"), complex(math.inf, 0), complex(1, -math.inf))
 HUGE = 1e160 + 1e160j  # finite, but its square overflows
 
@@ -140,7 +143,7 @@ def _draw_time_map_tau(rng):
 
 def _draw_shifted_p(rng):
     (u, ctx), _ = _elliptic_u(rng)
-    return (u, rng.randrange(-1, 5), ctx), {}
+    return (u, rng.choice((-1, 0, 1, 2, 3, 4, 1.0)), ctx), {}
 
 
 def _draw_asymptotic_p(rng):
@@ -219,8 +222,8 @@ def _draw_phase_state(rng):
 def _draw_system_descriptor(rng):
     eq = rng.choice(EQUATIONS + ("VII",))
     params = rng.choice((None, _aux(rng, _eq(rng)), _params(rng, pc.PainleveParams, _eq(rng))))
-    return (eq, rng.choice(("painleve", "calogero", "other")), rng.randrange(-1, 4),
-            _z(rng), params), {}
+    rank = rng.choice((-1, 0, 1, 2, 3, 2.5))
+    return (eq, rng.choice(("painleve", "calogero", "other")), rank, _z(rng), params), {}
 
 
 def _draw_field_call(rng):
@@ -251,7 +254,8 @@ def _short_run(rng, side, rank, max_steps):
 
 
 def _draw_integrate(rng):
-    return _short_run(rng, rng.choice(("painleve", "calogero")), rng.randrange(1, 3), 6)
+    max_steps = rng.choice((6,) * 6 + (-1, 2.5, None, "3"))
+    return _short_run(rng, rng.choice(("painleve", "calogero")), rng.randrange(1, 3), max_steps)
 
 
 def _draw_painleve_residual(rng):
@@ -391,6 +395,28 @@ def test_escapes_found_by_the_fuzz_are_refused(call, error):
 def test_parameter_sets_refuse_unread_and_nonfinite_constants(call):
     # each was accepted, and evaluated as if absent or infinite
     with pytest.raises(ValueError):
+        call()
+
+
+def _no_field_call(*args):
+    raise AssertionError("the field was called")
+
+
+@pytest.mark.parametrize("name, call", (
+    *(("max_steps", lambda bad=bad: pc.integrate(
+        pc.SystemDescriptor("I", "painleve"), pc.PhaseState((0.1,), (0.1,), 0.5), 0.55,
+        max_steps=bad)) for bad in (-1, 2.5, None, "3")),
+    ("half-period index n", lambda: pc.shifted_p(0.1, 1.0, pc.EllipticContext(1j))),
+    ("half-period index n", lambda: pc.asymptotic_p(0.1, 1.0, 1j)),
+    ("rank", lambda: pc.SystemDescriptor("I", "painleve", 2.5)),
+), ids=("integrate-max_steps-negative", "integrate-max_steps-float", "integrate-max_steps-None",
+        "integrate-max_steps-str", "shifted_p-float-n", "asymptotic_p-float-n",
+        "system-float-rank"))
+def test_integer_arguments_refuse_anything_but_an_integer_in_range(name, call, monkeypatch):
+    # each was accepted, run as if an integer or raised TypeError; integrate
+    # made one field call first, and with max_steps=-1 returned 'max_steps'
+    monkeypatch.setattr(dynamics, "canonical_field", _no_field_call)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
 
 

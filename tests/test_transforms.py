@@ -483,6 +483,9 @@ def test_time_map_inverse_failure_modes():
         # target far outside the reachable neighbourhood of this seed drives
         # Newton out of the upper half plane
         time_map_pvi_inverse(1e6, 0.001 + 0.05j)
+    with pytest.raises(NoConvergence):
+        # a seed below the tau floor is refused before any series
+        time_map_pvi_inverse(0.5, 1e-300j)
 
 
 def test_time_map_refuses_lost_e2_minus_e1():
