@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import painleve_calogero
-from painleve_calogero import EllipticContext, PhaseState, elliptic
+from painleve_calogero import EllipticContext, PhaseState, dynamics, elliptic
 
 
 def painleve_state(eq, rank, rng, time=None):
@@ -60,3 +60,12 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_nome_start", counting)
     return count
+
+
+@pytest.fixture
+def no_field_calls(monkeypatch):
+    """Fail the test at any field call ``integrate`` makes."""
+    def fail(*args):
+        raise AssertionError("the field was called")
+
+    monkeypatch.setattr(dynamics, "canonical_field", fail)
