@@ -347,10 +347,14 @@ def asymptotic_p23_sum(u: complex, tau: complex) -> complex:
     """wp(u+omega_2) + wp(u+omega_3) through order e^{2 pi i tau}.
 
     The e^{pi i tau} terms of the two shifts cancel; the surviving
-    correction is (16 - 32 cos(4 pi u)) pi^2 e^{2 pi i tau}.  A u whose
-    cosine overflows raises ``ValueError``; tau is held to ``check_tau``.
+    correction is (16 - 32 cos(4 pi u)) pi^2 e^{2 pi i tau}.  A non-finite
+    u, or one whose cosine overflows, raises ``ValueError``; tau is held to
+    ``check_tau``.
     """
     q2 = cmath.exp(2j * PI * check_tau(tau))
+    u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     try:
         return -2 * PI * PI / 3 + (16 * PI * PI - 32 * PI * PI * cmath.cos(4 * PI * u)) * q2
     except OverflowError:

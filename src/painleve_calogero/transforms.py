@@ -354,13 +354,14 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     """Apply the rank-1 maps componentwise; the time passes through (VI maps it).
 
     direction 'to_painleve' takes a Calogero state (q, p, T) to (lambda,
-    mu, t); 'to_calogero' inverts.  Every coordinate of a VI state shares
-    one context: 'to_painleve' reuses ``ctx`` when ``ctx.tau`` is the
-    state's time, and 'to_calogero' finds the target tau from t by Newton,
-    seeded by ``ctx.tau`` (required).  An input the call does not read (a
-    ``ctx`` for PV..PI, ``branch_hints`` with 'to_painleve'), a non-finite
-    entry of the state, or ``branch_hints`` of another length than the
-    state raises ``ValueError``.
+    mu, t): the refusals below, then the forward kernel ``_to_painleve``,
+    which the circle rule of ``verify`` also calls.  'to_calogero' inverts.
+    Every coordinate of a VI state shares one context: 'to_painleve' reuses
+    ``ctx`` when ``ctx.tau`` is the state's time, and 'to_calogero' finds
+    the target tau from t by Newton, seeded by ``ctx.tau`` (required).  An
+    input the call does not read (a ``ctx`` for PV..PI, ``branch_hints``
+    with 'to_painleve'), a non-finite entry of the state, or
+    ``branch_hints`` of another length than the state raises ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
@@ -372,14 +373,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
                          "'to_painleve' reads none")
     _require_finite("the state", *state.coords, *state.momenta, state.time)
     if direction == "to_painleve":
-        T = state.time
-        c = ctx if ctx is not None and ctx.tau == T else _context(eq, T)
-        t_out = _time_map(c) if eq == "VI" else T
-        pieces = [_mu_pieces(eq, qj, T, aux, c) for qj in state.coords]
-        lams = tuple(lam for _, _, lam in pieces)
-        mus = tuple(coef * pj + rest for (coef, rest, _), pj in zip(pieces, state.momenta))
-        _check_pairwise(lams)
-        return PhaseState(lams, mus, t_out)
+        return PhaseState(*_to_painleve(eq, state.coords, state.momenta, state.time, aux, ctx))
 
     T = state.time
     if eq == "VI":
@@ -393,6 +387,19 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     qs = tuple(o[0] for o in out)
     _check_pairwise(qs)
     return PhaseState(qs, tuple(o[1] for o in out), T)
+
+
+def _to_painleve(eq, coords, momenta, T, aux, ctx):
+    """(lambdas, mus, t) of the finite Calogero entries (coords, momenta, T),
+    with no argument check; VI reads ``ctx`` when ``ctx.tau == T`` and
+    builds the context at T otherwise."""
+    c = ctx if ctx is not None and ctx.tau == T else _context(eq, T)
+    t_out = _time_map(c) if eq == "VI" else T
+    pieces = [_mu_pieces(eq, qj, T, aux, c) for qj in coords]
+    lams = tuple(lam for _, _, lam in pieces)
+    mus = tuple(coef * pj + rest for (coef, rest, _), pj in zip(pieces, momenta))
+    _check_pairwise(lams)
+    return lams, mus, t_out
 
 
 def _check_pairwise(coords):

@@ -6,10 +6,14 @@ derivative of Phi along the field is taken by the four-point circle rule
 (Lyness & Moler 1967): Phi is holomorphic, so J_Phi . v is the derivative
 of s -> Phi(x0 + s v), summed from Phi at x0 + h w v, w in (1, i, -1, -i),
 with h = FD_STEP in units of v.  That is four evaluations of Phi per point
-at any rank, with an O(h^4) error.  The Calogero field is reparametrized by
-the Painleve time before comparison, so the pushed-forward time component
-is identically 1 and the phase components must match (dH/dmu, -dH/dlambda)
-at the image point.
+at any rank, with an O(h^4) error.  They go through the forward kernel
+``transforms._to_painleve``, with no ``PhaseState`` and no argument check
+beyond finiteness.  The Calogero field is reparametrized by the Painleve
+time before comparison, so the pushed-forward time component is
+identically 1 and the phase components must match (dH/dmu, -dH/dlambda)
+at the image point.  Every sample of a row sits at one time T, and the
+time component of v is dT/dt there, so the four circle times are the same
+for the whole row: a PVI row builds their four contexts once.
 
 ``run_dynamic_correspondence`` restates the same content at flow level:
 integrate on the Calogero side and map the endpoint, versus mapping the
@@ -26,6 +30,7 @@ from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian
 from .report import CheckReport, cbox, rng_for, worst, worst_over
 
 FD_STEP = 3e-4
+CIRCLE = (1, 1j, -1, -1j)  # the circle rule's points w
 TOL_PUSHFORWARD = 1e-5
 TOL_DYNAMIC = 1e-6
 
@@ -81,32 +86,42 @@ def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:
     return PhaseState(tuple(qs), tuple(ps), T)
 
 
-def _pushed_field(cal: SystemDescriptor, state: PhaseState, dT_dt: complex) -> list[complex]:
+def _circle_contexts(eq: str, T: complex, dT_dt: complex) -> tuple:
+    """The contexts at the four circle-rule times T + h w dT_dt for VI (at
+    the same points ``_pushed_field`` reaches), four Nones otherwise."""
+    return tuple(EllipticContext(T + FD_STEP * w * dT_dt) if eq == "VI" else None
+                 for w in CIRCLE)
+
+
+def _pushed_field(cal: SystemDescriptor, state: PhaseState, dT_dt: complex,
+                  circle_ctxs: tuple) -> list[complex]:
     """J_Phi . v at ``state``, v the Calogero field in Painleve time, as
-    sum_w Phi(x0 + h w v) / (4 h w), w in (1, i, -1, -i), h = FD_STEP;
-    dT_dt is the Jacobian of the time map at the state's time."""
+    sum_w Phi(x0 + h w v) / (4 h w), w in CIRCLE, h = FD_STEP; dT_dt is the
+    Jacobian of the time map at the state's time, and circle_ctxs[k] the
+    context the map reads at circle point k when its tau is that point's."""
     eq, rank, aux = cal.equation, cal.rank, cal.params
-    T = state.time
     qdot, pdot = canonical_field(cal, state)
     vel = [v * dT_dt for v in qdot] + [v * dT_dt for v in pdot] + [dT_dt]
-    x0 = list(state.coords) + list(state.momenta) + [T]
+    x0 = list(state.coords) + list(state.momenta) + [state.time]
 
     pushed = [0j] * (2 * rank + 1)
-    for w in (1, 1j, -1, -1j):
+    for w, ctx in zip(CIRCLE, circle_ctxs):
         hw = FD_STEP * w
         x = [a + hw * v for a, v in zip(x0, vel)]
-        st = PhaseState(tuple(x[:rank]), tuple(x[rank:2 * rank]), x[2 * rank])
-        img = transforms.multi_transform(eq, "to_painleve", st, aux)
-        for i, y in enumerate(list(img.coords) + list(img.momenta) + [img.time]):
+        transforms._require_finite("the state", *x)
+        lams, mus, t = transforms._to_painleve(eq, x[:rank], x[rank:2 * rank], x[2 * rank],
+                                               aux, ctx)
+        for i, y in enumerate((*lams, *mus, t)):
             pushed[i] += y / (4 * hw)
     return pushed
 
 
 def _pushforward_error(cal: SystemDescriptor, pain: SystemDescriptor, state: PhaseState,
-                       dT_dt: complex, ctx: EllipticContext | None) -> float:
+                       dT_dt: complex, ctx: EllipticContext | None,
+                       circle_ctxs: tuple) -> float:
     """Max componentwise relative defect of the pushed-forward field
     against the Painleve field (dH/dmu, -dH/dlambda, dt/dt = 1)."""
-    pushed = _pushed_field(cal, state, dT_dt)
+    pushed = _pushed_field(cal, state, dT_dt, circle_ctxs)
     img = transforms.multi_transform(cal.equation, "to_painleve", state, cal.params, ctx)
     dH_dlam, dH_dmu = hamiltonian_gradients(pain, img)
     target = [*dH_dmu, *(-g for g in dH_dlam), 1.0]
@@ -120,12 +135,15 @@ def run_correspondence_suite(eq: str, rank: int, n_points: int = 100, seed: int 
     check_id = f"correspondence.{eq}.rank{rank}"
     cal = SystemDescriptor(eq, "calogero", rank, g4sq, aux)
     pain = SystemDescriptor(eq, "painleve", rank, g4sq, aux)
-    # every sample sits at BASE_TIME[eq]: one time-map Jacobian and one
-    # context serve the unperturbed points
-    ctx = EllipticContext(BASE_TIME[eq]) if eq == "VI" else None
-    dT_dt = transforms.jacobian_dtau_dt(BASE_TIME[eq]) if eq == "VI" else 1.0 + 0j
+    # every sample sits at BASE_TIME[eq], and the time component of v is
+    # dT_dt: one time-map Jacobian, one context for the unperturbed points
+    # and four for the circle points serve the whole row
+    T = BASE_TIME[eq]
+    ctx = EllipticContext(T) if eq == "VI" else None
+    dT_dt = transforms.jacobian_dtau_dt(T) if eq == "VI" else 1.0 + 0j
+    circle_ctxs = _circle_contexts(eq, T, dT_dt)
     err = worst_over(seed, check_id, n_points, lambda rng: _pushforward_error(
-        cal, pain, sample_calogero_state(eq, rank, rng), dT_dt, ctx))
+        cal, pain, sample_calogero_state(eq, rank, rng), dT_dt, ctx, circle_ctxs))
     return CheckReport(check_id, err, TOL_PUSHFORWARD, n_points,
                        metadata={"equation": eq, "rank": str(rank),
                                  "g4sq": format(complex(g4sq), "g"), "seed": str(seed)})

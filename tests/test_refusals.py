@@ -364,6 +364,7 @@ def _numbers(out):
                             params=pc.PainleveParams("III", alpha=1, beta=1)),
         pc.PhaseState((700,), (0.1,), 1e-11)), CoordinateSingularity),  # dH/dq / t
     (lambda: pc.asymptotic_p(complex(math.inf, 0), 3, -0.4 + 0.5j), ValueError),
+    (lambda: asymptotic_p23_sum(complex("nan"), 1j), ValueError),
 ), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
         "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
         "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow", "system-nan-g4sq",
@@ -372,7 +373,7 @@ def _numbers(out):
         "field-IV-painleve-huge-mu", "field-III-painleve-huge-mu", "hamiltonian-VI-huge-mu",
         "ode_rhs-VI-huge-lambda", "ode_rhs-V-huge-lambda", "ode_rhs-IV-huge-lambda",
         "ode_rhs-III-huge-lambda", "lambda_of_q-IV-huge-q", "field-III-calogero-log-gauge",
-        "asymptotic_p-inf-u"))
+        "asymptotic_p-inf-u", "asymptotic_p23_sum-nan-u"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
     # an OverflowError, a ZeroDivisionError, or (the NaN hint, the NaN
     # coupling, the huge one and the huge coordinates and momenta) an input

@@ -33,6 +33,7 @@ from painleve_calogero.verify import (
 from painleve_calogero.verify.correspondence import (
     BASE_TIME,
     TOL_PUSHFORWARD,
+    _circle_contexts,
     _pushed_field,
     default_aux,
     sample_calogero_state,
@@ -172,9 +173,10 @@ def _columnwise_pushed_field(cal, state, dT_dt, step=1e-6):
 
 
 # EllipticContext constructions of run_suite at seed 1000; a change that
-# stops sharing one context among the coordinates of a state, or among the
-# maps at one time, raises them
-CONTEXT_BUDGET = {"correspondence": 754, "dynamic": 81, "degeneration": 6}
+# stops sharing one context among the coordinates of a state, among the
+# maps at one time, or the four circle-time contexts among a row's
+# samples, raises them
+CONTEXT_BUDGET = {"correspondence": 162, "dynamic": 81, "degeneration": 6}
 
 
 @pytest.mark.parametrize("suite", sorted(CONTEXT_BUDGET))
@@ -185,7 +187,7 @@ def test_suite_context_budget(suite, contexts):
 
 # wp/wp' series passes of run_suite at seed 1000; a caller that takes wp
 # before wp' at one argument, or a cache that stops hitting, raises them
-PASS_BUDGET = {"correspondence": 4362, "dynamic": 318, "degeneration": 60, "identities": 3627}
+PASS_BUDGET = {"correspondence": 2586, "dynamic": 318, "degeneration": 60, "identities": 3627}
 
 
 @pytest.mark.parametrize("suite", sorted(PASS_BUDGET))
@@ -202,10 +204,29 @@ def test_circle_rule_matches_columnwise_jacobian(eq, rank):
     rng = rng_for(3, f"test.circle_rule.{eq}.{rank}")
     for _ in range(3):
         state = sample_calogero_state(eq, rank, rng)
-        pushed = _pushed_field(cal, state, dT_dt)
+        pushed = _pushed_field(cal, state, dT_dt, _circle_contexts(eq, BASE_TIME[eq], dT_dt))
         oracle = _columnwise_pushed_field(cal, state, dT_dt)
         for a, b in zip(pushed, oracle):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("eq", _EQUATIONS)
+def test_shared_circle_contexts_change_no_bit_of_the_pushed_field(contexts, eq, rank):
+    # the row's four circle-time contexts against a fresh context at each point
+    cal = SystemDescriptor(eq, "calogero", rank, _g4sq(rank), default_aux(eq))
+    dT_dt = jacobian_dtau_dt(BASE_TIME[eq]) if eq == "VI" else 1.0 + 0j
+    circle_ctxs = _circle_contexts(eq, BASE_TIME[eq], dT_dt)
+    rng = rng_for(3, f"test.circle_contexts.{eq}.{rank}")
+    for _ in range(3):
+        state = sample_calogero_state(eq, rank, rng)
+        built = contexts[0]
+        shared = _pushed_field(cal, state, dT_dt, circle_ctxs)
+        built_shared, built = contexts[0] - built, contexts[0]
+        fresh = _pushed_field(cal, state, dT_dt, (None,) * 4)
+        assert shared == fresh
+        # the VI field builds one context; the fresh circle builds four more
+        assert (built_shared, contexts[0] - built) == ((1, 5) if eq == "VI" else (0, 0))
 
 
 @pytest.fixture
@@ -230,15 +251,16 @@ def test_correspondence_fails_on_a_wrong_momentum_map(scaled_momentum_map, eq, r
 @pytest.mark.parametrize("rank", (1, 3))
 @pytest.mark.parametrize("eq", _EQUATIONS)
 def test_correspondence_maps_five_times_per_point(monkeypatch, eq, rank):
-    # four stencil points and the image, at every rank
+    # four stencil points and the image, at every rank, all through the
+    # forward kernel
     calls = []
-    mt = transforms.multi_transform
+    kernel = transforms._to_painleve
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return mt(*args, **kwargs)
+        return kernel(*args)
 
-    monkeypatch.setattr(transforms, "multi_transform", counted)
+    monkeypatch.setattr(transforms, "_to_painleve", counted)
     run_correspondence_suite(eq, rank, n_points=2, seed=7, g4sq=_g4sq(rank))
     assert len(calls) == 5 * 2
 
