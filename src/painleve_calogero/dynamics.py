@@ -8,10 +8,9 @@ each field call reads the time, and so the PVI lattice, from its own state.
 A step has twelve stages; the field at the accepted point is a
 thirteenth, reused as the next step's first, so a rejected step costs
 eleven field calls and an accepted one twelve.  A step sums the stages over
-the nonzero tableau entries only, in plain Python complex arithmetic, so its
-rounding does not depend on numpy's SIMD loops.  A step is accepted when
-Hairer's combined 5th/3rd-order error estimate is <= 1 against
-``_TOL_MARGIN`` = 0.1 times the requested tolerance.  Bad tolerances and a
+the nonzero tableau entries only, in plain Python complex arithmetic.  A step
+is accepted when Hairer's combined 5th/3rd-order error estimate is <= 1
+against ``_TOL_MARGIN`` = 0.1 times the requested tolerance.  Bad tolerances and a
 non-finite initial state or end time raise ValueError before any field call.
 Movable poles are detected (state magnitude blow-up or step underflow) and
 stop the integration with a tagged, partial trajectory; there is no
@@ -26,10 +25,6 @@ lambda(t) satisfies the printed second-order Painleve equation of the
 trajectory's own system, using 4th-order finite-difference stencils; it
 refuses a trajectory without an accepted step, and a coupled
 multi-component one, with ValueError.
-
-numpy is imported only where arrays are returned, in
-``Trajectory.interpolate`` and ``Trajectory.resample`` (and so in
-``painleve_residual``); importing this module and ``integrate`` load none.
 """
 
 from __future__ import annotations
@@ -40,15 +35,11 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .elliptic import check_tau
-from .errors import CoordinateSingularity, PoleAt, check_index
+from .errors import CoordinateSingularity, PoleAt, check_finite, check_index
 from .params import PainleveParams
 from .systems import PhaseState, SystemDescriptor, canonical_field, check_state
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Dormand-Prince 8(5,3) tableau (DOP853), from Hairer's dop853.f.  Row 12
 # of _A is the 8th-order weights _B and its node is 1: the thirteenth stage
@@ -163,9 +154,9 @@ class Trajectory:
     def completed(self) -> bool:
         return self.termination == COMPLETED
 
-    def interpolate(self, s: float) -> np.ndarray:
-        """State at path parameter s in [0, s_last]; any other s, NaN
-        included, raises ``ValueError``.
+    def interpolate(self, s: float) -> tuple[complex, ...]:
+        """State (coords then momenta) at path parameter s in [0, s_last];
+        any other s, NaN included, raises ``ValueError``.
 
         One DOP853 step of length s - s0 from the left end (s0, y0, f0) of
         the segment holding s; at the right end it is the accepted step
@@ -175,29 +166,26 @@ class Trajectory:
         s_last = self._dense[-1][1] if self._dense else 0.0
         if not 0.0 <= s <= s_last:
             raise ValueError(f"s must lie in [0, {s_last}], got {s!r}")
-        import numpy as np
-
         if not self._dense:
             st = self.samples[0][1]
-            return np.array(st.coords + st.momenta, dtype=complex)
+            return st.coords + st.momenta
         i = min(bisect.bisect_left(self._dense, s, key=itemgetter(1)), len(self._dense) - 1)
         s0, _, y0, f0 = self._dense[i]
         y, _ = _step(self._field, s0, y0, float(s) - s0, f0)
-        return np.array(y, dtype=complex)
+        return tuple(y)
 
-    def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, states) on a uniform grid of n points over the full arc;
-        n must be an integer >= 2 (``ValueError`` otherwise)."""
+    def resample(self, n: int) -> tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]:
+        """(times, states) on a uniform grid of n points over the full arc,
+        each state as ``interpolate`` returns it; n must be an integer >= 2
+        (``ValueError`` otherwise)."""
         n = check_index(n, "n", 2)
-        import numpy as np
-
         s_end = self._dense[-1][1] if self._dense else 0.0
         t0 = self.samples[0][0]
         t1 = self.samples[-1][0]
-        grid = np.linspace(0.0, s_end, n)
-        times = t0 + (t1 - t0) * (grid / s_end if s_end else grid)
-        states = np.array([self.interpolate(s) for s in grid])
-        return times, states
+        step = s_end / (n - 1)
+        grid = [k * step for k in range(n - 1)] + [s_end]
+        times = tuple(t0 + (t1 - t0) * (s / s_end if s_end else s) for s in grid)
+        return times, tuple(map(self.interpolate, grid))
 
 
 def _check_tolerances(rel_tol, abs_tol) -> None:
@@ -205,13 +193,6 @@ def _check_tolerances(rel_tol, abs_tol) -> None:
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     if not (math.isfinite(abs_tol) and abs_tol >= 0):
         raise ValueError(f"abs_tol must be finite and >= 0, got {abs_tol!r}")
-
-
-def _check_finite(initial: PhaseState, t_end) -> None:
-    if not all(cmath.isfinite(v) for v in (*initial.coords, *initial.momenta, initial.time)):
-        raise ValueError(f"initial state must be finite, got {initial}")
-    if not cmath.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
 
 
 def _combine(y: list, h: float, pairs: tuple, k: list) -> list:
@@ -291,12 +272,11 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     so a run without singular rejections makes
     1 + 11 * (n_accepted + n_rejected) + n_accepted field calls.  The
     trajectory keeps each step's start and field for ``interpolate``.
-    Steps run in plain Python complex arithmetic, without numpy, so the
-    result does not depend on which SIMD loops numpy would dispatch to.
     """
     _check_tolerances(rel_tol, abs_tol)
     max_steps = check_index(max_steps, "max_steps", 0)
-    _check_finite(initial, t_end)
+    check_finite("initial state", *initial.coords, *initial.momenta, initial.time)
+    check_finite("t_end", t_end)
     check_state(sys, initial)
     t0 = complex(initial.time)
     t1 = complex(t_end)
@@ -470,7 +450,7 @@ def painleve_residual(traj: Trajectory) -> float:
     pparams = sys.painleve_params()
     worst = 0.0
     for comp in range(sys.rank):
-        lam = states[:, comp]
+        lam = [st[comp] for st in states]
         for i in range(2, n_grid - 2):
             d1 = (lam[i - 2] - 8 * lam[i - 1] + 8 * lam[i + 1] - lam[i + 2]) / (12 * h)
             d2 = (-lam[i - 2] + 16 * lam[i - 1] - 30 * lam[i]

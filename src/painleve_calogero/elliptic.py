@@ -61,7 +61,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import BadContext, HalfPeriodSingularity, PoleAt, check_index
+from .errors import BadContext, HalfPeriodSingularity, PoleAt, check_finite, check_index
 
 PI = math.pi
 TWO_PI_I = 2j * PI
@@ -326,8 +326,7 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     tau = check_tau(tau)
     n = check_index(n, "half-period index n", 0, 3)
     u = complex(u)
-    if not cmath.isfinite(u):
-        raise ValueError(f"u must be finite, got {u}")
+    check_finite("u", u)
     try:
         if n == 0:
             return PI * PI / cmath.sin(PI * u) ** 2 - PI * PI / 3
@@ -353,8 +352,7 @@ def asymptotic_p23_sum(u: complex, tau: complex) -> complex:
     """
     q2 = cmath.exp(2j * PI * check_tau(tau))
     u = complex(u)
-    if not cmath.isfinite(u):
-        raise ValueError(f"u must be finite, got {u}")
+    check_finite("u", u)
     try:
         return -2 * PI * PI / 3 + (16 * PI * PI - 32 * PI * PI * cmath.cos(4 * PI * u)) * q2
     except OverflowError:

@@ -1,10 +1,12 @@
-"""Exception types shared across the library, and ``check_index``.
+"""Exception types shared across the library, ``check_index`` and
+``check_finite``.
 
 Other bad input (a non-finite number, an unknown option, an input the call
 does not read, a trajectory without an accepted step, an integer out of
 range) raises ``ValueError``.
 """
 
+import cmath
 import operator
 
 
@@ -67,3 +69,9 @@ def check_index(value, name: str, lo: int, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
     return n
+
+
+def check_finite(what: str, *values: complex) -> None:
+    """Raise ``ValueError`` naming ``what`` unless every value is finite."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {', '.join(map(str, values))}")

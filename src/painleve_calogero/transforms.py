@@ -35,7 +35,14 @@ import math
 
 from . import elliptic
 from .elliptic import PI, TWO_PI_I, EllipticContext
-from .errors import BadContext, BranchCut, MapSingularity, NoConvergence, TwoBodyCollision
+from .errors import (
+    BadContext,
+    BranchCut,
+    MapSingularity,
+    NoConvergence,
+    TwoBodyCollision,
+    check_finite,
+)
 from .params import AuxParams, check_equation
 from .systems import PhaseState
 
@@ -43,12 +50,6 @@ _NEWTON_STEPS = 50
 # accepted residual of an inverse: |t(tau) - t|, and |wp(q) - x|/max(1, |x|)
 INVERSE_TOL = 1e-11
 _RF_TOL = (3 * 2.0**-53) ** (1 / 6)  # Carlson's (3 r)^(1/6) at r = one rounding
-
-
-def _require_finite(names: str, *values: complex) -> None:
-    """Raise ``ValueError`` unless every value is finite."""
-    if not all(map(cmath.isfinite, values)):
-        raise ValueError(f"{names} must be finite, got {', '.join(map(str, values))}")
 
 
 def _context(eq: str, time: complex) -> EllipticContext | None:
@@ -93,7 +94,7 @@ def time_map_pvi_inverse(t: complex, tau_seed: complex) -> complex:
     current tau, raises ``NoConvergence`` naming the tau it starts from, as
     does an iterate (or seed) that the context or time map refuses."""
     t = complex(t)
-    _require_finite("t and tau_seed", t, tau_seed)
+    check_finite("t and tau_seed", t, tau_seed)
     if min(abs(t), abs(t - 1)) < 1e-12:
         raise MapSingularity(f"t={t} is a fixed singular point of the inverse map")
     tau = complex(tau_seed)
@@ -128,7 +129,7 @@ def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     ``MapSingularity``."""
     eq = check_equation(eq)
     q = complex(q)
-    _require_finite("q and time", q, time)
+    check_finite("q and time", q, time)
     lam = q  # II, I
     try:
         if eq == "VI":
@@ -228,9 +229,9 @@ def q_of_lambda(eq: str, lam: complex, time: complex,
 
 def _q_of_lambda(eq, lam, ctx, branch_hint):
     lam = complex(lam)
-    _require_finite("lambda", lam)
+    check_finite("lambda", lam)
     if branch_hint is not None:
-        _require_finite("branch_hint", branch_hint)
+        check_finite("branch_hint", branch_hint)
     if eq == "VI":
         t = _time_map(ctx)
         if min(abs(lam), abs(lam - 1), abs(lam - t)) < 1e-12:
@@ -318,7 +319,7 @@ def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams) -> 
     raise ``ValueError``."""
     eq = check_equation(eq)
     q, p, time = complex(q), complex(p), complex(time)
-    _require_finite("q, p and time", q, p, time)
+    check_finite("q, p and time", q, p, time)
     coef, rest, _ = _mu_pieces(eq, q, time, aux, _context(eq, time))
     return coef * p + rest
 
@@ -331,7 +332,7 @@ def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxPa
     A p that overflows raises ``MapSingularity`` naming q.
     """
     eq = check_equation(eq)
-    _require_finite("mu and time", mu, time)
+    check_finite("mu and time", mu, time)
     return _pq_of_lambdamu(eq, lam, mu, complex(time), aux, _context(eq, time), branch_hint)
 
 
@@ -371,7 +372,7 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     if branch_hints is not None and direction == "to_painleve":
         raise ValueError("branch_hints choose the branches of 'to_calogero'; "
                          "'to_painleve' reads none")
-    _require_finite("the state", *state.coords, *state.momenta, state.time)
+    check_finite("the state", *state.coords, *state.momenta, state.time)
     if direction == "to_painleve":
         return PhaseState(*_to_painleve(eq, state.coords, state.momenta, state.time, aux, ctx))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from .. import transforms
 from ..dynamics import integrate
 from ..elliptic import EllipticContext
+from ..errors import check_finite
 from ..params import AuxParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
 from .report import CheckReport, cbox, rng_for, worst, worst_over
@@ -89,8 +90,7 @@ def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:
 def _circle_contexts(eq: str, T: complex, dT_dt: complex) -> tuple:
     """The contexts at the four circle-rule times T + h w dT_dt for VI (at
     the same points ``_pushed_field`` reaches), four Nones otherwise."""
-    return tuple(EllipticContext(T + FD_STEP * w * dT_dt) if eq == "VI" else None
-                 for w in CIRCLE)
+    return tuple(transforms._context(eq, T + FD_STEP * w * dT_dt) for w in CIRCLE)
 
 
 def _pushed_field(cal: SystemDescriptor, state: PhaseState, dT_dt: complex,
@@ -108,7 +108,7 @@ def _pushed_field(cal: SystemDescriptor, state: PhaseState, dT_dt: complex,
     for w, ctx in zip(CIRCLE, circle_ctxs):
         hw = FD_STEP * w
         x = [a + hw * v for a, v in zip(x0, vel)]
-        transforms._require_finite("the state", *x)
+        check_finite("the state", *x)
         lams, mus, t = transforms._to_painleve(eq, x[:rank], x[rank:2 * rank], x[2 * rank],
                                                aux, ctx)
         for i, y in enumerate((*lams, *mus, t)):
@@ -139,7 +139,7 @@ def run_correspondence_suite(eq: str, rank: int, n_points: int = 100, seed: int 
     # dT_dt: one time-map Jacobian, one context for the unperturbed points
     # and four for the circle points serve the whole row
     T = BASE_TIME[eq]
-    ctx = EllipticContext(T) if eq == "VI" else None
+    ctx = transforms._context(eq, T)
     dT_dt = transforms.jacobian_dtau_dt(T) if eq == "VI" else 1.0 + 0j
     circle_ctxs = _circle_contexts(eq, T, dT_dt)
     err = worst_over(seed, check_id, n_points, lambda rng: _pushforward_error(

@@ -4,9 +4,6 @@ and prints one PASS/FAIL line.  Run with -s to see the lines."""
 import cmath
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +30,7 @@ from painleve_calogero.verify import (
 )
 from painleve_calogero.verify.correspondence import default_aux, sample_calogero_state
 from painleve_calogero.verify.degeneration import RATIO_MIN
-from tests.conftest import painleve_state
+from tests.conftest import painleve_state, run_without_numpy
 
 PI = math.pi
 # written by `painleve-calogero verify --suite all --seed <seed> --out <file>`;
@@ -209,21 +206,19 @@ def test_criterion_8_determinism():
             f"suite {'all green' if passed_all else 'HAS FAILURES'}")
 
 
-def test_criterion_8_without_numpy_simd_loops(tmp_path):
-    """The dynamic rows at seed 7 do not depend on which SIMD loops numpy
-    dispatches to: with AVX2 and AVX-512 switched off they still equal the
-    golden report's (numpy ignores the feature names on other CPUs)."""
-    out = tmp_path / "dynamic.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-m", "painleve_calogero", "verify", "--suite", "dynamic",
-                    "--seed", "7", "--out", str(out)],
-                   env=env, capture_output=True, timeout=300, check=True)
-    golden = [r for r in json.loads(GOLDEN_VERIFY[7].read_text())
-              if r["check_id"].startswith("dynamic.")]
-    rows = json.loads(out.read_text())
-    differ = [a["check_id"] for a, b in zip(rows, golden) if a != b]
-    _report("criterion 8 (no SIMD dependence)", len(rows) == len(golden) == 6 and not differ,
-            f"{len(rows)} dynamic rows, {f'{differ} DIFFER' if differ else 'all equal'}")
+def test_criterion_8_without_numpy(tmp_path):
+    """``python -m painleve_calogero verify --suite all --seed 7`` in an
+    interpreter that refuses numpy and scipy writes the golden report, byte
+    for byte: the numbers come from plain Python arithmetic alone."""
+    out = tmp_path / "all.json"
+    code = ("import runpy, sys\n"
+            "sys.argv = ['painleve_calogero', 'verify', '--suite', 'all', '--seed', '7',\n"
+            "            '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('painleve_calogero', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    exit_code = run_without_numpy(code, str(out)).split()[-1:]
+    same = out.read_bytes() == GOLDEN_VERIFY[7].read_bytes()
+    _report("criterion 8 (without numpy)", exit_code == ["0"] and same,
+            f"exit {exit_code}, {'matches' if same else 'DIFFERS FROM'} the golden report")

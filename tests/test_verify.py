@@ -40,7 +40,6 @@ from painleve_calogero.verify.correspondence import (
 )
 from painleve_calogero.verify import correspondence, degeneration, identities, report
 from painleve_calogero.verify.report import cbox, rng_for, worst
-from tests.conftest import run_fresh
 
 NAN = complex("nan")
 
@@ -423,17 +422,3 @@ def test_rng_for_takes_numpy_integers_bools_and_long_seeds_as_numpy_does():
 def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
     with pytest.raises(ValueError, match=re.escape(repr(seed))):
         run_suite("dynamic", seed)
-
-
-def test_verify_process_matches_the_golden_report_without_numpy(tmp_path):
-    out = tmp_path / "all.json"
-    code = ("import runpy, sys\n"
-            "sys.argv = ['painleve_calogero', 'verify', '--suite', 'all', '--seed', '7',\n"
-            "            '--out', sys.argv[1]]\n"
-            "try:\n"
-            "    runpy.run_module('painleve_calogero', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, 'numpy' in sys.modules)\n")
-    assert run_fresh(code, str(out)).split()[-2:] == ["0", "False"]
-    golden = Path(__file__).parent / "data" / "verify_all_seed7.json"
-    assert out.read_bytes() == golden.read_bytes()
