@@ -206,10 +206,11 @@ def test_criterion_8_determinism():
             f"suite {'all green' if passed_all else 'HAS FAILURES'}")
 
 
-def test_criterion_8_without_numpy(tmp_path):
-    """``python -m painleve_calogero verify --suite all --seed 7`` in an
-    interpreter that refuses numpy and scipy writes the golden report, byte
-    for byte: the numbers come from plain Python arithmetic alone."""
+def test_criterion_8_without_numpy_simd_loops(tmp_path):
+    """The report at seed 7 depends on no numpy SIMD loop, because it needs no
+    numpy at all: ``python -m painleve_calogero verify --suite all --seed 7`` in
+    an interpreter that refuses numpy and scipy writes the golden report, byte
+    for byte."""
     out = tmp_path / "all.json"
     code = ("import runpy, sys\n"
             "sys.argv = ['painleve_calogero', 'verify', '--suite', 'all', '--seed', '7',\n"

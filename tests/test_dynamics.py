@@ -565,24 +565,30 @@ def test_non_finite_input_is_refused(state, t_end, equation, side, monkeypatch):
     assert not calls
 
 
-def test_integrate_params_and_the_trajectory_readers_run_without_numpy(tmp_path):
+def test_integrate_does_not_import_scipy():
+    # the blocker refuses scipy as well as numpy
+    code = ("from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
+            "from painleve_calogero import painleve_residual\n"
+            "traj = integrate(SystemDescriptor('I', 'painleve'), PhaseState((0.2,), (0.3,), 0),\n"
+            "                 0.5, 1e-10, 1e-12)\n"
+            "assert traj.completed\n"
+            "times, states = traj.resample(9)\n"
+            "assert len(times) == len(states) == 9 and states[4] == traj.interpolate(0.5)\n"
+            "print(painleve_residual(traj))\n")
+    assert float(run_without_numpy(code)) < 1e-5
+
+
+def test_cli_integrate_and_params_do_not_import_numpy(tmp_path):
     (tmp_path / "i0.json").write_text(json.dumps(
         {"coords": [[0.2, 0]], "momenta": [[0.3, 0]], "time": [0, 0]}))
     code = ("import sys\n"
-            "from painleve_calogero import PhaseState, SystemDescriptor, integrate\n"
-            "from painleve_calogero import painleve_residual\n"
             "from painleve_calogero.cli import main\n"
             "d = sys.argv[1]\n"
             "assert main(['integrate', '--equation', 'p1', '--initial', d + '/i0.json',\n"
             "             '--t-end', '0.5', '--out', d + '/tr.csv']) == 0\n"
             "assert main(['params', '--equation', 'p2', '--aux', 'alpha=1',\n"
-            "             '--out', d + '/p.json']) == 0\n"
-            "traj = integrate(SystemDescriptor('I', 'painleve'), PhaseState((0.2,), (0.3,), 0),\n"
-            "                 0.5, 1e-10, 1e-12)\n"
-            "times, states = traj.resample(9)\n"
-            "assert len(times) == len(states) == 9 and states[4] == traj.interpolate(0.5)\n"
-            "print(painleve_residual(traj))\n")
-    assert float(run_without_numpy(code, str(tmp_path))) < 1e-5
+            "             '--out', d + '/p.json']) == 0\n")
+    run_without_numpy(code, str(tmp_path))
     assert (tmp_path / "tr.csv").read_text().startswith("re_t,im_t,re_l1,im_l1")
 
 

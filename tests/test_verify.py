@@ -40,6 +40,7 @@ from painleve_calogero.verify.correspondence import (
 )
 from painleve_calogero.verify import correspondence, degeneration, identities, report
 from painleve_calogero.verify.report import cbox, rng_for, worst
+from tests.conftest import run_without_numpy
 
 NAN = complex("nan")
 
@@ -422,3 +423,18 @@ def test_rng_for_takes_numpy_integers_bools_and_long_seeds_as_numpy_does():
 def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
     with pytest.raises(ValueError, match=re.escape(repr(seed))):
         run_suite("dynamic", seed)
+
+
+def test_verify_process_matches_the_golden_report_without_numpy(tmp_path):
+    # seed 1000 here; acceptance criterion 8 runs seed 7 the same way
+    out = tmp_path / "all.json"
+    code = ("import runpy, sys\n"
+            "sys.argv = ['painleve_calogero', 'verify', '--suite', 'all', '--seed', '1000',\n"
+            "            '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('painleve_calogero', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    assert run_without_numpy(code, str(out)).split()[-1:] == ["0"]
+    golden = Path(__file__).parent / "data" / "verify_all_seed1000.json"
+    assert out.read_bytes() == golden.read_bytes()
