@@ -10,30 +10,45 @@ e_n = wp(omega_n).  wp is the sine series
 
 summed with u reduced to the fundamental cell.  The n = 0 term is kept as
 the sine, which holds full relative accuracy near the pole.  The n >= 1
-terms are summed in nome form,
+terms are written in nome form,
 
     pi^2/sin^2(pi(u +- n tau)) = -4 pi^2 x/(1-x)^2,   x = e^{2 pi i (n tau +- u)},
 
-and wp' term-wise from the same x.  Each sequence starts at
-e^{2 pi i (tau +- u)}, which cannot overflow, and every further term costs
-one multiplication by the nome Q = e^{2 pi i tau}.  Since |x_n| <= |Q|^{n-1/2}
-in the cell, the tail of both sides past N terms is at most
-2|Q|^{N+1/2}/(1-|Q|), and N is the least N >= 1 that puts it below e^{-39},
+and wp' term-wise from the same x, through x(1+x)/(1-x)^3.  Each side
+starts at x_1 = e^{2 pi i (tau +- u)}, which cannot overflow, and its
+n = 1 term is summed as written.  With the nome Q = e^{2 pi i tau},
+x_n = x_1 Q^{n-1}, and the n >= 2 terms of each side are summed regrouped
+as a Lambert series (DLMF 23.8(i)),
+
+    sum_{n>=2} x_n/(1-x_n)^2        = sum_{k>=1} k   y^k/(1-Q^k),
+    sum_{n>=2} x_n(1+x_n)/(1-x_n)^3 = sum_{k>=1} k^2 y^k/(1-Q^k),   y = x_1 Q,
+
+so a term costs one multiplication by y per side and two by the
+coefficients (k/(1-Q^k), k^2/(1-Q^k)), which the context computes once.
+In the cell |x_n| <= |Q|^{n-1/2} and |y| <= r = |Q|^{3/2}.  The tau-only
+constant sums 1/sin^2(pi n tau) = -4 Q^n/(1-Q^n)^2 over n <= N, where N is
+the least N >= 1 whose nome tail over both sides, 2|Q|^{N+1/2}/(1-|Q|), is
+below e^{-39},
 
     N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2).
 
+The Lambert sums run K terms, K the least K >= 0 whose tail over both
+sides of the k^2 sum, at most 2 m^2 r^m/((1-rho)(1-|Q|^m)) with m = K+1
+and rho = ((m+1)/m)^2 r, is below e^{-39}; K <= N, with K = 3 where N = 5
+at Im tau = 1.17 and K = 6575 where N = 7125 at Im tau = 1e-3.
+
 N grows like 1/Im tau, so ``check_tau``, the one test of the tau domain,
 raises ``BadContext`` unless tau is finite with Im tau >= ``MIN_IM_TAU`` =
-1e-3 (N = 7125).  A context computes Q, N, the tau-only constant and the
-half periods once, when it is built.  ``weierstrass_p_and_prime`` sums both
-series from one run of the same x, each rounded as the value-only loop of
-``weierstrass_p`` rounds it, and ``weierstrass_p_prime`` is its second
-half.  The context keeps the last joint pass as one (argument, (wp, wp'))
-entry, and ``weierstrass_p`` returns its wp without a pass when called with
-that same argument object (``is``, not ``==``), so wp' then wp at one
-argument costs one pass; any other argument gets the value-only loop.  The
-slow double lattice sum survives only as a test oracle
-(tests/test_elliptic.py).
+1e-3.  A context computes Q, N, the tau-only constant, the K coefficient
+pairs and the half periods once, when it is built.
+``weierstrass_p_and_prime`` sums both series from one run of the same y,
+each rounded as the value-only loop of ``weierstrass_p`` rounds it, and
+``weierstrass_p_prime`` is its second half.  The context keeps the last
+joint pass as one (argument, (wp, wp')) entry, and ``weierstrass_p``
+returns its wp without a pass when called with that same argument object
+(``is``, not ``==``), so wp' then wp at one argument costs one pass; any
+other argument gets the value-only loop.  The slow double lattice sum
+survives only as a test oracle (tests/test_elliptic.py).
 
 u is reduced as a + b tau with real a, b; once |a| or |b| reaches 2^52 no
 fractional bit of them is left, and the reduction raises ``ValueError``
@@ -95,20 +110,24 @@ class EllipticContext:
 
     Building a context runs ``check_tau`` and computes the nome
     Q = e^{2 pi i tau}, the term count N of the nome series, the constant
-    c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau) and the half periods
-    (0, 1/2, -(1+tau)/2, tau/2), so ``tau`` must not change afterwards.  The
-    half-period values (e1, e2, e3) are cached on first use; the cache is
-    write-once/read-many, and concurrent writers recompute the same values.
-    ``last_pass`` is (u, (wp(u), wp'(u))) from the last joint pass at a u
-    of type ``complex``, and it hits only for that same u object.  It is replaced
-    by one tuple store and read once per lookup, so concurrent use of a
-    context can at worst miss, never return another argument's value.
+    c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau), the K <= N Lambert
+    coefficient pairs (k/(1-Q^k), k^2/(1-Q^k)) and the half periods
+    (0, 1/2, -(1+tau)/2, tau/2), so ``tau`` must not change afterwards.
+    One loop over k <= N gives c and the pairs, with 1/sin^2(pi k tau) =
+    -4 Q^k/(1-Q^k)^2.  The half-period values (e1, e2, e3) are cached on
+    first use; the cache is write-once/read-many, and concurrent writers
+    recompute the same values.  ``last_pass`` is (u, (wp(u), wp'(u))) from
+    the last joint pass at a u of type ``complex``, and it hits only for
+    that same u object.  It is replaced by one tuple store and read once
+    per lookup, so concurrent use of a context can at worst miss, never
+    return another argument's value.
     """
 
     tau: complex
     nome: complex = field(init=False, repr=False, compare=False)
     n_terms: int = field(init=False, repr=False, compare=False)
     const: complex = field(init=False, repr=False, compare=False)
+    _lambert: tuple[tuple[complex, complex], ...] = field(init=False, repr=False, compare=False)
     half_periods: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     cached_e: tuple[complex, complex, complex] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -118,11 +137,54 @@ class EllipticContext:
     def __post_init__(self):
         self.tau = tau = check_tau(self.tau)
         decay = 2 * PI * tau.imag  # -ln|Q|; 1 - |Q| is -expm1(-decay)
-        self.n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
-        tail = sum(_sine_terms(PI * n * tau)[0] for n in range(1, self.n_terms + 1))
-        self.nome = cmath.exp(TWO_PI_I * tau)
-        self.const = -PI * PI / 3 - 2 * PI * PI * tail
+        n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
+        n_lambert = _lambert_count(math.exp(-decay), n_terms)
+        # 1/sin^2(pi k tau) = -4 Q^k/(1-Q^k)^2; where |Q^k| >= 1/2, 1 - Q^k
+        # would cancel, so it is taken as -2 e^z sinh z (z = pi i k tau)
+        near = math.log(2) / decay
+        self.nome = q = cmath.exp(TWO_PI_I * tau)
+        self.n_terms = n_terms
+        qk, tail, lambert = 1 + 0j, 0j, []
+        for k in range(1, n_terms + 1):
+            if k <= near:
+                z = 1j * PI * k * tau
+                ez = cmath.exp(z)
+                qk = ez * ez
+                inv = -0.5 / (ez * cmath.sinh(z))
+            else:
+                qk *= q
+                inv = 1 / (1 - qk)
+            tail += qk * inv * inv
+            if k <= n_lambert:
+                lambert.append((k * inv, k * k * inv))
+        self.const = -PI * PI / 3 + 8 * PI * PI * tail
+        self._lambert = tuple(lambert)
         self.half_periods = (0j, 0.5 + 0j, -(1 + tau) / 2, tau / 2)
+
+
+def _lambert_tail(k: int, q: float) -> float:
+    """Bound on the Lambert tails of both sides past k terms at |Q| = q:
+    2 sum_{j>k} j^2 r^j/(1-q^j), r = q^{3/2} >= |y|, is at most
+    2 m^2 r^m/((1-rho)(1-q^m)) with m = k+1 and rho = ((m+1)/m)^2 r, the
+    largest ratio of consecutive terms j^2 r^j; inf where rho >= 1."""
+    m = k + 1
+    r = q * math.sqrt(q)
+    rho = ((m + 1) / m) ** 2 * r
+    return math.inf if rho >= 1 else 2 * m * m * r**m / ((1 - rho) * (1 - q**m))
+
+
+def _lambert_count(q: float, n_terms: int) -> int:
+    """The least K >= 0 whose Lambert tail bound is below e^{-39}, found by
+    bisection on [0, N]: the bound falls with K, and K <= N at every tau
+    ``check_tau`` takes."""
+    lo, hi = -1, n_terms
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _lambert_tail(mid, q) < math.exp(-39):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def reduce_to_cell(u: complex, tau: complex) -> complex:
@@ -170,24 +232,29 @@ def _nome_start(u: complex, ctx: EllipticContext):
 
 
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
-    """wp(u | 1, tau): the n = 0 sine term plus N nome terms per side.
+    """wp(u | 1, tau): the n = 0 sine term, the n = 1 nome term per side and
+    K Lambert terms for n >= 2.
 
     N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
-    the tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}; see the
-    module docstring for the series and the bound.  When u is the argument
-    object of the context's last joint pass, its wp is returned without
-    reducing or summing; it equals the value this loop gives bit for bit.
+    the nome tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}, and
+    K <= N keeps the Lambert tail below it too; see the module docstring
+    for the series and the bounds.  When u is the argument object of the
+    context's last joint pass, its wp is returned without reducing or
+    summing; it equals the value this loop gives bit for bit, since both
+    loops add the same terms in the same order.
     """
     last = ctx.last_pass
     if last is not None and last[0] is u:
         return last[1][0]
     u, q, xp, xm = _nome_start(u, ctx)
-    total = 0j
-    for _ in range(ctx.n_terms):
-        dp, dm = 1 - xp, 1 - xm
-        total += xp / (dp * dp) + xm / (dm * dm)
-        xp *= q
-        xm *= q
+    dp, dm = 1 - xp, 1 - xm
+    total = xp / (dp * dp) + xm / (dm * dm)
+    yp, ym = xp * q, xm * q
+    zp, zm = yp, ym
+    for a, _ in ctx._lambert:
+        total += a * (zp + zm)
+        zp *= yp
+        zm *= ym
     return ctx.const + PI * PI * _sine_terms(PI * u)[0] - 4 * PI * PI * total
 
 
@@ -199,19 +266,23 @@ def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
 
 
 def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, complex]:
-    """(wp(u), wp'(u)) from one run of the nome terms, each sum rounded as
-    the value-only loop of ``weierstrass_p`` rounds it.  A u of type
-    ``complex`` is kept with the pair as the context's ``last_pass``: its
-    value cannot change, so the same object means the same argument."""
+    """(wp(u), wp'(u)) from one run of the n = 1 term and the K Lambert
+    terms, the wp sum rounded as the value-only loop of ``weierstrass_p``
+    rounds it, so the two agree bit for bit.  A u of type ``complex`` is
+    kept with the pair as the context's ``last_pass``: its value cannot
+    change, so the same object means the same argument."""
     u0, q, xp, xm = _nome_start(u, ctx)
-    total = total_prime = 0j
-    for _ in range(ctx.n_terms):
-        dp, dm = 1 - xp, 1 - xm
-        dp2, dm2 = dp * dp, dm * dm
-        total += xp / dp2 + xm / dm2
-        total_prime += xp * (1 + xp) / (dp2 * dp) - xm * (1 + xm) / (dm2 * dm)
-        xp *= q
-        xm *= q
+    dp, dm = 1 - xp, 1 - xm
+    dp2, dm2 = dp * dp, dm * dm
+    total = xp / dp2 + xm / dm2
+    total_prime = xp * (1 + xp) / (dp2 * dp) - xm * (1 + xm) / (dm2 * dm)
+    yp, ym = xp * q, xm * q
+    zp, zm = yp, ym
+    for a, b in ctx._lambert:
+        total += a * (zp + zm)
+        total_prime += b * (zp - zm)
+        zp *= yp
+        zm *= ym
     inv_sin2, cos_inv_sin3 = _sine_terms(PI * u0)
     values = (ctx.const + PI * PI * inv_sin2 - 4 * PI * PI * total,
               -2 * PI**3 * cos_inv_sin3 - 8j * PI**3 * total_prime)

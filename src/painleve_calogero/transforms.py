@@ -50,6 +50,11 @@ _NEWTON_STEPS = 50
 # accepted residual of an inverse: |t(tau) - t|, and |wp(q) - x|/max(1, |x|)
 INVERSE_TOL = 1e-11
 _RF_TOL = (3 * 2.0**-53) ** (1 / 6)  # Carlson's (3 r)^(1/6) at r = one rounding
+# wp(q) - e_k rounds to within 7.6e-16 max|e_j| (measured against mpmath
+# near all three half periods at seven tau, Im tau 0.15 to 2), so below
+# this fraction of max|e_j| fewer than 8 digits of it, and of
+# lambda - lambda(omega_k), survive
+_HALF_PERIOD_TOL = 1e-7
 
 
 def _context(eq: str, time: complex) -> EllipticContext | None:
@@ -272,17 +277,22 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
     reads ``ctx``, the context at tau = time.
 
     ``aux`` of another equation raises ``ValueError``; a term that divides
-    by zero or overflows, e^q underflowing to 0, or a non-finite rest raise
-    ``MapSingularity``."""
+    by zero or overflows, e^q underflowing to 0, a non-finite rest, or a
+    PVI q so near a half period that fewer than 8 digits of lambda,
+    lambda - 1 or lambda - t survive raise ``MapSingularity``."""
     if aux.equation != eq:
         raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
     try:
         if eq == "VI":
             lam, f_u, f_tau = elliptic.f_and_derivatives(q, ctx)
-            t = _time_map(ctx)
+            e1, e2, e3 = elliptic.half_period_values(ctx)
+            gaps = (lam, lam - 1, lam - _time_map(ctx))  # (wp(q) - e_k)/(e2 - e1)
+            if min(map(abs, gaps)) * abs(e2 - e1) < _HALF_PERIOD_TOL * max(map(abs, (e1, e2, e3))):
+                raise MapSingularity(f"q={q} is so near a PVI half period that fewer than 8 "
+                                     "digits of lambda, lambda - 1 or lambda - t survive")
             coef = 1 / f_u
             rest = (TWO_PI_I * f_tau / (f_u * f_u)
-                    + (aux.kappa0 / lam + aux.kappa1 / (lam - 1) + (aux.theta - 1) / (lam - t)) / 2)
+                    + (aux.kappa0 / gaps[0] + aux.kappa1 / gaps[1] + (aux.theta - 1) / gaps[2]) / 2)
         elif eq == "V":
             s = cmath.sinh(q / 2)
             if abs(s) < 1e-12:

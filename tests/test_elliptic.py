@@ -532,7 +532,8 @@ def mp_sine_series(u, tau, derivative=False, dps=40):
             n += 1
 
 
-@pytest.mark.parametrize("im_tau", (0.05, 0.1, 0.2, 0.3, 0.5, 0.95, 1.0, 1.17, 1.35, 2.0, 4.0, 8.0))
+@pytest.mark.parametrize("im_tau", (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.95, 1.0, 1.17, 1.35, 2.0, 4.0,
+                                    8.0))
 def test_nome_series_against_mpmath_twin(im_tau):
     tau = complex(0.13, im_tau)
     ctx = EllipticContext(tau)
@@ -563,6 +564,55 @@ def test_nome_term_count_is_the_least_that_meets_the_tail_bound(im_tau):
     n_terms = EllipticContext(complex(0.13, im_tau)).n_terms
     assert tail(n_terms) <= math.exp(-39)
     assert n_terms == 1 or tail(n_terms - 1) > math.exp(-39)
+
+
+def lambert_tail(k, im_tau):
+    """Bound on the Lambert tails of both sides past k terms.
+
+    Past n = 1 each side is summed as sum_k k^j y^k/(1-Q^k), j = 1, 2, with
+    |y| <= r = |Q|^{3/2} in the cell; the j = 2 tail past k terms is at most
+    2 m^2 r^m/((1-rho)(1-|Q|^m)), m = k+1, where rho = ((m+1)/m)^2 r bounds
+    the ratio of consecutive terms.
+    """
+    q = math.exp(-2 * PI * im_tau)
+    r, m = q**1.5, k + 1
+    rho = ((m + 1) / m) ** 2 * r
+    return math.inf if rho >= 1 else 2 * m * m * r**m / ((1 - rho) * (1 - q**m))
+
+
+@pytest.mark.parametrize("im_tau", (0.05, 0.1, 0.5, 0.95, 1.17, 1.35, 2.0, 8.0))
+def test_lambert_term_count_is_the_least_that_meets_its_tail_bound(im_tau):
+    n_lambert = len(EllipticContext(complex(0.13, im_tau))._lambert)
+    assert lambert_tail(n_lambert, im_tau) < math.exp(-39)
+    assert n_lambert == 0 or lambert_tail(n_lambert - 1, im_tau) >= math.exp(-39)
+
+
+def test_lambert_terms_never_outnumber_the_nome_terms():
+    # the context builds both from one loop over its N nome terms, so the
+    # Lambert bound has to be met within N terms
+    for im_tau in np.geomspace(1e-3, 10, 400):
+        ctx = EllipticContext(complex(0.13, im_tau))
+        n_lambert = len(ctx._lambert)
+        assert n_lambert <= ctx.n_terms and lambert_tail(n_lambert, im_tau) < math.exp(-39), im_tau
+    for im_tau, counts in ((1e-3, (7125, 6575)), (1.17, (5, 3))):
+        ctx = EllipticContext(complex(0.13, im_tau))
+        assert (ctx.n_terms, len(ctx._lambert)) == counts
+
+
+@pytest.mark.parametrize("tau", (0.001j, 0.003j, 0.13 + 0.001j))
+def test_context_coefficients_against_mpmath_where_q_to_the_k_nears_one(tau):
+    # 1 - Q^k taken directly lost 1.5e-14 of k/(1-Q^k) and 2.6e-14 of the
+    # constant at tau = 0.001i; the sinh form keeps them to rounding
+    ctx = EllipticContext(tau)
+    with mp.workdps(30):
+        t = mp.mpc(tau)
+        const = -mp.pi**2 / 3 - 2 * mp.pi**2 * mp.fsum(
+            1 / mp.sin(mp.pi * n * t) ** 2 for n in range(1, ctx.n_terms + 1))
+        assert abs(ctx.const - const) <= 2e-14 * abs(const)
+        for k in (1, 2, 5, 50):
+            inv = 1 / (1 - mp.exp(2j * mp.pi * k * t))
+            for value, ref in zip(ctx._lambert[k - 1], (k * inv, k * k * inv)):
+                assert abs(value - ref) <= 1e-15 * abs(ref), k
 
 
 def test_no_overflow_at_large_imtau():

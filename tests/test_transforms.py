@@ -306,6 +306,65 @@ def test_mu_pv_at_large_q_against_mpmath(q):
     assert abs(mu_of_pq("V", q, p, t, aux) - ref) <= 1e-14 * abs(ref)
 
 
+def mp_mu_pvi(q, p, tau, aux, dps=40):
+    """The PVI momentum map at dps digits: wp and wp' from the sine series,
+    f_tau = d lambda/d tau at fixed q by mpmath's numerical derivative."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q, tau = mp.mpc(q), mp.mpc(tau)
+
+        def wp(u, tau, derivative=False):
+            def term(z):
+                s = mp.sin(mp.pi * z)
+                return -2 * mp.pi**3 * mp.cos(mp.pi * z) / s**3 if derivative else mp.pi**2 / s**2
+
+            total = term(u) if derivative else term(u) - mp.pi**2 / 3
+            n = 1
+            while True:
+                t = term(u + n * tau) + term(u - n * tau)
+                if not derivative:
+                    t -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
+                total += t
+                if abs(t) <= mp.mpf(10) ** (-mp.mp.dps - 5) * abs(total):
+                    return total
+                n += 1
+
+        def e(tau):
+            return [wp(w, tau) for w in (mp.mpf(0.5), -(1 + tau) / 2, tau / 2)]
+
+        def lam(tau):
+            e1, e2, _ = e(tau)
+            return (wp(q, tau) - e1) / (e2 - e1)
+
+        e1, e2, e3 = e(tau)
+        lam0, t = lam(tau), (e3 - e1) / (e2 - e1)
+        f_u, f_tau = wp(q, tau, True) / (e2 - e1), mp.diff(lam, tau)
+        k0, k1, th = (mp.mpc(complex(v)) for v in (aux.kappa0, aux.kappa1, aux.theta))
+        return complex(p / f_u + 2j * mp.pi * f_tau / f_u**2
+                       + (k0 / lam0 + k1 / (lam0 - 1) + (th - 1) / (lam0 - t)) / 2)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_mu_pvi_refuses_next_to_a_half_period(k):
+    # (wp(q) - e_k)/(e2 - e1) is lambda, lambda - 1 or lambda - t; within
+    # about 1e-7 of omega_k it cancels to rounding, and |mu| read 4.9e16 near
+    # omega_1 at all three d below, whatever the kappa0/lambda term's size
+    from painleve_calogero.errors import MapSingularity
+
+    tau, aux, p = complex(0.13, 1.17), default_aux("VI"), 0.1
+    w = EllipticContext(tau).half_periods[k]
+    for d in (1e-13, 1e-11, 1e-9):
+        with pytest.raises(MapSingularity, match="fewer than 8 digits"):
+            mu_of_pq("VI", w + d, p, tau, aux)
+    # the inverse lands on the same q; at 1e-5, lambda is off the branch set
+    with pytest.raises(MapSingularity, match="fewer than 8 digits"):
+        pq_of_lambdamu("VI", lambda_of_q("VI", w + 1e-5, tau), 1, tau, aux, branch_hint=w + 1e-5)
+    q = w + 1e-3
+    ref = mp_mu_pvi(q, p, tau, aux)
+    assert abs(mu_of_pq("VI", q, p, tau, aux) - ref) <= 1e-8 * abs(ref)
+
+
 @pytest.mark.parametrize("call", (
     lambda aux: mu_of_pq("V", 0.5 + 0.2j, 1, 0.8, aux),
     lambda aux: pq_of_lambdamu("V", 1.45 + 0.35j, 0.4, 0.8, aux),
