@@ -5,13 +5,17 @@ Norsett and Wanner, Solving ODEs I, sec. II.5) with Hairer's step-size
 controller, propagating the complex state along a straight segment in the
 system's own time variable (tau for the PVI Calogero flow, t otherwise);
 each field call reads the time, and so the PVI lattice, from its own state.
-A step has twelve stages; the field at the accepted point is a
-thirteenth, reused as the next step's first, so a rejected step costs
-eleven field calls and an accepted one twelve.  A step sums the stages over
-the nonzero tableau entries only, in plain Python complex arithmetic.  A step
-is accepted when Hairer's combined 5th/3rd-order error estimate is <= 1
-against ``_TOL_MARGIN`` = 0.1 times the requested tolerance.  Bad tolerances and a
-non-finite initial state or end time raise ValueError before any field call.
+The first step comes from the field, by Hairer's starting-step algorithm
+(``HINIT`` of dop853.f), at the cost of one probe call; after the first
+accepted step the step may grow by up to 1e4 (CVODE's first-step bound),
+after any other by up to 6.  A step has twelve stages; the field at the
+accepted point is a thirteenth, reused as the next step's first, so a
+rejected step costs eleven field calls and an accepted one twelve.  A step
+sums the stages over the nonzero tableau entries only, in plain Python
+complex arithmetic.  A step is accepted when Hairer's combined 5th/3rd-order
+error estimate is <= 1 against ``_TOL_MARGIN`` = 0.1 times the requested
+tolerance.  Bad tolerances and a non-finite initial state or end time raise
+ValueError before any field call.
 Movable poles are detected (state magnitude blow-up or step underflow) and
 stop the integration with a tagged, partial trajectory; there is no
 automatic path deformation around them.  Rejected steps are counted, the
@@ -221,6 +225,47 @@ def _moduli(v: list) -> list:
     return [math.hypot(z.real, z.imag) for z in v]
 
 
+def _initial_step(rhs, y: list, f0: list, rel_tol: float, abs_tol: float) -> float:
+    """The first step length, by ``HINIT`` of Hairer's dop853.f at order 8
+    (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4), capped at the
+    whole segment, 1.
+
+    In norms scaled by abs_tol + rel_tol * |y0| (the requested tolerance,
+    without ``_TOL_MARGIN``), an Euler guess h0 = 0.01 |y0| / |f0| probes
+    the field once at (h0, y0 + h0 f0), and the start h satisfies
+    h^8 max(|f0|, |f1 - f0| / h0) = 0.01, at most 100 h0.  A component
+    whose scale is 0 is left out.  A norm that is not finite reads as
+    degenerate (h0 = 1e-6), and a probe the field refuses, or one that
+    leaves the second-derivative estimate non-finite, starts at h0."""
+    scales = [abs_tol + rel_tol * m for m in _moduli(y)]
+
+    def norm(v: list) -> float:  # root sum of squares, inf where a square overflows
+        sq = 0.0
+        for m, sk in zip(_moduli(v), scales):
+            if sk:
+                r = m / sk
+                sq += r * r
+        return math.sqrt(sq)
+
+    d0, d1 = norm(y), norm(f0)
+    if 1e-5 < d0 < math.inf and 1e-5 < d1 < math.inf:
+        h0 = min(0.01 * d0 / d1, 1.0)
+    else:
+        h0 = 1e-6
+    try:
+        f1 = rhs(h0, [yc + h0 * fc for yc, fc in zip(y, f0)])
+    except _SINGULAR:
+        return h0
+    der12 = max(norm([a - b for a, b in zip(f1, f0)]) / h0, d1)
+    if not der12 < math.inf:  # also NaN
+        return h0
+    if der12 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / der12) ** (1 / 8)
+    return min(100 * h0, h1, 1.0)
+
+
 def _error_norm(h: float, k: list, y_max: list, rel_tol: float, abs_tol: float) -> float:
     """Hairer's combined estimate h err5^2 / sqrt(err5^2 + 0.01 err3^2) in
     RMS norms scaled by _TOL_MARGIN * (abs_tol + rel_tol * y_max), each
@@ -265,12 +310,18 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     'step_underflow' tag instead of raising; an overflowing step is
     rejected, not raised.
 
+    The first step is ``HINIT``'s (see ``_initial_step``): it follows the
+    field at the start and one probe call, not the length of the segment.
     Each step is a DOP853 step of twelve stages, accepted when its error
     estimate is <= 1 against ``_TOL_MARGIN`` (0.1) times the tolerance
-    abs_tol + rel_tol * |y|.  The field at the accepted point is a
-    thirteenth stage, reused as the next step's first (first same as last),
-    so a run without singular rejections makes
-    1 + 11 * (n_accepted + n_rejected) + n_accepted field calls.  The
+    abs_tol + rel_tol * |y|.  Hairer's controller then scales the step by
+    0.9 err^(-1/8), within [0.333, 6], or within [0.333, 1e4] after the
+    first accepted step, so that its error estimate sizes the second step;
+    after a rejection the step does not grow.  The field at the accepted
+    point is a thirteenth stage, reused as the next step's first (first
+    same as last), so a run that attempts a step, with no singular
+    rejection, makes 2 + 11 * (n_accepted + n_rejected) + n_accepted field
+    calls (the probe counts; with ``max_steps=0`` there is no probe).  The
     trajectory keeps each step's start and field for ``interpolate``.
     """
     _check_tolerances(rel_tol, abs_tol)
@@ -301,9 +352,10 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     y = list(initial.coords + initial.momenta)
     abs_y = _moduli(y)
     s = 0.0
-    h = 1e-2
     last_rejected = False
     f_now = rhs(s, y)
+    if max_steps:  # a run allowed no step makes no probe
+        h = _initial_step(rhs, y, f_now, rel_tol, abs_tol)
 
     for _ in range(max_steps):
         if s >= 1.0:
@@ -340,9 +392,12 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
             traj.samples.append((t_new, PhaseState(y_new[:n], y_new[n:], t_new)))
             traj.n_accepted += 1
             y, s, f_now, abs_y = y_new, s_new, f_new, abs_new
-            # Hairer's controller: safety 0.9, factor in [0.333, 6],
-            # and no growth on the step after a rejection
-            fac = 6.0 if err == 0 else min(6.0, max(0.333, 0.9 * err ** (-1 / 8)))
+            # Hairer's controller: safety 0.9, factor in [0.333, 6], and no
+            # growth on the step after a rejection; after the first accepted
+            # step, the factor may reach 1e4 (CVODE's first-step bound), so
+            # the first real error estimate sizes the second step
+            fac_max = 1e4 if traj.n_accepted == 1 else 6.0
+            fac = fac_max if err == 0 else min(fac_max, max(0.333, 0.9 * err ** (-1 / 8)))
             h *= min(1.0, fac) if last_rejected else fac
             last_rejected = False
         else:

@@ -306,6 +306,34 @@ def test_mu_pv_at_large_q_against_mpmath(q):
     assert abs(mu_of_pq("V", q, p, t, aux) - ref) <= 1e-14 * abs(ref)
 
 
+def mp_wp(u, tau, derivative=False):
+    """wp(u | 1, tau), or wp' with ``derivative``, from the sine series at
+    the working precision of mpmath."""
+    import mpmath as mp
+
+    def term(z):
+        s = mp.sin(mp.pi * z)
+        return -2 * mp.pi**3 * mp.cos(mp.pi * z) / s**3 if derivative else mp.pi**2 / s**2
+
+    total = term(u) if derivative else term(u) - mp.pi**2 / 3
+    n = 1
+    while True:
+        t = term(u + n * tau) + term(u - n * tau)
+        if not derivative:
+            t -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
+        total += t
+        if abs(t) <= mp.mpf(10) ** (-mp.mp.dps - 5) * abs(total):
+            return total
+        n += 1
+
+
+def mp_half_period_values(tau):
+    """(e1, e2, e3) at the working precision, in the order of ``half_period_values``."""
+    import mpmath as mp
+
+    return [mp_wp(w, tau) for w in (mp.mpf(0.5), -(1 + tau) / 2, tau / 2)]
+
+
 def mp_mu_pvi(q, p, tau, aux, dps=40):
     """The PVI momentum map at dps digits: wp and wp' from the sine series,
     f_tau = d lambda/d tau at fixed q by mpmath's numerical derivative."""
@@ -313,25 +341,7 @@ def mp_mu_pvi(q, p, tau, aux, dps=40):
 
     with mp.workdps(dps):
         q, tau = mp.mpc(q), mp.mpc(tau)
-
-        def wp(u, tau, derivative=False):
-            def term(z):
-                s = mp.sin(mp.pi * z)
-                return -2 * mp.pi**3 * mp.cos(mp.pi * z) / s**3 if derivative else mp.pi**2 / s**2
-
-            total = term(u) if derivative else term(u) - mp.pi**2 / 3
-            n = 1
-            while True:
-                t = term(u + n * tau) + term(u - n * tau)
-                if not derivative:
-                    t -= 2 * mp.pi**2 / mp.sin(mp.pi * n * tau) ** 2
-                total += t
-                if abs(t) <= mp.mpf(10) ** (-mp.mp.dps - 5) * abs(total):
-                    return total
-                n += 1
-
-        def e(tau):
-            return [wp(w, tau) for w in (mp.mpf(0.5), -(1 + tau) / 2, tau / 2)]
+        wp, e = mp_wp, mp_half_period_values
 
         def lam(tau):
             e1, e2, _ = e(tau)
@@ -555,6 +565,34 @@ def test_time_map_refuses_lost_e2_minus_e1():
         time_map_pvi(0.05j)
     with pytest.raises(BadContext):
         jacobian_dtau_dt(0.05j)
+
+
+def test_pvi_maps_refuse_where_e2_minus_e1_keeps_6_digits():
+    from painleve_calogero.errors import BadContext
+
+    # |e2 - e1| is 1.0e-10 of max|e_j| at tau = 0.12i; both maps read 3.6e-7
+    # relative off a 40-digit evaluation when e2 - e1 was taken there
+    tau = 0.12j
+    with pytest.raises(BadContext):
+        lambda_of_q("VI", 0.2 + 0.3 * tau, tau)
+    with pytest.raises(BadContext):
+        time_map_pvi(tau)
+
+
+@pytest.mark.parametrize("tau", (0.15j, 0.2j))
+def test_pvi_maps_at_small_im_tau_against_mpmath(tau):
+    # |e2 - e1| / max|e_j| is 1.9e-8 and 3.6e-6: past the refusal at 1e-8,
+    # so 8 significant digits of e2 - e1, lambda and t survive
+    import mpmath as mp
+
+    q = 0.2 + 0.3 * tau
+    with mp.workdps(40):
+        mp_tau = mp.mpc(tau)
+        e1, e2, e3 = mp_half_period_values(mp_tau)
+        lam = complex((mp_wp(mp.mpc(q), mp_tau) - e1) / (e2 - e1))
+        t = complex((e3 - e1) / (e2 - e1))
+    assert abs(lambda_of_q("VI", q, tau) - lam) <= 1e-8 * abs(lam)
+    assert abs(time_map_pvi(tau) - t) <= 1e-8 * abs(t)
 
 
 def test_jacobian_refuses_t_rounded_to_one():
