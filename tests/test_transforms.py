@@ -341,15 +341,14 @@ def mp_mu_pvi(q, p, tau, aux, dps=40):
 
     with mp.workdps(dps):
         q, tau = mp.mpc(q), mp.mpc(tau)
-        wp, e = mp_wp, mp_half_period_values
 
         def lam(tau):
-            e1, e2, _ = e(tau)
-            return (wp(q, tau) - e1) / (e2 - e1)
+            e1, e2, _ = mp_half_period_values(tau)
+            return (mp_wp(q, tau) - e1) / (e2 - e1)
 
-        e1, e2, e3 = e(tau)
+        e1, e2, e3 = mp_half_period_values(tau)
         lam0, t = lam(tau), (e3 - e1) / (e2 - e1)
-        f_u, f_tau = wp(q, tau, True) / (e2 - e1), mp.diff(lam, tau)
+        f_u, f_tau = mp_wp(q, tau, True) / (e2 - e1), mp.diff(lam, tau)
         k0, k1, th = (mp.mpc(complex(v)) for v in (aux.kappa0, aux.kappa1, aux.theta))
         return complex(p / f_u + 2j * mp.pi * f_tau / f_u**2
                        + (k0 / lam0 + k1 / (lam0 - 1) + (th - 1) / (lam0 - t)) / 2)
