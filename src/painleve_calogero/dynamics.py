@@ -137,7 +137,8 @@ class Trajectory:
     'completed', 'pole_detected', 'step_underflow', 'max_steps' (the pole
     time, when detected, is the last sample time).  ``n_rejected_singular``
     counts the rejected steps where a stage raised or went non-finite; the
-    other rejections failed the error estimate.
+    other rejections failed the error estimate.  ``n_rhs`` counts the field
+    calls of the integration, the ones the field refused included.
     """
 
     system: SystemDescriptor
@@ -319,7 +320,8 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     first accepted step, so that its error estimate sizes the second step;
     after a rejection the step does not grow.  The field at the accepted
     point is a thirteenth stage, reused as the next step's first (first
-    same as last), so a run that attempts a step, with no singular
+    same as last).  ``n_rhs`` counts every field call, one the field
+    refuses included, so a run that attempts a step, with no singular
     rejection, makes 2 + 11 * (n_accepted + n_rejected) + n_accepted field
     calls (the probe counts; with ``max_steps=0`` there is no probe).  The
     trajectory keeps each step's start and field for ``interpolate``.
@@ -344,10 +346,10 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
     if span == 0:
         return traj
 
-    def rhs(s: float, y: list) -> list:
-        out = field_at(s, y)
+    def rhs(s: float, y: list) -> list:  # field_at, counting the call before it is made
         traj.n_rhs += 1
-        return out
+        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], t0 + s * span))
+        return [span * v for v in dq + dp]
 
     y = list(initial.coords + initial.momenta)
     abs_y = _moduli(y)

@@ -80,6 +80,11 @@ from .errors import BadContext, HalfPeriodSingularity, PoleAt, check_finite, che
 
 PI = math.pi
 TWO_PI_I = 2j * PI
+# the pi powers of the wp and wp' sums, each evaluated as those sums wrote it
+_PI2 = PI * PI
+_4PI2 = 4 * PI * PI
+_M2PI3 = -2 * PI**3
+_8JPI3 = 8j * PI**3
 
 POLE_TOL = 1e-12
 # 1/sin^2 underflows to 0 well before |Im z| reaches this; guards overflow.
@@ -259,7 +264,7 @@ def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
         total += a * (zp + zm)
         zp *= yp
         zm *= ym
-    return ctx.const + PI * PI * _sine_terms(PI * u)[0] - 4 * PI * PI * total
+    return ctx.const + _PI2 * _sine_terms(PI * u)[0] - _4PI2 * total
 
 
 def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
@@ -288,8 +293,8 @@ def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, 
         zp *= yp
         zm *= ym
     inv_sin2, cos_inv_sin3 = _sine_terms(PI * u0)
-    values = (ctx.const + PI * PI * inv_sin2 - 4 * PI * PI * total,
-              -2 * PI**3 * cos_inv_sin3 - 8j * PI**3 * total_prime)
+    values = (ctx.const + _PI2 * inv_sin2 - _4PI2 * total,
+              _M2PI3 * cos_inv_sin3 - _8JPI3 * total_prime)
     if type(u) is complex:
         ctx.last_pass = (u, values)
     return values

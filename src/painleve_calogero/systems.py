@@ -3,7 +3,11 @@
 Both sides have one shape: a one-body term per component plus one
 two-body block per unordered pair j < k (the multi-component extension).
 A one-body term returns (H_j, dH/dx_j, dH/dm_j), a pair kernel
-(value, d/dx_j, d/dx_k), and one loop sums them for either side.
+(value, d/dx_j, d/dx_k).  Each (equation, side) has its own one-body and
+pair-term functions, bound once per ``SystemDescriptor`` from the table
+``_TERMS``, and one loop sums the terms a system binds.  A term names a
+repeated subexpression once but keeps every operation in its printed
+order, so the verify report stays byte-identical across such rewrites.
 
 Painleve side (coordinates lambda_j, momenta mu_j, plain time gauge d/dt):
 the six polynomial Hamiltonians per component, and as pair blocks the
@@ -41,6 +45,7 @@ from .params import AuxParams, PainleveParams, check_equation, param_to_painleve
 
 SIDES = ("painleve", "calogero")
 _SING_TOL = 1e-12
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,12 @@ class SystemDescriptor:
     written in the alpha..delta vocabulary), of the system's own equation:
     a set tagged with another raises ``ValueError``.  ``g4sq`` is the two-body
     coupling g_4^2; it only acts for rank > 1, and a non-finite one raises
-    ``ValueError``.  Derived once, here: the PainleveParams and the
-    AuxParams of the one-body Painleve terms, ``time_gauge`` ('tau' for
-    2 pi i d/dtau, 'log_t' for t d/dt, 't' for d/dt) and
-    ``singular_times``, the fixed singular points of the time variable.
+    ``ValueError``.  Derived once, here: the PainleveParams; the one-body
+    and pair terms of (equation, side), with the parameter set they read
+    (AuxParams on the Painleve side, PainleveParams on the Calogero side);
+    ``time_gauge`` ('tau' for 2 pi i d/dtau, 'log_t' for t d/dt, 't' for
+    d/dt) and ``singular_times``, the fixed singular points of the time
+    variable.
     """
 
     equation: str
@@ -66,7 +73,10 @@ class SystemDescriptor:
     time_gauge: str = field(init=False, repr=False, compare=False)
     singular_times: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     _painleve: PainleveParams = field(init=False, repr=False, compare=False)
-    _aux: AuxParams | None = field(init=False, repr=False, compare=False)
+    # (one-body term, pair term, their parameter set), from _TERMS
+    _terms: tuple = field(init=False, repr=False, compare=False)
+    # the (j, k), j < k, of the pair terms; none where g4sq is 0
+    _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eq = check_equation(self.equation)
@@ -88,7 +98,9 @@ class SystemDescriptor:
         if painleve and aux is None:  # PII's alpha or PI's none, given as PainleveParams
             aux = AuxParams(eq, alpha=pp.alpha)
         object.__setattr__(self, "_painleve", pp)
-        object.__setattr__(self, "_aux", aux)
+        object.__setattr__(self, "_terms", (*_TERMS[eq, self.side], aux if painleve else pp))
+        n = self.rank if self.g4sq != 0 else 0
+        object.__setattr__(self, "_pairs", tuple((j, k) for j in range(n) for k in range(j + 1, n)))
         logarithmic = eq in ("V", "III")
         object.__setattr__(self, "time_gauge", "t" if painleve else
                            "tau" if eq == "VI" else "log_t" if logarithmic else "t")
@@ -99,19 +111,26 @@ class SystemDescriptor:
         return self._painleve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PhaseState:
-    """Coordinates, conjugate momenta and the time value of one phase point."""
+    """Coordinates, conjugate momenta and the time value of one phase point.
+
+    Coordinates and momenta are stored as tuples of ``complex`` and the time
+    as ``complex``; coordinates and momenta of unequal length raise
+    ``ValueError``."""
 
     coords: tuple[complex, ...]
     momenta: tuple[complex, ...]
     time: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
-        object.__setattr__(self, "momenta", tuple(map(complex, self.momenta)))
-        object.__setattr__(self, "time", complex(self.time))
-        if len(self.coords) != len(self.momenta):
+    # written out, not generated: a field call builds one per stage
+    def __init__(self, coords, momenta, time):
+        coords = tuple(map(complex, coords))
+        momenta = tuple(map(complex, momenta))
+        _setattr(self, "coords", coords)
+        _setattr(self, "momenta", momenta)
+        _setattr(self, "time", complex(time))
+        if len(coords) != len(momenta):
             raise ValueError("coords and momenta must have equal length")
 
     @property
@@ -144,147 +163,186 @@ def _guard(value: complex, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Painleve side: H_1(lambda, mu, t) per component and the lambda pair blocks
-# (ctx is unused: no elliptic function appears on this side)
+# Painleve side: H_1(lambda, mu, t) per component, returning (H1, dH1/dlam,
+# dH1/dmu), and the lambda pair blocks (value, d/dlambda_j, d/dlambda_k).
+# The pair blocks are the images of the Calogero two-body blocks under the
+# coordinate maps:
+#
+#     VI:  g4^2/(2t(t-1)) * [2(P_j+P_k)/(l_j-l_k)^2 - 2(l_j+l_k)],
+#          P(l) = l(l-1)(l-t)
+#     V:   g4^2/(2t) * 2 (l_j-1)(l_k-1)(l_j+l_k)/(l_j-l_k)^2
+#     IV:  g4^2 * (l_j+l_k)/(8 (l_j-l_k)^2)
+#     III: g4^2/(2t) * 4 l_j l_k/(l_j-l_k)^2
+#     II/I: g4^2/(l_j-l_k)^2
 # ---------------------------------------------------------------------------
 
-def _painleve_one_body(eq, lam, mu, t, a: AuxParams, ctx=None):
-    """Returns (H1, dH1/dlam, dH1/dmu)."""
-    if eq == "VI":
-        _guard(lam, "lambda"); _guard(lam - 1, "lambda-1"); _guard(lam - t, "lambda-t")
-        P = lam * (lam - 1) * (lam - t)
-        dP = 3 * lam * lam - 2 * (1 + t) * lam + t
-        B = a.kappa0 / lam + a.kappa1 / (lam - 1) + (a.theta - 1) / (lam - t)
-        dB = -a.kappa0 / lam**2 - a.kappa1 / (lam - 1) ** 2 - (a.theta - 1) / (lam - t) ** 2
-        C = a.kappa / (lam * (lam - 1))
-        dC = -a.kappa * (2 * lam - 1) / (lam * (lam - 1)) ** 2
-        pref = 1.0 / (t * (t - 1))
-        bracket = mu * mu - B * mu + C
-        h = pref * P * bracket
-        dlam = pref * (dP * bracket + P * (-dB * mu + dC))
-        dmu = pref * P * (2 * mu - B)
-    elif eq == "V":
-        _guard(lam, "lambda"); _guard(lam - 1, "lambda-1")
-        P = lam * (lam - 1) ** 2
-        dP = (lam - 1) ** 2 + 2 * lam * (lam - 1)
-        B = a.kappa0 / lam + a.theta1 / (lam - 1) - a.eta1 * t / (lam - 1) ** 2
-        dB = -a.kappa0 / lam**2 - a.theta1 / (lam - 1) ** 2 + 2 * a.eta1 * t / (lam - 1) ** 3
-        C = a.kappa / (lam * (lam - 1))
-        dC = -a.kappa * (2 * lam - 1) / (lam * (lam - 1)) ** 2
-        bracket = mu * mu - B * mu + C
-        h = P / t * bracket
-        dlam = (dP * bracket + P * (-dB * mu + dC)) / t
-        dmu = P / t * (2 * mu - B)
-    elif eq == "IV":
-        _guard(lam, "lambda")
-        B = lam / 2 + t + a.kappa0 / lam
-        dB = 0.5 - a.kappa0 / lam**2
-        bracket = mu * mu - B * mu + a.theta_inf / 2
-        h = 2 * lam * bracket
-        dlam = 2 * bracket + 2 * lam * (-dB * mu)
-        dmu = 2 * lam * (2 * mu - B)
-    elif eq == "III":
-        _guard(lam, "lambda")
-        B = a.eta_inf + a.theta0 / lam - a.eta0 * t / lam**2
-        dB = -a.theta0 / lam**2 + 2 * a.eta0 * t / lam**3
-        C = a.eta_inf * (a.theta0 + a.theta_inf) / (2 * lam)
-        dC = -a.eta_inf * (a.theta0 + a.theta_inf) / (2 * lam**2)
-        bracket = mu * mu - B * mu + C
-        h = lam * lam / t * bracket
-        dlam = (2 * lam * bracket + lam * lam * (-dB * mu + dC)) / t
-        dmu = lam * lam / t * (2 * mu - B)
-    elif eq == "II":
-        alpha = a.alpha
-        h = mu * mu / 2 - (lam * lam + t / 2) * mu - (alpha + 0.5) * lam
-        dlam = -2 * lam * mu - (alpha + 0.5)
-        dmu = mu - lam * lam - t / 2
-    else:  # PI
-        h, dlam, dmu = mu * mu / 2 - 2 * lam**3 - t * lam, -6 * lam * lam - t, mu
-    return h, dlam, dmu
+def _painleve_vi(lam, mu, t, a: AuxParams):
+    l1, lt = lam - 1, lam - t
+    _guard(lam, "lambda"); _guard(l1, "lambda-1"); _guard(lt, "lambda-t")
+    ll1 = lam * l1
+    th1 = a.theta - 1
+    P = ll1 * lt
+    dP = 3 * lam * lam - 2 * (1 + t) * lam + t
+    B = a.kappa0 / lam + a.kappa1 / l1 + th1 / lt
+    dB = -a.kappa0 / lam**2 - a.kappa1 / l1**2 - th1 / lt**2
+    C = a.kappa / ll1
+    dC = -a.kappa * (2 * lam - 1) / ll1**2
+    pref = 1.0 / (t * (t - 1))
+    bracket = mu * mu - B * mu + C
+    pP = pref * P
+    return pP * bracket, pref * (dP * bracket + P * (-dB * mu + dC)), pP * (2 * mu - B)
 
 
-def _painleve_pair(eq, lj, lk, t, g4sq, ctx=None):
-    """One pair's lambda block: (value, d/dlambda_j, d/dlambda_k).
+def _painleve_v(lam, mu, t, a: AuxParams):
+    l1 = lam - 1
+    _guard(lam, "lambda"); _guard(l1, "lambda-1")
+    l1sq = l1**2
+    ll1 = lam * l1
+    P = lam * l1sq
+    dP = l1sq + 2 * lam * l1
+    B = a.kappa0 / lam + a.theta1 / l1 - a.eta1 * t / l1sq
+    dB = -a.kappa0 / lam**2 - a.theta1 / l1sq + 2 * a.eta1 * t / l1**3
+    C = a.kappa / ll1
+    dC = -a.kappa * (2 * lam - 1) / ll1**2
+    bracket = mu * mu - B * mu + C
+    Pt = P / t
+    return Pt * bracket, (dP * bracket + P * (-dB * mu + dC)) / t, Pt * (2 * mu - B)
 
-    These are the images of the Calogero two-body blocks under the
-    coordinate maps:
 
-        VI:  g4^2/(2t(t-1)) * [2(P_j+P_k)/(l_j-l_k)^2 - 2(l_j+l_k)],
-             P(l) = l(l-1)(l-t)
-        V:   g4^2/(2t) * 2 (l_j-1)(l_k-1)(l_j+l_k)/(l_j-l_k)^2
-        IV:  g4^2 * (l_j+l_k)/(8 (l_j-l_k)^2)
-        III: g4^2/(2t) * 4 l_j l_k/(l_j-l_k)^2
-        II/I: g4^2/(l_j-l_k)^2
-    """
+def _painleve_iv(lam, mu, t, a: AuxParams):
+    _guard(lam, "lambda")
+    B = lam / 2 + t + a.kappa0 / lam
+    dB = 0.5 - a.kappa0 / lam**2
+    bracket = mu * mu - B * mu + a.theta_inf / 2
+    lam2 = 2 * lam
+    return lam2 * bracket, 2 * bracket + lam2 * (-dB * mu), lam2 * (2 * mu - B)
+
+
+def _painleve_iii(lam, mu, t, a: AuxParams):
+    _guard(lam, "lambda")
+    lsq = lam**2
+    th = a.theta0 + a.theta_inf
+    B = a.eta_inf + a.theta0 / lam - a.eta0 * t / lsq
+    dB = -a.theta0 / lsq + 2 * a.eta0 * t / lam**3
+    C = a.eta_inf * th / (2 * lam)
+    dC = -a.eta_inf * th / (2 * lsq)
+    bracket = mu * mu - B * mu + C
+    ll = lam * lam
+    llt = ll / t
+    return llt * bracket, (2 * lam * bracket + ll * (-dB * mu + dC)) / t, llt * (2 * mu - B)
+
+
+def _painleve_ii(lam, mu, t, a: AuxParams):
+    ll, t2, a5 = lam * lam, t / 2, a.alpha + 0.5
+    return mu * mu / 2 - (ll + t2) * mu - a5 * lam, -2 * lam * mu - a5, mu - ll - t2
+
+
+def _painleve_i(lam, mu, t, a: AuxParams):
+    return mu * mu / 2 - 2 * lam**3 - t * lam, -6 * lam * lam - t, mu
+
+
+def _painleve_pair_vi(lj, lk, t, g4sq):
     d = _guard(lj - lk, "lambda_j - lambda_k")
-    if eq == "VI":
-        Pj = lj * (lj - 1) * (lj - t)
-        Pk = lk * (lk - 1) * (lk - t)
-        dPj = 3 * lj * lj - 2 * (1 + t) * lj + t
-        dPk = 3 * lk * lk - 2 * (1 + t) * lk + t
-        c = g4sq / (2 * t * (t - 1))
-        return (c * (2 * (Pj + Pk) / d**2 - 2 * (lj + lk)),
-                c * (2 * dPj / d**2 - 4 * (Pj + Pk) / d**3 - 2),
-                c * (2 * dPk / d**2 + 4 * (Pj + Pk) / d**3 - 2))
-    if eq == "V":
-        c = g4sq / t
-        num = (lj - 1) * (lk - 1) * (lj + lk)
-        return (c * num / d**2,
-                c * (((lk - 1) * (lj + lk) + (lj - 1) * (lk - 1)) / d**2 - 2 * num / d**3),
-                c * (((lj - 1) * (lj + lk) + (lj - 1) * (lk - 1)) / d**2 + 2 * num / d**3))
-    if eq == "IV":
-        c = g4sq / 8
-        return (c * (lj + lk) / d**2,
-                c * (1 / d**2 - 2 * (lj + lk) / d**3),
-                c * (1 / d**2 + 2 * (lj + lk) / d**3))
-    if eq == "III":
-        c = 2 * g4sq / t
-        return (c * lj * lk / d**2,
-                c * (lk / d**2 - 2 * lj * lk / d**3),
-                c * (lj / d**2 + 2 * lj * lk / d**3))
-    # II, I
-    return g4sq / d**2, -2 * g4sq / d**3, 2 * g4sq / d**3
+    d2, d3 = d**2, d**3
+    c1 = 2 * (1 + t)
+    S = lj * (lj - 1) * (lj - t) + lk * (lk - 1) * (lk - t)
+    dPj = 3 * lj * lj - c1 * lj + t
+    dPk = 3 * lk * lk - c1 * lk + t
+    c = g4sq / (2 * t * (t - 1))
+    w = 4 * S / d3
+    return (c * (2 * S / d2 - 2 * (lj + lk)),
+            c * (2 * dPj / d2 - w - 2),
+            c * (2 * dPk / d2 + w - 2))
+
+
+def _painleve_pair_v(lj, lk, t, g4sq):
+    d = _guard(lj - lk, "lambda_j - lambda_k")
+    d2 = d**2
+    lj1, lk1, s = lj - 1, lk - 1, lj + lk
+    p = lj1 * lk1
+    num = p * s
+    c = g4sq / t
+    w = 2 * num / d**3
+    return (c * num / d2,
+            c * ((lk1 * s + p) / d2 - w),
+            c * ((lj1 * s + p) / d2 + w))
+
+
+def _painleve_pair_iv(lj, lk, t, g4sq):
+    d = _guard(lj - lk, "lambda_j - lambda_k")
+    d2 = d**2
+    s = lj + lk
+    c = g4sq / 8
+    inv, w = 1 / d2, 2 * s / d**3
+    return c * s / d2, c * (inv - w), c * (inv + w)
+
+
+def _painleve_pair_iii(lj, lk, t, g4sq):
+    d = _guard(lj - lk, "lambda_j - lambda_k")
+    d2 = d**2
+    c = 2 * g4sq / t
+    w = 2 * lj * lk / d**3
+    return c * lj * lk / d2, c * (lk / d2 - w), c * (lj / d2 + w)
+
+
+def _painleve_pair_ii(lj, lk, t, g4sq):  # also PI's
+    d = _guard(lj - lk, "lambda_j - lambda_k")
+    d3 = d**3
+    return g4sq / d**2, -2 * g4sq / d3, 2 * g4sq / d3
 
 
 # ---------------------------------------------------------------------------
-# Calogero side: p^2/2 + V_1(q, t) per component and the q pair blocks
+# Calogero side: p^2/2 + V_1(q, t) per component, returning (p^2/2 + V1,
+# dV1/dq, p), and the q pair blocks (value, d/dq_j, d/dq_k).  The PVI terms
+# take the EllipticContext at tau in place of the time.
 # ---------------------------------------------------------------------------
 
-def _calogero_one_body(eq, q, p, t, pp: PainleveParams, ctx: EllipticContext | None):
-    """Returns (p^2/2 + V1, dV1/dq, p) for the normal-form potential V1."""
-    if eq == "VI":
-        # Manin's alpha_0 .. alpha_3, multiplying -wp(q + omega_n)
-        alphas = pp.alpha, -pp.beta, pp.gamma, -pp.delta + 0.5
-        v = 0j
-        dv = 0j
-        for alpha, omega in zip(alphas, ctx.half_periods):
-            u = q + omega
-            # wp' first: its joint pass makes wp at the same u a lookup
-            dv -= alpha * elliptic.weierstrass_p_prime(u, ctx)
-            v -= alpha * elliptic.weierstrass_p(u, ctx)
-    elif eq == "V":
-        sh = _guard(cmath.sinh(q / 2), "sinh(q/2)")
-        ch = _guard(cmath.cosh(q / 2), "cosh(q/2)")
-        v = (-pp.alpha / sh**2 - pp.beta / ch**2
-             + pp.gamma * t / 2 * cmath.cosh(q) + pp.delta * t * t / 8 * cmath.cosh(2 * q))
-        dv = (pp.alpha * cmath.cosh(q / 2) / sh**3 + pp.beta * cmath.sinh(q / 2) / ch**3
-              + pp.gamma * t / 2 * cmath.sinh(q) + pp.delta * t * t / 4 * cmath.sinh(2 * q))
-    elif eq == "IV":
-        w = _guard(q, "q") / 2
-        v = -w**6 / 2 - 2 * t * w**4 - 2 * (t * t - pp.alpha) * w**2 + pp.beta / w**2
-        dv = (-3 * w**5 - 8 * t * w**3 - 4 * (t * t - pp.alpha) * w - 2 * pp.beta / w**3) / 2
-    elif eq == "III":
-        ep, em = cmath.exp(q), cmath.exp(-q)
-        v = (-pp.alpha / 4 * ep + pp.beta * t / 4 * em
-             - pp.gamma / 8 * ep * ep + pp.delta * t * t / 8 * em * em)
-        dv = (-pp.alpha / 4 * ep - pp.beta * t / 4 * em
-              - pp.gamma / 4 * ep * ep - pp.delta * t * t / 4 * em * em)
-    elif eq == "II":
-        w = q * q + t / 2
-        v, dv = -w * w / 2 - pp.alpha * q, -2 * q * w - pp.alpha
-    else:  # PI
-        v, dv = -2 * q**3 - t * q, -6 * q * q - t
+def _calogero_vi(q, p, ctx: EllipticContext, pp: PainleveParams):
+    # Manin's alpha_0 .. alpha_3, multiplying -wp(q + omega_n)
+    alphas = pp.alpha, -pp.beta, pp.gamma, -pp.delta + 0.5
+    v = 0j
+    dv = 0j
+    for alpha, omega in zip(alphas, ctx.half_periods):
+        u = q + omega
+        # wp' first: its joint pass makes wp at the same u a lookup
+        dv -= alpha * elliptic.weierstrass_p_prime(u, ctx)
+        v -= alpha * elliptic.weierstrass_p(u, ctx)
     return v + p * p / 2, dv, p
+
+
+def _calogero_v(q, p, t, pp: PainleveParams):
+    q2 = q / 2
+    sh = _guard(cmath.sinh(q2), "sinh(q/2)")
+    ch = _guard(cmath.cosh(q2), "cosh(q/2)")
+    g2, dtt = pp.gamma * t / 2, pp.delta * t * t
+    v = -pp.alpha / sh**2 - pp.beta / ch**2 + g2 * cmath.cosh(q) + dtt / 8 * cmath.cosh(2 * q)
+    dv = pp.alpha * ch / sh**3 + pp.beta * sh / ch**3 + g2 * cmath.sinh(q) + dtt / 4 * cmath.sinh(2 * q)
+    return v + p * p / 2, dv, p
+
+
+def _calogero_iv(q, p, t, pp: PainleveParams):
+    w = _guard(q, "q") / 2
+    w2, ta = w**2, t * t - pp.alpha
+    v = -w**6 / 2 - 2 * t * w**4 - 2 * ta * w2 + pp.beta / w2
+    dv = (-3 * w**5 - 8 * t * w**3 - 4 * ta * w - 2 * pp.beta / w**3) / 2
+    return v + p * p / 2, dv, p
+
+
+def _calogero_iii(q, p, t, pp: PainleveParams):
+    ep, em = cmath.exp(q), cmath.exp(-q)
+    ta, tb, dtt = -pp.alpha / 4 * ep, pp.beta * t / 4 * em, pp.delta * t * t
+    v = ta + tb - pp.gamma / 8 * ep * ep + dtt / 8 * em * em
+    dv = ta - tb - pp.gamma / 4 * ep * ep - dtt / 4 * em * em
+    return v + p * p / 2, dv, p
+
+
+def _calogero_ii(q, p, t, pp: PainleveParams):
+    w = q * q + t / 2
+    return -w * w / 2 - pp.alpha * q + p * p / 2, -2 * q * w - pp.alpha, p
+
+
+def _calogero_i(q, p, t, pp: PainleveParams):
+    return -2 * q**3 - t * q + p * p / 2, -6 * q * q - t, p
 
 
 def _inv_sinh2(z):
@@ -295,37 +353,73 @@ def _inv_sinh2(z):
     return 1 / s**2, -2 * cmath.cosh(z) / s**3
 
 
-def _calogero_pair(eq, qj, qk, t, g4sq, ctx: EllipticContext | None):
-    """One pair's q block: (value, d/dq_j, d/dq_k)."""
+def _calogero_pair_vi(qj, qk, ctx: EllipticContext, g4sq):
+    dq = qj - qk
+    if abs(dq) < _SING_TOL:
+        raise TwoBodyCollision(f"q_j = q_k = {qj}")
+    sq = qj + qk
+    gd = g4sq * elliptic.weierstrass_p_prime(dq, ctx)  # wp' before wp, as above
+    wd = elliptic.weierstrass_p(dq, ctx)
+    gs = g4sq * elliptic.weierstrass_p_prime(sq, ctx)
+    return g4sq * (wd + elliptic.weierstrass_p(sq, ctx)), gd + gs, -gd + gs
+
+
+def _calogero_pair_v(qj, qk, t, g4sq):
+    dq = qj - qk
+    if abs(dq) < _SING_TOL:
+        raise TwoBodyCollision(f"q_j = q_k = {qj}")
+    vd, dd = _inv_sinh2(dq / 2)
+    vs, ds = _inv_sinh2((qj + qk) / 2)
+    gd = g4sq * dd / 2
+    gs = g4sq * ds / 2
+    return g4sq * (vd + vs), gd + gs, -gd + gs
+
+
+def _calogero_pair_iv(qj, qk, t, g4sq):
     dq = qj - qk
     sq = qj + qk
     if abs(dq) < _SING_TOL:
         raise TwoBodyCollision(f"q_j = q_k = {qj}")
-    if eq == "VI":
-        gd = g4sq * elliptic.weierstrass_p_prime(dq, ctx)  # wp' before wp, as above
-        wd = elliptic.weierstrass_p(dq, ctx)
-        gs = g4sq * elliptic.weierstrass_p_prime(sq, ctx)
-        val = g4sq * (wd + elliptic.weierstrass_p(sq, ctx))
-    elif eq == "V":
-        vd, dd = _inv_sinh2(dq / 2)
-        vs, ds = _inv_sinh2(sq / 2)
-        val = g4sq * (vd + vs)
-        gd = g4sq * dd / 2
-        gs = g4sq * ds / 2
-    elif eq == "IV":
-        if abs(sq) < _SING_TOL:
-            raise TwoBodyCollision(f"q_j = -q_k = {qj}")
-        val = g4sq * (1 / dq**2 + 1 / sq**2)
-        gd = -2 * g4sq / dq**3
-        gs = -2 * g4sq / sq**3
-    elif eq == "III":  # III, II and I have no q_j + q_k block
-        vd, dd = _inv_sinh2(dq / 2)
-        gd = g4sq * dd / 2
-        return g4sq * vd, gd, -gd
-    else:  # II, I
-        gd = -2 * g4sq / dq**3
-        return g4sq / dq**2, gd, -gd
-    return val, gd + gs, -gd + gs
+    if abs(sq) < _SING_TOL:
+        raise TwoBodyCollision(f"q_j = -q_k = {qj}")
+    m2g = -2 * g4sq
+    gd = m2g / dq**3
+    gs = m2g / sq**3
+    return g4sq * (1 / dq**2 + 1 / sq**2), gd + gs, -gd + gs
+
+
+def _calogero_pair_iii(qj, qk, t, g4sq):  # III, II and I have no q_j + q_k block
+    dq = qj - qk
+    if abs(dq) < _SING_TOL:
+        raise TwoBodyCollision(f"q_j = q_k = {qj}")
+    vd, dd = _inv_sinh2(dq / 2)
+    gd = g4sq * dd / 2
+    return g4sq * vd, gd, -gd
+
+
+def _calogero_pair_ii(qj, qk, t, g4sq):  # also PI's
+    dq = qj - qk
+    if abs(dq) < _SING_TOL:
+        raise TwoBodyCollision(f"q_j = q_k = {qj}")
+    gd = -2 * g4sq / dq**3
+    return g4sq / dq**2, gd, -gd
+
+
+# (equation, side) -> (one-body term, pair term), bound by SystemDescriptor
+_TERMS = {
+    ("VI", "painleve"): (_painleve_vi, _painleve_pair_vi),
+    ("V", "painleve"): (_painleve_v, _painleve_pair_v),
+    ("IV", "painleve"): (_painleve_iv, _painleve_pair_iv),
+    ("III", "painleve"): (_painleve_iii, _painleve_pair_iii),
+    ("II", "painleve"): (_painleve_ii, _painleve_pair_ii),
+    ("I", "painleve"): (_painleve_i, _painleve_pair_ii),
+    ("VI", "calogero"): (_calogero_vi, _calogero_pair_vi),
+    ("V", "calogero"): (_calogero_v, _calogero_pair_v),
+    ("IV", "calogero"): (_calogero_iv, _calogero_pair_iv),
+    ("III", "calogero"): (_calogero_iii, _calogero_pair_iii),
+    ("II", "calogero"): (_calogero_ii, _calogero_pair_ii),
+    ("I", "calogero"): (_calogero_i, _calogero_pair_ii),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +452,10 @@ def _evaluate(sys, state):
     finite, or too large to keep a fractional lattice bit), so that an
     integrator stage there is a singular rejection."""
     check_state(sys, state)
-    eq, t, g4sq, xs = sys.equation, state.time, sys.g4sq, state.coords
-    if sys.side == "painleve":
-        one_body, pair, params = _painleve_one_body, _painleve_pair, sys._aux
-    else:
-        one_body, pair, params = _calogero_one_body, _calogero_pair, sys._painleve
-    cc = EllipticContext(t) if sys.time_gauge == "tau" else None
+    t, g4sq, xs = state.time, sys.g4sq, state.coords
+    one_body, pair, params = sys._terms
+    # the PVI Calogero terms read the lattice at tau = t in place of t
+    at = EllipticContext(t) if sys.time_gauge == "tau" else t
     n = len(xs)
     total = pairs = 0j
     dx = []
@@ -371,27 +463,25 @@ def _evaluate(sys, state):
     pair_dx = [0j] * n
     try:
         for x, m in zip(xs, state.momenta):
-            h1, d1, d2 = one_body(eq, x, m, t, params, cc)
+            h1, d1, d2 = one_body(x, m, at, params)
             total += h1
             dx.append(d1)
             dm.append(d2)
-        if g4sq != 0:
-            for j in range(n):
-                for k in range(j + 1, n):
-                    val, dj, dk = pair(eq, xs[j], xs[k], t, g4sq, cc)
-                    pairs += val
-                    pair_dx[j] += dj
-                    pair_dx[k] += dk
+        for j, k in sys._pairs:
+            val, dj, dk = pair(xs[j], xs[k], at, g4sq)
+            pairs += val
+            pair_dx[j] += dj
+            pair_dx[k] += dk
         h, dc, dm = total + pairs, tuple(map(add, dx, pair_dx)), tuple(dm)
         # complex products overflow to inf or nan without raising
         if not all(map(cmath.isfinite, (h, *dc, *dm))):
             raise OverflowError
     except OverflowError as exc:
         raise CoordinateSingularity(
-            f"P{eq} {sys.side} Hamiltonian overflows at coordinates {xs}") from exc
+            f"P{sys.equation} {sys.side} Hamiltonian overflows at coordinates {xs}") from exc
     except ValueError as exc:  # PVI: an elliptic argument the cell reduction refuses
         raise CoordinateSingularity(
-            f"P{eq} {sys.side} Hamiltonian at coordinates {xs}: {exc}") from exc
+            f"P{sys.equation} {sys.side} Hamiltonian at coordinates {xs}: {exc}") from exc
     return h, dc, dm
 
 
@@ -405,9 +495,9 @@ def canonical_field(
     derivative that the division by t (PV and PIII Calogero) overflows
     raises ``CoordinateSingularity``.
     """
-    dc, dm = hamiltonian_gradients(sys, state)
+    _, dc, dm = _evaluate(sys, state)
     g = gauge_factor(sys, state.time)
-    dq, dp = tuple(d / g for d in dm), tuple(-d / g for d in dc)
+    dq, dp = tuple([d / g for d in dm]), tuple([-d / g for d in dc])
     # only t can be small enough to overflow a finite gradient
     if sys.time_gauge == "log_t" and not all(map(cmath.isfinite, dq + dp)):
         raise CoordinateSingularity(f"P{sys.equation} {sys.side} field overflows at "

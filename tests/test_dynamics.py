@@ -337,9 +337,9 @@ def _reference_step_loop(sys, initial, t_end, rel_tol, abs_tol):
     samples, counts = [(t0, initial)], {"acc": 0, "rej": 0, "rhs": 0}
     singular_errors = (CoordinateSingularity, PoleAt, OverflowError, ZeroDivisionError)
 
-    def rhs(s, y):
-        dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span))
+    def rhs(s, y):  # every call counts, one the field refuses too
         counts["rhs"] += 1
+        dq, dp = canonical_field(sys, PhaseState(tuple(y[:n]), tuple(y[n:]), t0 + s * span))
         return [span * v for v in list(dq) + list(dp)]
 
     def weighted(coeffs, k, c):  # coeffs[0] k[0][c] + coeffs[1] k[1][c] + ..., from 0j
@@ -365,9 +365,15 @@ def _reference_step_loop(sys, initial, t_end, rel_tol, abs_tol):
             return math.sqrt(sq)
 
         d0, d1 = norm(y), norm(f0)
-        h0 = 1e-6 if d0 <= 1e-5 or d1 <= 1e-5 else min(0.01 * d0 / d1, 1.0)
-        f1 = rhs(h0, [y[c] + h0 * f0[c] for c in range(2 * n)])
+        finite = 1e-5 < d0 < math.inf and 1e-5 < d1 < math.inf
+        h0 = min(0.01 * d0 / d1, 1.0) if finite else 1e-6
+        try:
+            f1 = rhs(h0, [y[c] + h0 * f0[c] for c in range(2 * n)])
+        except singular_errors:  # a refused probe starts at h0
+            return h0
         der12 = max(norm([f1[c] - f0[c] for c in range(2 * n)]) / h0, d1)
+        if not der12 < math.inf:
+            return h0
         h1 = max(1e-6, h0 * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** (1 / 8)
         return min(100 * h0, h1, 1.0)
 
@@ -418,6 +424,9 @@ def _reference_step_loop(sys, initial, t_end, rel_tol, abs_tol):
 
 
 def _oracle_cases(rng):
+    # a probe and stages the field refuses, until the step underflows
+    yield (SystemDescriptor("I", "painleve"), PhaseState((0.3 + 0.1j,), (0.2 + 0.1j,), 0.5 + 0.1j),
+           1e200, 1e-8, 1e-10)
     pii = SystemDescriptor("II", "painleve", params=default_aux("II"))
     yield pii, PhaseState((0.3 + 0.1j,), (0.2 - 0.05j,), 0.4 + 0.1j), 1.2 + 0.3j, 1e-10, 1e-12
     # a long first step that the error estimate rejects
@@ -488,8 +497,8 @@ def test_a_field_raising_on_the_probe_does_not_escape(monkeypatch):
     monkeypatch.setattr(dynamics, "canonical_field", field)
     traj = integrate(SystemDescriptor("I", "painleve"), PhaseState((0.2,), (0.3,), 0.0), 0.05)
     assert traj.completed and traj.n_rejected == 0
-    # the refused probe is not counted
-    assert traj.n_rhs == len(calls) - 1 == 1 + 12 * traj.n_accepted
+    # the refused probe is counted
+    assert traj.n_rhs == len(calls) == 2 + 12 * traj.n_accepted
 
 
 def test_max_steps_zero_makes_one_field_call(monkeypatch):
@@ -519,16 +528,27 @@ def test_starting_step_leaves_out_a_zero_error_scale():
         dynamics._initial_step(rhs, [0.3 + 0j, 0j], [0.15 + 0j, 0j], 1e-8, 0.0)
 
 
-def test_singular_rejections_are_counted():
+def test_singular_rejections_are_counted(monkeypatch):
     # the field's scaled norm overflows on this span, so the run starts at
     # 1e-6 of it; the first steps overflow inside the stages, and they are
     # rejected as singular until the step underflows
+    calls = []
+
+    def field(*args):
+        calls.append(None)
+        return canonical_field(*args)
+
+    monkeypatch.setattr(dynamics, "canonical_field", field)
     sd = SystemDescriptor("I", "painleve")
     traj = integrate(sd, PhaseState((0.3 + 0.1j,), (0.2 + 0.1j,), 0.5 + 0.1j), 1e200)
     assert traj.termination == "step_underflow"
     assert 0 < traj.n_rejected_singular <= traj.n_rejected
     # a stage that raises ends its step early
     assert traj.n_rhs < 1 + 11 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
+    # and is counted: the probe and the first stage of each of the 11
+    # rejected steps raise, so only the field at the start returns
+    assert traj.n_rejected_singular == 11
+    assert traj.n_rhs == len(calls) == 13
 
 
 def test_field_raising_at_the_accepted_point_rejects_the_step(monkeypatch):
@@ -544,7 +564,8 @@ def test_field_raising_at_the_accepted_point_rejects_the_step(monkeypatch):
     sd = SystemDescriptor("I", "painleve")
     traj = integrate(sd, PhaseState((0.2,), (0.3,), 0.0), 0.05)
     assert traj.completed and traj.n_rejected == traj.n_rejected_singular == 1
-    assert traj.n_rhs == len(calls) - 1 == 2 + 11 * (traj.n_accepted + 1) + traj.n_accepted
+    # the refused thirteenth stage is counted
+    assert traj.n_rhs == len(calls) == 2 + 11 * (traj.n_accepted + 1) + traj.n_accepted + 1
 
 
 def test_overflow_in_a_step_is_a_singular_rejection():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import re
 
 import pytest
@@ -50,6 +51,25 @@ def test_param_round_trip():
     p = param_to_painleve(aux)
     p2 = param_to_painleve(aux)
     assert p == p2  # relations are evaluated exactly, not fitted
+
+
+def test_phase_state_keeps_the_dataclass_contract():
+    # its __init__ is written out; what the generated one gave must hold
+    assert [f.name for f in dataclasses.fields(PhaseState)] == ["coords", "momenta", "time"]
+    st = PhaseState([1, 2j], [0.5, 1], 3)
+    assert st.coords == (1 + 0j, 2j) and st.momenta == (0.5 + 0j, 1 + 0j) and st.time == 3
+    assert type(st.coords) is tuple and type(st.momenta) is tuple
+    assert all(type(v) is complex for v in (*st.coords, *st.momenta, st.time))
+    assert st.rank == 2
+    assert repr(st) == "PhaseState(coords=((1+0j), 2j), momenta=((0.5+0j), (1+0j)), time=(3+0j))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.time = 1j
+    twin = PhaseState((1 + 0j, 2j), (0.5, 1.0), 3.0)
+    assert twin == st and hash(twin) == hash(st)
+    assert twin != PhaseState((1, 2j), (0.5, 1), 3.5)
+    assert dataclasses.replace(st, time=4) == PhaseState((1, 2j), (0.5, 1), 4)
+    with pytest.raises(ValueError, match="equal length"):
+        PhaseState((1, 2), (1,), 0)
 
 
 def test_pi_hamiltonian_vanishes_at_origin():
@@ -403,17 +423,19 @@ def _oracle_calogero_two_body(eq, qs, g4sq, ctx):
 def _oracle_evaluate(sys, state):
     """(H, dH/dcoords, dH/dmomenta) summed the way each side once did.
 
-    The one-body terms are the module's; the Calogero one is taken at
-    p = 0, which leaves the potential V1 and its gradient.
+    The one-body terms are the module's, from its table ``_TERMS``; the
+    Calogero one is taken at p = 0, which leaves the potential V1 and its
+    gradient.
     """
     systems.check_state(sys, state)
     t = state.time
+    one_body, params = systems._TERMS[sys.equation, sys.side][0], sys._terms[2]
     if sys.side == "painleve":
         total = 0j
         dlam = []
         dmu = []
         for lam, mu in zip(state.coords, state.momenta):
-            h1, dl, dm = systems._painleve_one_body(sys.equation, lam, mu, t, sys._aux)
+            h1, dl, dm = one_body(lam, mu, t, params)
             total += h1
             dlam.append(dl)
             dmu.append(dm)
@@ -426,7 +448,7 @@ def _oracle_evaluate(sys, state):
     total = 0j
     dq = []
     for q in state.coords:
-        v1, dv1, _ = systems._calogero_one_body(sys.equation, q, 0j, t, sys._painleve, cc)
+        v1, dv1, _ = one_body(q, 0j, t if cc is None else cc, params)
         total += v1
         dq.append(dv1)
     for p in state.momenta:
