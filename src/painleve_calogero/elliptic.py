@@ -331,9 +331,10 @@ def _theta_sums(u: complex, ctx: EllipticContext) -> tuple[complex, complex, com
     if not cmath.isfinite(u):
         raise ValueError(f"u must be finite, got u={u}")
     tau = ctx.tau
-    n_terms = math.ceil(abs(u.imag) / tau.imag + math.sqrt(40 / (PI * tau.imag))) + 1
     s0 = s1 = s2 = 0j
     try:
+        # the count itself overflows once |Im u|/Im tau is inf
+        n_terms = math.ceil(abs(u.imag) / tau.imag + math.sqrt(40 / (PI * tau.imag))) + 1
         for n in range(1, n_terms + 1):
             base = 1j * PI * tau * n * n
             plus, minus = cmath.exp(base + TWO_PI_I * n * u), cmath.exp(base - TWO_PI_I * n * u)
@@ -400,7 +401,8 @@ def asymptotic_p(u: complex, n: int, tau: complex) -> complex:
     n = 2: -pi^2/3 + 8 pi^2 cos(2 pi u) e^{pi i tau}
     n = 3: -pi^2/3 - 8 pi^2 cos(2 pi u) e^{pi i tau}
 
-    Only the tests use it, as an independent check of ``weierstrass_p``.
+    The ``asymptotic.*`` rows of ``verify`` check ``weierstrass_p`` and
+    ``half_period_values`` against it.
     tau goes through ``check_tau``; u = 0 at n = 0 raises ``PoleAt``, and a
     non-finite u, an overflowing term or n not in 0..3 ``ValueError``.
     """

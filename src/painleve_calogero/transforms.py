@@ -160,7 +160,10 @@ def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
 
 
 def _nearest_in_lattice(cands, hint, tau):
-    """Representative among cands + m + n*tau closest to hint."""
+    """Representative among cands + m + n*tau closest to hint.  A hint that
+    ``reduce_to_cell`` refuses (a lattice coordinate at or beyond 2^52) raises
+    its ``ValueError``: a representative there keeps no fractional bit."""
+    elliptic.reduce_to_cell(hint, tau)
     best = None
     best_d = math.inf
     for q0 in cands:

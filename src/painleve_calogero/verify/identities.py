@@ -164,7 +164,9 @@ def _lemma4(ctx, tag, seed, n):
 # ---------------------------------------------------------------------------
 
 def asymptotics_checks() -> list[CheckReport]:
-    """e_k expansions, the t(tau) expansion and the wp decay-rate checks."""
+    """e_k expansions, the t(tau) expansion and the wp decay-rate checks, the
+    last three against the leading forms of ``asymptotic_p`` and
+    ``asymptotic_p23_sum``."""
     out = []
     tau8 = 8j
     ctx8 = EllipticContext(tau8)
@@ -195,65 +197,44 @@ def asymptotics_checks() -> list[CheckReport]:
     # e2 expansion error is O(e^{2 pi i tau}): err(6)/err(4) < e^{-2 pi * 1.9}
     errs = {}
     for im in (4.0, 6.0):
-        c = EllipticContext(1j * im)
-        _, b2, _ = elliptic.half_period_values(c)
-        approx = -PI * PI / 3 + 8 * PI * PI * cmath.exp(1j * PI * 1j * im)
-        errs[im] = abs(b2 - approx)
+        _, b2, _ = elliptic.half_period_values(EllipticContext(1j * im))
+        errs[im] = abs(b2 - elliptic.asymptotic_p(0, 2, 1j * im))
     ratio = errs[6.0] / max(errs[4.0], 1e-300)
     out.append(CheckReport("asymptotic.e2_decay", ratio, math.exp(-2 * PI * 1.9), 2,
                            metadata={"err4": f"{errs[4.0]:.4g}", "err6": f"{errs[6.0]:.4g}"}))
     return out
 
 
-def _wp_twin(u, tau, n: int):
-    """mpmath twin of the sine series for wp(u), |k| <= n, at the caller's workdps."""
-    import mpmath as mp
-
-    val = -mp.pi**2 / 3
-    for k in range(-n, n + 1):
-        val += mp.pi**2 / mp.sin(mp.pi * (u + k * tau)) ** 2
-    for k in range(1, n + 1):
-        val -= 2 * mp.pi**2 / mp.sin(mp.pi * k * tau) ** 2
-    return val
-
-
 def _wp_decay_check() -> CheckReport:
-    """log-error slope of wp(u) vs pi^2/sin^2(pi u) - pi^2/3 over Im tau 4,6,8.
+    """log-error slope of wp(u) vs its leading form pi^2/sin^2(pi u) - pi^2/3
+    (``asymptotic_p``) over Im tau 2, 3, 4.
 
-    The gap at Im tau = 8 is ~1e-19, below double precision, so the slope
-    is measured on the mpmath twin of the same sine series; a
-    double-precision variant at smaller Im tau lives in the test suite.
+    The gap is O(e^{2 pi i tau}), so it falls by e^{2 pi} per unit of Im tau;
+    at Im tau = 4 it is still ~1e-9, six digits above the rounding of wp.
     """
-    import mpmath as mp
-
     u0 = 0.31
-    with mp.workdps(40):
-        approx = mp.pi**2 / mp.sin(mp.pi * u0) ** 2 - mp.pi**2 / 3
-        errs = [float(abs(_wp_twin(u0, mp.mpc(0, im), 30) - approx)) for im in (4, 6, 8)]
+    errs = [abs(elliptic.weierstrass_p(u0, EllipticContext(1j * im))
+                - elliptic.asymptotic_p(u0, 0, 1j * im)) for im in (2, 3, 4)]
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
-    expected = math.exp(2 * PI * 2)  # e^{2 pi i tau} decay per Delta Im tau = 2
+    expected = math.exp(2 * PI)  # e^{2 pi i tau} decay per Delta Im tau = 1
     err = worst(abs(math.log(r / expected)) for r in (r1, r2))
     return CheckReport("asymptotic.wp_decay_slope", err, math.log(3.0), 3,
                        metadata={"ratios": f"{r1:.4g},{r2:.4g}", "expected": f"{expected:.4g}"})
 
 
 def _p23_coefficient_check() -> CheckReport:
-    """Coefficient of e^{2 pi i tau} in wp(u+w2)+wp(u+w3) vs 16-32cos(4 pi u) pi^2.
+    """Coefficient of e^{2 pi i tau} in wp(u+w2)+wp(u+w3) vs 16-32cos(4 pi u) pi^2:
+    the gap to ``asymptotic_p23_sum`` relative to that correction at Im tau = 3.
 
-    Run on the mpmath twin at Im tau = 6: in doubles the combination
-    cancels to ~1e-14 and the coefficient drowns in rounding noise.
+    The gap is O(e^{4 pi i tau}) against an O(e^{2 pi i tau}) correction, so
+    the ratio falls by e^{-2 pi} per unit of Im tau (3.9e-6 at Im tau = 2);
+    by Im tau = 6 the correction, ~1e-14, would drown in rounding.
     """
-    import mpmath as mp
-
     u0 = 0.31
-    with mp.workdps(50):
-        tau = mp.mpc(0.0, 6.0)
-        w2 = _wp_twin(u0 - (1 + tau) / 2, tau, 40)
-        w3 = _wp_twin(u0 + tau / 2, tau, 40)
-        q2 = mp.e ** (2j * mp.pi * tau)
-        coeff = (w2 + w3 + 2 * mp.pi**2 / 3) / q2
-        target = 16 * mp.pi**2 - 32 * mp.pi**2 * mp.cos(4 * mp.pi * u0)
-        rel = float(abs(coeff - target) / abs(target))
-    return CheckReport("asymptotic.p23_coefficient", rel, 1e-3, 1,
-                       metadata={"im_tau": "6", "u": str(u0)})
+    ctx = EllipticContext(3j)
+    gap = elliptic.shifted_p(u0, 2, ctx) + elliptic.shifted_p(u0, 3, ctx) \
+        - elliptic.asymptotic_p23_sum(u0, ctx.tau)
+    correction = (16 - 32 * math.cos(4 * PI * u0)) * PI * PI * cmath.exp(TWO_PI_I * ctx.tau)
+    return CheckReport("asymptotic.p23_coefficient", abs(gap) / abs(correction), 1e-3, 1,
+                       metadata={"im_tau": "3", "u": str(u0)})

@@ -29,15 +29,15 @@ def run_fresh(code: str, *args: str) -> str:
                           text=True, timeout=120, check=True).stdout
 
 
-# the package needs neither numpy nor scipy at run time: behind this meta-path
-# finder, any import of either raises ModuleNotFoundError
+# the package needs none of numpy, scipy and mpmath at run time: behind this
+# meta-path finder, any import of them raises ModuleNotFoundError
 _REFUSE_NUMPY = """\
 import sys
 
 
 class _Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.partition('.')[0] in ('numpy', 'scipy'):
+        if name.partition('.')[0] in ('numpy', 'scipy', 'mpmath'):
             raise ModuleNotFoundError(f'{name} is refused here', name=name)
 
 
@@ -46,7 +46,7 @@ sys.meta_path.insert(0, _Refuse())
 
 
 def run_without_numpy(code: str, *args: str) -> str:
-    """``run_fresh`` with every import of numpy or scipy refused."""
+    """``run_fresh`` with every import of numpy, scipy or mpmath refused."""
     return run_fresh(_REFUSE_NUMPY + code, *args)
 
 

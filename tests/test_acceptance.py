@@ -70,8 +70,8 @@ def test_criterion_2_large_imtau_asymptotics():
     }
     ok = all(err < tol for err, tol in checks.values())
 
-    # log-error slope of wp vs pi^2/sin^2 - pi^2/3 across Im tau in {4, 6, 8},
-    # as the identity suite measures it: passed <=> |log(r / e^{4 pi})| <= log 3
+    # log-error slope of wp vs pi^2/sin^2 - pi^2/3 across Im tau in {2, 3, 4},
+    # as the identity suite measures it: passed <=> |log(r / e^{2 pi})| <= log 3
     slope = next(r for r in asymptotics_checks() if r.check_id == "asymptotic.wp_decay_slope")
     detail = ", ".join(f"{k}={v[0]:.1e}" for k, v in checks.items())
     _report("criterion 2 (large-Im-tau asymptotics)", ok and slope.passed,

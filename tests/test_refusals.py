@@ -24,7 +24,7 @@ import pytest
 
 import painleve_calogero as pc
 from painleve_calogero.dynamics import COMPLETED, MAX_STEPS, POLE_DETECTED, STEP_UNDERFLOW
-from painleve_calogero.elliptic import asymptotic_p23_sum
+from painleve_calogero.elliptic import asymptotic_p23_sum, theta_du2
 from painleve_calogero.errors import (
     CoordinateSingularity,
     MapSingularity,
@@ -365,6 +365,9 @@ def _numbers(out):
         pc.PhaseState((700,), (0.1,), 1e-11)), CoordinateSingularity),  # dH/dq / t
     (lambda: pc.asymptotic_p(complex(math.inf, 0), 3, -0.4 + 0.5j), ValueError),
     (lambda: asymptotic_p23_sum(complex("nan"), 1j), ValueError),
+    # the theta term count overflowed before the sum's refusal
+    *((lambda f=f: f(1e308j, pc.EllipticContext(0.5j)), ValueError)
+      for f in (pc.theta, pc.theta_du, theta_du2, pc.theta_dtau)),
 ), ids=("asymptotic_p-overflow", "asymptotic_p-pole", "asymptotic_p23_sum-overflow",
         "q_of_lambda-inf-hint", "q_of_lambda-nan-hint", "ode_rhs-zero", "ode_rhs-overflow",
         "mu_of_pq-VI-lambda-0", "param_to_painleve-overflow", "system-nan-g4sq",
@@ -373,7 +376,8 @@ def _numbers(out):
         "field-IV-painleve-huge-mu", "field-III-painleve-huge-mu", "hamiltonian-VI-huge-mu",
         "ode_rhs-VI-huge-lambda", "ode_rhs-V-huge-lambda", "ode_rhs-IV-huge-lambda",
         "ode_rhs-III-huge-lambda", "lambda_of_q-IV-huge-q", "field-III-calogero-log-gauge",
-        "asymptotic_p-inf-u", "asymptotic_p23_sum-nan-u"))
+        "asymptotic_p-inf-u", "asymptotic_p23_sum-nan-u", "theta-huge-u", "theta_du-huge-u",
+        "theta_du2-huge-u", "theta_dtau-huge-u"))
 def test_escapes_found_by_the_fuzz_are_refused(call, error):
     # an OverflowError, a ZeroDivisionError, or (the NaN hint, the NaN
     # coupling, the huge one and the huge coordinates and momenta) an input

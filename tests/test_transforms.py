@@ -227,6 +227,23 @@ def test_periodic_branch_hint_far_away(eq, periods):
     assert abs(q_of_lambda(eq, lam, t, branch_hint=q) - q) < 1e-9
 
 
+_PVI_STATE = PhaseState((0.3 + 0.2j,), (0.4,), time_map_pvi(0.5j))
+
+
+@pytest.mark.parametrize("call", (
+    lambda h: q_of_lambda("VI", 0.3 + 0.2j, 0.5j, branch_hint=h),
+    lambda h: pq_of_lambdamu("VI", 0.3 + 0.2j, 0.4, 0.5j, default_aux("VI"), branch_hint=h),
+    lambda h: multi_transform("VI", "to_calogero", _PVI_STATE, default_aux("VI"),
+                              EllipticContext(0.5j), branch_hints=(h,)),
+), ids=("q_of_lambda", "pq_of_lambdamu", "multi_transform"))
+@pytest.mark.parametrize("hint", (1e308j, -1.7e308j, 1e17, 2.0**52))
+def test_pvi_branch_hint_without_a_fractional_lattice_bit_is_refused(call, hint):
+    # rounding the hint's lattice coordinates overflowed (1e308j, -1.7e308j),
+    # or the q returned near it kept no fractional bit (1e17 + 0.0945j)
+    with pytest.raises(ValueError, match="keep no fractional bit"):
+        call(hint)
+
+
 # ---------------------------------------------------------------------------
 # momentum maps
 # ---------------------------------------------------------------------------
