@@ -41,14 +41,14 @@ N grows like 1/Im tau, so ``check_tau``, the one test of the tau domain,
 raises ``BadContext`` unless tau is finite with Im tau >= ``MIN_IM_TAU`` =
 1e-3.  A context computes Q, N, the tau-only constant, the K coefficient
 pairs and the half periods once, when it is built.
-``weierstrass_p_and_prime`` sums both series from one run of the same y,
-each rounded as the value-only loop of ``weierstrass_p`` rounds it, and
-``weierstrass_p_prime`` is its second half.  The context keeps the last
+``weierstrass_p_and_prime`` is the one evaluation of the series: it sums
+both from one run of the same y, and ``weierstrass_p`` and
+``weierstrass_p_prime`` are its two halves.  The context keeps the last
 joint pass as one (argument, (wp, wp')) entry, and ``weierstrass_p``
 returns its wp without a pass when called with that same argument object
 (``is``, not ``==``), so wp' then wp at one argument costs one pass; any
-other argument gets the value-only loop.  The slow double lattice sum
-survives only as a test oracle (tests/test_elliptic.py).
+other argument takes a joint pass.  The slow double lattice sum survives
+only as a test oracle (tests/test_elliptic.py).
 
 u is reduced as a + b tau with real a, b; once |a| or |b| reaches 2^52 no
 fractional bit of them is left, and the reduction raises ``ValueError``
@@ -241,30 +241,16 @@ def _nome_start(u: complex, ctx: EllipticContext):
 
 
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
-    """wp(u | 1, tau): the n = 0 sine term, the n = 1 nome term per side and
-    K Lambert terms for n >= 2.
+    """wp(u | 1, tau): the first half of ``weierstrass_p_and_prime``.
 
-    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
-    the nome tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}, and
-    K <= N keeps the Lambert tail below it too; see the module docstring
-    for the series and the bounds.  When u is the argument object of the
-    context's last joint pass, its wp is returned without reducing or
-    summing; it equals the value this loop gives bit for bit, since both
-    loops add the same terms in the same order.
+    When u is the argument object of the context's last joint pass, its wp
+    is returned without reducing or summing; any other u takes a joint pass
+    (see the module docstring for the series and the bounds).
     """
     last = ctx.last_pass
     if last is not None and last[0] is u:
         return last[1][0]
-    u, q, xp, xm = _nome_start(u, ctx)
-    dp, dm = 1 - xp, 1 - xm
-    total = xp / (dp * dp) + xm / (dm * dm)
-    yp, ym = xp * q, xm * q
-    zp, zm = yp, ym
-    for a, _ in ctx._lambert:
-        total += a * (zp + zm)
-        zp *= yp
-        zm *= ym
-    return ctx.const + _PI2 * _sine_terms(PI * u)[0] - _4PI2 * total
+    return weierstrass_p_and_prime(u, ctx)[0]
 
 
 def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
@@ -275,9 +261,11 @@ def weierstrass_p_prime(u: complex, ctx: EllipticContext) -> complex:
 
 
 def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, complex]:
-    """(wp(u), wp'(u)) from one run of the n = 1 term and the K Lambert
-    terms, the wp sum rounded as the value-only loop of ``weierstrass_p``
-    rounds it, so the two agree bit for bit.  A u of type ``complex`` is
+    """(wp(u), wp'(u)) from the n = 0 sine term, one run of the n = 1 term
+    and the K Lambert terms: the one evaluation of both series.
+    N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
+    the nome tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}, and
+    K <= N keeps the Lambert tail below it too.  A u of type ``complex`` is
     kept with the pair as the context's ``last_pass``: its value cannot
     change, so the same object means the same argument."""
     u0, q, xp, xm = _nome_start(u, ctx)

@@ -24,14 +24,19 @@ quadrature; its time map t(tau) is inverted by Newton iteration.
 
 Every map multiplies the 1-form pair by a constant factor c (1, 1/2, 1/4,
 1/2, 1, 1 for VI..I).
-A PVI map builds the one ``EllipticContext`` it reads at its time, tau;
-``multi_transform`` shares one among all coordinates of a state.
+A public PVI map builds the one ``EllipticContext`` it reads at its time,
+tau, and ``multi_transform`` shares one among all coordinates of a state.
+The private maps take that context in place of the time for VI, as the
+terms of ``systems._TERMS`` do, and the time itself for PV..PI
+(``_time_arg``), so each reads its time from one input.  Given a
+``branch_hint``, an inverse returns the q nearest it among the period
+shifts of its candidates, and refuses a hint so far out that this q keeps
+too few digits to map back to lambda.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 from . import elliptic
 from .elliptic import PI, TWO_PI_I, EllipticContext
@@ -57,9 +62,10 @@ _RF_TOL = (3 * 2.0**-53) ** (1 / 6)  # Carlson's (3 r)^(1/6) at r = one rounding
 _HALF_PERIOD_TOL = 1e-7
 
 
-def _context(eq: str, time: complex) -> EllipticContext | None:
-    """The one context a PVI map reads at tau = time; the other maps need none."""
-    return EllipticContext(time) if eq == "VI" else None
+def _time_arg(eq: str, time: complex):
+    """What a private map reads in place of the time: the ``EllipticContext``
+    at tau = time for VI, as in ``systems._TERMS``, the time otherwise."""
+    return EllipticContext(time) if eq == "VI" else time
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +141,15 @@ def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     eq = check_equation(eq)
     q = complex(q)
     check_finite("q and time", q, time)
+    return _lambda_of_q(eq, q, _time_arg(eq, time))
+
+
+def _lambda_of_q(eq, q, at):
     lam = q  # II, I
     try:
         if eq == "VI":
-            c = EllipticContext(time)
-            e1, e2, _ = elliptic.half_period_values(c)
-            lam = (elliptic.weierstrass_p(q, c) - e1) / (e2 - e1)
+            e1, e2, _ = elliptic.half_period_values(at)
+            lam = (elliptic.weierstrass_p(q, at) - e1) / (e2 - e1)
         elif eq == "V":
             s = cmath.sinh(q / 2)
             if abs(s) < 1e-12:
@@ -159,25 +168,38 @@ def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     return lam
 
 
-def _nearest_in_lattice(cands, hint, tau):
-    """Representative among cands + m + n*tau closest to hint.  A hint that
-    ``reduce_to_cell`` refuses (a lattice coordinate at or beyond 2^52) raises
-    its ``ValueError``: a representative there keeps no fractional bit."""
-    elliptic.reduce_to_cell(hint, tau)
-    best = None
-    best_d = math.inf
-    for q0 in cands:
-        # center the search window on the hint
+def _window(eq, q0, hint, at):
+    """q0's period shifts in a window centred on the hint: q0 - m - n tau for
+    VI, q0 + 2 pi i k for V and III; PIV has no period."""
+    if eq == "VI":
+        tau = at.tau
         base = q0 - hint
         b = round(base.imag / tau.imag)
         a = round((base - b * tau).real)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                cand = q0 - (a + dm) - (b + dn) * tau
-                d = abs(cand - hint)
-                if d < best_d:
-                    best_d = d
-                    best = cand
+        return [q0 - (a + dm) - (b + dn) * tau for dm in (-1, 0, 1) for dn in (-1, 0, 1)]
+    if eq in ("V", "III"):
+        k = round((hint - q0).imag / (2 * PI))
+        return [q0 + (k + dk) * TWO_PI_I for dk in (-1, 0, 1)]
+    return [q0]
+
+
+def _nearest_representative(eq, lam, cands, hint, at):
+    """The q among cands and their period shifts nearest the hint.
+
+    A representative keeps fewer digits of q the farther out it lies, so
+    one whose lambda misses that of cands[0] by more than ``INVERSE_TOL``
+    (relative, or absolute below 1) raises ``ValueError``, as a PVI hint
+    that ``reduce_to_cell`` refuses (a lattice coordinate at or beyond 2^52,
+    where no fractional bit is left) does first.  For VI, lambda(cands[0])
+    is a lookup of the residual check's pass."""
+    if eq == "VI":
+        elliptic.reduce_to_cell(hint, at.tau)
+    best = min((c for q0 in cands for c in _window(eq, q0, hint, at)),
+               key=lambda c: abs(c - hint))
+    ref = _lambda_of_q(eq, cands[0], at)
+    if not abs(_lambda_of_q(eq, best, at) - ref) <= INVERSE_TOL * max(1.0, abs(ref)):
+        raise ValueError(f"branch_hint={hint} is too far out: the q={best} nearest it keeps "
+                         f"too few digits to map back to lambda={lam}")
     return best
 
 
@@ -199,7 +221,7 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
 
 
-def _q_of_lambda_pvi(lam, ctx, branch_hint):
+def _q_of_lambda_pvi(lam, ctx):
     """q = R_F(x - e1, x - e2, x - e3): the integral of dx/sqrt(4 prod(x - e_i))
     from x = wp(q) to infinity, along whatever path the square roots pick.
 
@@ -214,12 +236,7 @@ def _q_of_lambda_pvi(lam, ctx, branch_hint):
     q = cmath.sqrt(c) * _carlson_rf(*(c * a for a in args))
     if not abs(elliptic.weierstrass_p(q, ctx) - x) <= INVERSE_TOL * max(1.0, abs(x)):
         raise NoConvergence(f"PVI inversion of lambda={lam} failed its wp residual check")
-    if branch_hint is not None:
-        return _nearest_in_lattice((q, -q), complex(branch_hint), ctx.tau)
-    # principal choice: the cell representative with the larger imaginary
-    # part, then the smaller real part
-    reps = (elliptic.reduce_to_cell(z, ctx.tau) for z in (q, -q))
-    return max(reps, key=lambda z: (z.imag, -z.real))
+    return q
 
 
 def q_of_lambda(eq: str, lam: complex, time: complex,
@@ -227,25 +244,32 @@ def q_of_lambda(eq: str, lam: complex, time: complex,
     """Invert the coordinate map: a q with lambda_of_q(q) = lam.
 
     The branch is chosen nearest to ``branch_hint`` when given, otherwise a
-    deterministic principal branch.  A non-finite lam or branch_hint raises
+    deterministic principal branch.  A non-finite lam or branch_hint, or a
+    hint so far out that the q nearest it keeps too few digits, raises
     ``ValueError``; VI raises ``NoConvergence`` if its wp residual check
     fails, and ``PoleAt`` for q within ``POLE_TOL`` of a pole.
     """
     eq = check_equation(eq)
-    return _q_of_lambda(eq, lam, _context(eq, time), branch_hint)
+    return _q_of_lambda(eq, lam, _time_arg(eq, time), branch_hint)
 
 
-def _q_of_lambda(eq, lam, ctx, branch_hint):
+def _q_of_lambda(eq, lam, at, branch_hint):
     lam = complex(lam)
     check_finite("lambda", lam)
     if branch_hint is not None:
         check_finite("branch_hint", branch_hint)
     if eq == "VI":
-        t = _time_map(ctx)
+        t = _time_map(at)
         if min(abs(lam), abs(lam - 1), abs(lam - t)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PVI branch set {{0, 1, t}}")
-        return _q_of_lambda_pvi(lam, ctx, branch_hint)
-    if eq == "V":
+        q0 = _q_of_lambda_pvi(lam, at)
+        if branch_hint is None:
+            # principal choice: the cell representative with the larger
+            # imaginary part, then the smaller real part
+            reps = (elliptic.reduce_to_cell(z, at.tau) for z in (q0, -q0))
+            return max(reps, key=lambda z: (z.imag, -z.real))
+        cands = [q0, -q0]
+    elif eq == "V":
         if min(abs(lam), abs(lam - 1)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PV branch set {{0, 1}}")
         s = cmath.sqrt(lam)
@@ -263,21 +287,16 @@ def _q_of_lambda(eq, lam, ctx, branch_hint):
         return lam
     if branch_hint is None:
         return cands[0]
-    hint = complex(branch_hint)
-    if eq in ("V", "III"):
-        # period shifts in a window centred on the hint
-        cands = [q0 + (round((hint - q0).imag / (2 * PI)) + k) * TWO_PI_I
-                 for q0 in cands for k in (-1, 0, 1)]
-    return min(cands, key=lambda c: abs(c - hint))
+    return _nearest_representative(eq, lam, cands, complex(branch_hint), at)
 
 
 # ---------------------------------------------------------------------------
 # mu(q, p) and its affine inversion
 # ---------------------------------------------------------------------------
 
-def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
-    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q); VI
-    reads ``ctx``, the context at tau = time.
+def _mu_pieces(eq, q, at, aux: AuxParams):
+    """Returns (coef, rest) with mu = coef * p + rest, and lambda(q); ``at``
+    is the context at tau for VI and the time otherwise (``_time_arg``).
 
     ``aux`` of another equation raises ``ValueError``; a term that divides
     by zero or overflows, e^q underflowing to 0, a non-finite rest, or a
@@ -287,9 +306,9 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
         raise ValueError(f"P{eq} momentum map given parameters of P{aux.equation}")
     try:
         if eq == "VI":
-            lam, f_u, f_tau = elliptic.f_and_derivatives(q, ctx)
-            e1, e2, e3 = elliptic.half_period_values(ctx)
-            gaps = (lam, lam - 1, lam - _time_map(ctx))  # (wp(q) - e_k)/(e2 - e1)
+            lam, f_u, f_tau = elliptic.f_and_derivatives(q, at)
+            e1, e2, e3 = elliptic.half_period_values(at)
+            gaps = (lam, lam - 1, lam - _time_map(at))  # (wp(q) - e_k)/(e2 - e1)
             if min(map(abs, gaps)) * abs(e2 - e1) < _HALF_PERIOD_TOL * max(map(abs, (e1, e2, e3))):
                 raise MapSingularity(f"q={q} is so near a PVI half period that fewer than 8 "
                                      "digits of lambda, lambda - 1 or lambda - t survive")
@@ -304,20 +323,20 @@ def _mu_pieces(eq, q, time, aux: AuxParams, ctx):
             lam = sqrt_lam * sqrt_lam
             lam_1 = 1 / (s * s)  # lambda - 1, which would cancel as lambda -> 1 at large q
             coef = 1 / (2 * sqrt_lam * lam_1)
-            rest = (aux.kappa0 / lam + aux.theta1 / lam_1 - aux.eta1 * time / lam_1**2) / 2
+            rest = (aux.kappa0 / lam + aux.theta1 / lam_1 - aux.eta1 * at / lam_1**2) / 2
         elif eq == "IV":
             if abs(q) < 1e-12:
                 raise MapSingularity("q=0 is singular for the PIV momentum map")
             sqrt_lam = q / 2  # branch induced by q
             lam = sqrt_lam * sqrt_lam
             coef = 1 / (4 * sqrt_lam)
-            rest = (lam + 2 * time + 2 * aux.kappa0 / lam) / 4
+            rest = (lam + 2 * at + 2 * aux.kappa0 / lam) / 4
         elif eq == "III":
             lam = cmath.exp(q)
             coef = 1 / (2 * lam)
-            rest = (aux.eta_inf + aux.theta0 / lam - aux.eta0 * time / lam**2) / 2
+            rest = (aux.eta_inf + aux.theta0 / lam - aux.eta0 * at / lam**2) / 2
         elif eq == "II":
-            lam, coef, rest = q, 1.0 + 0j, q * q + time / 2
+            lam, coef, rest = q, 1.0 + 0j, q * q + at / 2
         else:  # PI: mu = p
             lam, coef, rest = q, 1.0 + 0j, 0j
     except (OverflowError, ZeroDivisionError) as exc:
@@ -333,7 +352,7 @@ def mu_of_pq(eq: str, q: complex, p: complex, time: complex, aux: AuxParams) -> 
     eq = check_equation(eq)
     q, p, time = complex(q), complex(p), complex(time)
     check_finite("q, p and time", q, p, time)
-    coef, rest, _ = _mu_pieces(eq, q, time, aux, _context(eq, time))
+    coef, rest, _ = _mu_pieces(eq, q, _time_arg(eq, time), aux)
     return coef * p + rest
 
 
@@ -346,12 +365,12 @@ def pq_of_lambdamu(eq: str, lam: complex, mu: complex, time: complex, aux: AuxPa
     """
     eq = check_equation(eq)
     check_finite("mu and time", mu, time)
-    return _pq_of_lambdamu(eq, lam, mu, complex(time), aux, _context(eq, time), branch_hint)
+    return _pq_of_lambdamu(eq, lam, mu, _time_arg(eq, complex(time)), aux, branch_hint)
 
 
-def _pq_of_lambdamu(eq, lam, mu, time, aux, ctx, branch_hint):
-    q = _q_of_lambda(eq, lam, ctx, branch_hint)
-    coef, rest, _ = _mu_pieces(eq, q, time, aux, ctx)
+def _pq_of_lambdamu(eq, lam, mu, at, aux, branch_hint):
+    q = _q_of_lambda(eq, lam, at, branch_hint)
+    coef, rest, _ = _mu_pieces(eq, q, at, aux)
     p = (complex(mu) - rest) / coef
     if not cmath.isfinite(p):
         raise _out_of_range(eq, q)
@@ -370,12 +389,14 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
     direction 'to_painleve' takes a Calogero state (q, p, T) to (lambda,
     mu, t): the refusals below, then the forward kernel ``_to_painleve``,
     which the circle rule of ``verify`` also calls.  'to_calogero' inverts.
-    Every coordinate of a VI state shares one context: 'to_painleve' reuses
-    ``ctx`` when ``ctx.tau`` is the state's time, and 'to_calogero' finds
-    the target tau from t by Newton, seeded by ``ctx.tau`` (required).  An
-    input the call does not read (a ``ctx`` for PV..PI, ``branch_hints``
-    with 'to_painleve'), a non-finite entry of the state, or
-    ``branch_hints`` of another length than the state raises ``ValueError``.
+    Every coordinate of a VI state shares one context: 'to_painleve' reads
+    ``ctx`` when given, which must be the context at the state's time, and
+    'to_calogero' finds the target tau from t by Newton, seeded by
+    ``ctx.tau`` (required).  An input the call does not read (a ``ctx`` for
+    PV..PI, ``branch_hints`` with 'to_painleve'), a VI ``ctx`` at another
+    tau than the state's with 'to_painleve', a non-finite entry of the
+    state, or ``branch_hints`` of another length than the state raises
+    ``ValueError``.
     """
     eq = check_equation(eq)
     if direction not in ("to_painleve", "to_calogero"):
@@ -386,30 +407,33 @@ def multi_transform(eq: str, direction: str, state: PhaseState, aux: AuxParams,
         raise ValueError("branch_hints choose the branches of 'to_calogero'; "
                          "'to_painleve' reads none")
     check_finite("the state", *state.coords, *state.momenta, state.time)
-    if direction == "to_painleve":
-        return PhaseState(*_to_painleve(eq, state.coords, state.momenta, state.time, aux, ctx))
-
     T = state.time
+    if direction == "to_painleve":
+        if ctx is not None and ctx.tau != T:
+            raise ValueError(f"'to_painleve' reads the context at the state's tau={T}, "
+                             f"got ctx.tau={ctx.tau}")
+        at = _time_arg(eq, T) if ctx is None else ctx
+        return PhaseState(*_to_painleve(eq, state.coords, state.momenta, at, aux))
+
     if eq == "VI":
         if ctx is None:
             raise ValueError("VI inversion needs ctx.tau as the Newton seed for the time map")
         T = time_map_pvi_inverse(T, ctx.tau)
-    c = _context(eq, T)
+    at = _time_arg(eq, T)
     hints = branch_hints if branch_hints is not None else (None,) * state.rank
-    out = [_pq_of_lambdamu(eq, lam, mu, T, aux, c, hint)
+    out = [_pq_of_lambdamu(eq, lam, mu, at, aux, hint)
            for lam, mu, hint in zip(state.coords, state.momenta, hints, strict=True)]
     qs = tuple(o[0] for o in out)
     _check_pairwise(qs)
     return PhaseState(qs, tuple(o[1] for o in out), T)
 
 
-def _to_painleve(eq, coords, momenta, T, aux, ctx):
-    """(lambdas, mus, t) of the finite Calogero entries (coords, momenta, T),
-    with no argument check; VI reads ``ctx`` when ``ctx.tau == T`` and
-    builds the context at T otherwise."""
-    c = ctx if ctx is not None and ctx.tau == T else _context(eq, T)
-    t_out = _time_map(c) if eq == "VI" else T
-    pieces = [_mu_pieces(eq, qj, T, aux, c) for qj in coords]
+def _to_painleve(eq, coords, momenta, at, aux):
+    """(lambdas, mus, t) of the finite Calogero entries (coords, momenta) at
+    ``at``, the context at tau for VI and the time T otherwise, with no
+    argument check."""
+    t_out = _time_map(at) if eq == "VI" else at
+    pieces = [_mu_pieces(eq, qj, at, aux) for qj in coords]
     lams = tuple(lam for _, _, lam in pieces)
     mus = tuple(coef * pj + rest for (coef, rest, _), pj in zip(pieces, momenta))
     _check_pairwise(lams)

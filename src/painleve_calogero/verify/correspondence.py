@@ -8,23 +8,24 @@ of s -> Phi(x0 + s v), summed from Phi at x0 + h w v, w in (1, i, -1, -i),
 with h = FD_STEP in units of v.  That is four evaluations of Phi per point
 at any rank, with an O(h^4) error.  They go through the forward kernel
 ``transforms._to_painleve``, with no ``PhaseState`` and no argument check
-beyond finiteness.  The Calogero field is reparametrized by the Painleve
-time before comparison, so the pushed-forward time component is
-identically 1 and the phase components must match (dH/dmu, -dH/dlambda)
-at the image point.  Every sample of a row sits at one time T, and the
-time component of v is dT/dt there, so the four circle times are the same
-for the whole row: a PVI row builds their four contexts once.
+beyond finiteness, and so does the map of the unperturbed point.  The
+Calogero field is reparametrized by the Painleve time before comparison,
+so the pushed-forward time component is identically 1 and the phase
+components must match (dH/dmu, -dH/dlambda) at the image point.  Every
+sample of a row sits at one time T, and the time component of v is dT/dt
+there, so the four circle times are the same for the whole row: a PVI row
+builds their four contexts once.
 
 ``run_dynamic_correspondence`` restates the same content at flow level:
 integrate on the Calogero side and map the endpoint, versus mapping the
-initial point and integrating on the Painleve side.
+initial point and integrating on the Painleve side, over a Painleve-side
+arc of length ``ARC_LENGTH`` with both flows at ``INTEGRATOR_TOLS``.
 """
 
 from __future__ import annotations
 
 from .. import transforms
 from ..dynamics import integrate
-from ..elliptic import EllipticContext
 from ..errors import check_finite
 from ..params import AuxParams
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
@@ -34,6 +35,8 @@ FD_STEP = 3e-4
 CIRCLE = (1, 1j, -1, -1j)  # the circle rule's points w
 TOL_PUSHFORWARD = 1e-5
 TOL_DYNAMIC = 1e-6
+ARC_LENGTH = 0.3
+INTEGRATOR_TOLS = (1e-10, 1e-12)  # rel_tol, abs_tol
 
 # default auxiliary constants for parameter draws (fixed, generic, complex)
 DEFAULT_AUX = {
@@ -87,42 +90,43 @@ def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:
     return PhaseState(tuple(qs), tuple(ps), T)
 
 
-def _circle_contexts(eq: str, T: complex, dT_dt: complex) -> tuple:
-    """The contexts at the four circle-rule times T + h w dT_dt for VI (at
-    the same points ``_pushed_field`` reaches), four Nones otherwise."""
-    return tuple(transforms._context(eq, T + FD_STEP * w * dT_dt) for w in CIRCLE)
+def _circle_time_args(eq: str, T: complex, dT_dt: complex) -> tuple:
+    """What the forward kernel reads at the four circle-rule times
+    T + h w dT_dt, the same points ``_pushed_field`` reaches: their contexts
+    for VI, the times themselves otherwise (``transforms._time_arg``)."""
+    return tuple(transforms._time_arg(eq, T + FD_STEP * w * dT_dt) for w in CIRCLE)
 
 
 def _pushed_field(cal: SystemDescriptor, state: PhaseState, dT_dt: complex,
-                  circle_ctxs: tuple) -> list[complex]:
+                  circle_args: tuple) -> list[complex]:
     """J_Phi . v at ``state``, v the Calogero field in Painleve time, as
     sum_w Phi(x0 + h w v) / (4 h w), w in CIRCLE, h = FD_STEP; dT_dt is the
-    Jacobian of the time map at the state's time, and circle_ctxs[k] the
-    context the map reads at circle point k when its tau is that point's."""
+    Jacobian of the time map at the state's time, and circle_args the
+    ``_circle_time_args`` at that time."""
     eq, rank, aux = cal.equation, cal.rank, cal.params
     qdot, pdot = canonical_field(cal, state)
     vel = [v * dT_dt for v in qdot] + [v * dT_dt for v in pdot] + [dT_dt]
     x0 = list(state.coords) + list(state.momenta) + [state.time]
 
     pushed = [0j] * (2 * rank + 1)
-    for w, ctx in zip(CIRCLE, circle_ctxs):
+    for w, at in zip(CIRCLE, circle_args):
         hw = FD_STEP * w
         x = [a + hw * v for a, v in zip(x0, vel)]
         check_finite("the state", *x)
-        lams, mus, t = transforms._to_painleve(eq, x[:rank], x[rank:2 * rank], x[2 * rank],
-                                               aux, ctx)
+        lams, mus, t = transforms._to_painleve(eq, x[:rank], x[rank:2 * rank], at, aux)
         for i, y in enumerate((*lams, *mus, t)):
             pushed[i] += y / (4 * hw)
     return pushed
 
 
 def _pushforward_error(cal: SystemDescriptor, pain: SystemDescriptor, state: PhaseState,
-                       dT_dt: complex, ctx: EllipticContext | None,
-                       circle_ctxs: tuple) -> float:
+                       dT_dt: complex, at, circle_args: tuple) -> float:
     """Max componentwise relative defect of the pushed-forward field
-    against the Painleve field (dH/dmu, -dH/dlambda, dt/dt = 1)."""
-    pushed = _pushed_field(cal, state, dT_dt, circle_ctxs)
-    img = transforms.multi_transform(cal.equation, "to_painleve", state, cal.params, ctx)
+    against the Painleve field (dH/dmu, -dH/dlambda, dt/dt = 1); ``at`` is
+    what the kernel reads at the state's time."""
+    pushed = _pushed_field(cal, state, dT_dt, circle_args)
+    img = PhaseState(*transforms._to_painleve(cal.equation, state.coords, state.momenta, at,
+                                              cal.params))
     dH_dlam, dH_dmu = hamiltonian_gradients(pain, img)
     target = [*dH_dmu, *(-g for g in dH_dlam), 1.0]
     return worst(abs(y - f) / max(1.0, abs(f)) for y, f in zip(pushed, target))
@@ -139,22 +143,20 @@ def run_correspondence_suite(eq: str, rank: int, n_points: int = 100, seed: int 
     # dT_dt: one time-map Jacobian, one context for the unperturbed points
     # and four for the circle points serve the whole row
     T = BASE_TIME[eq]
-    ctx = transforms._context(eq, T)
+    at = transforms._time_arg(eq, T)
     dT_dt = transforms.jacobian_dtau_dt(T) if eq == "VI" else 1.0 + 0j
-    circle_ctxs = _circle_contexts(eq, T, dT_dt)
+    circle_args = _circle_time_args(eq, T, dT_dt)
     err = worst_over(seed, check_id, n_points, lambda rng: _pushforward_error(
-        cal, pain, sample_calogero_state(eq, rank, rng), dT_dt, ctx, circle_ctxs))
+        cal, pain, sample_calogero_state(eq, rank, rng), dT_dt, at, circle_args))
     return CheckReport(check_id, err, TOL_PUSHFORWARD, n_points,
                        metadata={"equation": eq, "rank": str(rank),
                                  "g4sq": format(complex(g4sq), "g"), "seed": str(seed)})
 
 
-def run_dynamic_correspondence(eq: str, rank: int = 1,
-                               initial: PhaseState | None = None,
-                               arc_length: float = 0.3, seed: int = 7,
-                               g4sq: complex = 0j,
-                               rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> CheckReport:
-    """Two-path endpoint comparison over a Painleve-side arc of given length.
+def run_dynamic_correspondence(eq: str, rank: int = 1, seed: int = 7,
+                               g4sq: complex = 0j) -> CheckReport:
+    """Two-path endpoint comparison over a Painleve-side arc of length
+    ``ARC_LENGTH``, from a seeded initial point.
 
     Path A: integrate the Calogero flow, then map the endpoint.  Path B:
     map the initial point, then integrate the Painleve flow over the
@@ -163,23 +165,21 @@ def run_dynamic_correspondence(eq: str, rank: int = 1,
     """
     aux = default_aux(eq)
     check_id = f"dynamic.{eq}.rank{rank}"
-    rng = rng_for(seed, check_id)
-    if initial is None:
-        initial = sample_calogero_state(eq, rank, rng)
+    initial = sample_calogero_state(eq, rank, rng_for(seed, check_id))
     cal = SystemDescriptor(eq, "calogero", rank, g4sq, aux)
     pain = SystemDescriptor(eq, "painleve", rank, g4sq, aux)
 
     start_pain = transforms.multi_transform(eq, "to_painleve", initial, aux)
     t_start = start_pain.time
-    t_end = t_start + arc_length * (1 + 0.2j) / abs(1 + 0.2j)
+    t_end = t_start + ARC_LENGTH * (1 + 0.2j) / abs(1 + 0.2j)
     if eq == "VI":
         T_end = transforms.time_map_pvi_inverse(t_end, initial.time)
     else:
         T_end = t_end
 
-    traj_cal = integrate(cal, initial, T_end, rel_tol, abs_tol)
-    traj_pain = integrate(pain, start_pain, t_end, rel_tol, abs_tol)
-    meta = {"equation": eq, "rank": str(rank), "arc": str(arc_length), "seed": str(seed),
+    traj_cal = integrate(cal, initial, T_end, *INTEGRATOR_TOLS)
+    traj_pain = integrate(pain, start_pain, t_end, *INTEGRATOR_TOLS)
+    meta = {"equation": eq, "rank": str(rank), "arc": str(ARC_LENGTH), "seed": str(seed),
             "cal_termination": traj_cal.termination, "pain_termination": traj_pain.termination}
     if not (traj_cal.completed and traj_pain.completed):
         return CheckReport(check_id, float("inf"), TOL_DYNAMIC, 1, metadata=meta)

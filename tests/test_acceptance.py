@@ -133,7 +133,7 @@ def test_criterion_5_dynamic_correspondence():
     worst_eq = ""
     ok = True
     for eq in EQS:
-        rep = run_dynamic_correspondence(eq, 1, arc_length=0.3, seed=7)
+        rep = run_dynamic_correspondence(eq, 1, seed=7)
         ok &= rep.passed
         if rep.max_error > worst:
             worst, worst_eq = rep.max_error, eq

@@ -542,7 +542,7 @@ def test_nome_series_against_mpmath_twin(im_tau):
     for a, b in ((0.23, 0.49), (-0.37, -0.49), (0.11, 0.31), (0.42, -0.17), (-0.05, 0.12)):
         u = a + b * tau
         joint = weierstrass_p_and_prime(u, ctx)
-        # a fresh context runs the value-only loop: no joint pass at u to reuse
+        # a fresh context has no joint pass at u to look up, so it sums anew
         wp = weierstrass_p(u, EllipticContext(tau))
         assert joint == (wp, weierstrass_p_prime(u, ctx))  # same sums
         for name, value, derivative in (("wp", wp, False),

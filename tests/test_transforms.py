@@ -244,6 +244,36 @@ def test_pvi_branch_hint_without_a_fractional_lattice_bit_is_refused(call, hint)
         call(hint)
 
 
+_FAR_HINTS = (("VI", 0.5j, 2.0**40), ("V", 0.5 + 0.1j, 1e300j), ("III", 0.5 + 0.1j, 1e300j))
+
+
+@pytest.mark.parametrize("call", (
+    lambda eq, time, h: q_of_lambda(eq, 0.3 + 0.2j, time, branch_hint=h),
+    lambda eq, time, h: pq_of_lambdamu(eq, 0.3 + 0.2j, 0.4, time, default_aux(eq),
+                                       branch_hint=h),
+    lambda eq, time, h: multi_transform(
+        eq, "to_calogero", PhaseState((0.3 + 0.2j,), (0.4,),
+                                      time_map_pvi(time) if eq == "VI" else time),
+        default_aux(eq), EllipticContext(time) if eq == "VI" else None, branch_hints=(h,)),
+), ids=("q_of_lambda", "pq_of_lambdamu", "multi_transform"))
+@pytest.mark.parametrize("eq, time, hint", _FAR_HINTS, ids=[c[0] for c in _FAR_HINTS])
+def test_branch_hint_too_far_out_to_keep_the_digits_of_q_is_refused(call, eq, time, hint):
+    # the q nearest these hints maps back to 0.29995+0.20031i (VI),
+    # 0.305-0.432i (V) and -0.207-0.295i (III), not to lambda = 0.3+0.2i
+    with pytest.raises(ValueError, match="branch_hint=.* too far out"):
+        call(eq, time, hint)
+
+
+def test_to_painleve_refuses_a_vi_context_at_another_tau(rng):
+    aux = default_aux("VI")
+    st = sample_calogero_state("VI", 2, rng)
+    with pytest.raises(ValueError, match="ctx.tau"):
+        multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time + 0.01j))
+    # the context at the state's tau is read, and gives what a fresh one gives
+    assert (multi_transform("VI", "to_painleve", st, aux, EllipticContext(st.time))
+            == multi_transform("VI", "to_painleve", st, aux))
+
+
 # ---------------------------------------------------------------------------
 # momentum maps
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import runpy
 import zlib
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from painleve_calogero.verify import (
 from painleve_calogero.verify.correspondence import (
     BASE_TIME,
     TOL_PUSHFORWARD,
-    _circle_contexts,
+    _circle_time_args,
     _pushed_field,
     default_aux,
     sample_calogero_state,
@@ -204,7 +203,7 @@ def test_circle_rule_matches_columnwise_jacobian(eq, rank):
     rng = rng_for(3, f"test.circle_rule.{eq}.{rank}")
     for _ in range(3):
         state = sample_calogero_state(eq, rank, rng)
-        pushed = _pushed_field(cal, state, dT_dt, _circle_contexts(eq, BASE_TIME[eq], dT_dt))
+        pushed = _pushed_field(cal, state, dT_dt, _circle_time_args(eq, BASE_TIME[eq], dT_dt))
         oracle = _columnwise_pushed_field(cal, state, dT_dt)
         for a, b in zip(pushed, oracle):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
@@ -213,17 +212,17 @@ def test_circle_rule_matches_columnwise_jacobian(eq, rank):
 @pytest.mark.parametrize("rank", (1, 3))
 @pytest.mark.parametrize("eq", _EQUATIONS)
 def test_shared_circle_contexts_change_no_bit_of_the_pushed_field(contexts, eq, rank):
-    # the row's four circle-time contexts against a fresh context at each point
+    # the row's four circle-time contexts against four built afresh per point
     cal = SystemDescriptor(eq, "calogero", rank, _g4sq(rank), default_aux(eq))
     dT_dt = jacobian_dtau_dt(BASE_TIME[eq]) if eq == "VI" else 1.0 + 0j
-    circle_ctxs = _circle_contexts(eq, BASE_TIME[eq], dT_dt)
+    circle_args = _circle_time_args(eq, BASE_TIME[eq], dT_dt)
     rng = rng_for(3, f"test.circle_contexts.{eq}.{rank}")
     for _ in range(3):
         state = sample_calogero_state(eq, rank, rng)
         built = contexts[0]
-        shared = _pushed_field(cal, state, dT_dt, circle_ctxs)
+        shared = _pushed_field(cal, state, dT_dt, circle_args)
         built_shared, built = contexts[0] - built, contexts[0]
-        fresh = _pushed_field(cal, state, dT_dt, (None,) * 4)
+        fresh = _pushed_field(cal, state, dT_dt, _circle_time_args(eq, BASE_TIME[eq], dT_dt))
         assert shared == fresh
         # the VI field builds one context; the fresh circle builds four more
         assert (built_shared, contexts[0] - built) == ((1, 5) if eq == "VI" else (0, 0))
@@ -281,17 +280,6 @@ def test_dynamic_correspondence_rank2_with_coupling(eq):
     # components, nonzero two-body coupling
     rep = run_dynamic_correspondence(eq, rank=2, seed=7, g4sq=0.4 + 0.1j)
     assert rep.passed, rep.metadata
-
-
-def test_two_path_experiment_script(capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "two_path_experiment.py"
-    ns = runpy.run_path(str(script))
-    assert ns["main"](["--equation", "II"]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [float(r.split()[0]) for r in rows] == list(ns["ARCS"])
-    for row in rows:
-        _, max_error, _, termination = row.split()
-        assert float(max_error) < 1e-6 and termination == "completed/completed"
 
 
 def test_dynamic_correspondence_vi_tau_arc():
