@@ -348,8 +348,7 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
     def rhs(s: float, y: list) -> list:  # field_at, counting the call before it is made
         traj.n_rhs += 1
-        dq, dp = canonical_field(sys, PhaseState(y[:n], y[n:], t0 + s * span))
-        return [span * v for v in dq + dp]
+        return field_at(s, y)
 
     y = list(initial.coords + initial.momenta)
     abs_y = _moduli(y)

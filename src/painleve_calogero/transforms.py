@@ -144,6 +144,14 @@ def lambda_of_q(eq: str, q: complex, time: complex) -> complex:
     return _lambda_of_q(eq, q, _time_arg(eq, time))
 
 
+def _pv_sinh(q):
+    """sinh(q/2), the PV maps' denominator; ``MapSingularity`` within 1e-12 of 0."""
+    s = cmath.sinh(q / 2)
+    if abs(s) < 1e-12:
+        raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
+    return s
+
+
 def _lambda_of_q(eq, q, at):
     lam = q  # II, I
     try:
@@ -151,9 +159,7 @@ def _lambda_of_q(eq, q, at):
             e1, e2, _ = elliptic.half_period_values(at)
             lam = (elliptic.weierstrass_p(q, at) - e1) / (e2 - e1)
         elif eq == "V":
-            s = cmath.sinh(q / 2)
-            if abs(s) < 1e-12:
-                raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
+            s = _pv_sinh(q)
             r = cmath.cosh(q / 2) / s
             lam = r * r
         elif eq == "IV":
@@ -247,7 +253,9 @@ def q_of_lambda(eq: str, lam: complex, time: complex,
     deterministic principal branch.  A non-finite lam or branch_hint, or a
     hint so far out that the q nearest it keeps too few digits, raises
     ``ValueError``; VI raises ``NoConvergence`` if its wp residual check
-    fails, and ``PoleAt`` for q within ``POLE_TOL`` of a pole.
+    fails, and ``PoleAt`` for q within ``POLE_TOL`` of a pole; V raises
+    ``MapSingularity`` for a lambda so large (|lambda| beyond about 1e24)
+    that q lies on the sinh zero set ``lambda_of_q`` refuses.
     """
     eq = check_equation(eq)
     return _q_of_lambda(eq, lam, _time_arg(eq, time), branch_hint)
@@ -272,8 +280,10 @@ def _q_of_lambda(eq, lam, at, branch_hint):
     elif eq == "V":
         if min(abs(lam), abs(lam - 1)) < 1e-12:
             raise BranchCut(f"lambda={lam} lies on the PV branch set {{0, 1}}")
-        s = cmath.sqrt(lam)
-        q0 = cmath.log((s - 1) / (s + 1))
+        # log((s - 1)/(s + 1)), whose argument rounds near 1 as lambda grows; atanh's
+        # cut keeps Im q0 = +pi on 0 < lambda < 1.  Past |lambda| ~ 1e24, q0 is refused
+        q0 = 2 * cmath.atanh(-1 / cmath.sqrt(lam))
+        _pv_sinh(q0)
         cands = [q0, -q0]
     elif eq == "IV":
         q0 = 2 * cmath.sqrt(lam)
@@ -316,9 +326,7 @@ def _mu_pieces(eq, q, at, aux: AuxParams):
             rest = (TWO_PI_I * f_tau / (f_u * f_u)
                     + (aux.kappa0 / gaps[0] + aux.kappa1 / gaps[1] + (aux.theta - 1) / gaps[2]) / 2)
         elif eq == "V":
-            s = cmath.sinh(q / 2)
-            if abs(s) < 1e-12:
-                raise MapSingularity(f"q={q} lies on the sinh zero set of the PV map")
+            s = _pv_sinh(q)
             sqrt_lam = -cmath.cosh(q / 2) / s  # branch induced by q
             lam = sqrt_lam * sqrt_lam
             lam_1 = 1 / (s * s)  # lambda - 1, which would cancel as lambda -> 1 at large q

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .. import transforms
 from ..dynamics import integrate
-from ..errors import check_finite
-from ..params import AuxParams
+from ..errors import check_finite, check_index
+from ..params import AuxParams, check_equation
 from ..systems import PhaseState, SystemDescriptor, canonical_field, hamiltonian_gradients
 from .report import CheckReport, cbox, rng_for, worst, worst_over
 
@@ -60,7 +60,7 @@ BASE_TIME = {
 
 
 def default_aux(eq: str) -> AuxParams:
-    return AuxParams(eq, **DEFAULT_AUX[eq])
+    return AuxParams(eq, **DEFAULT_AUX[check_equation(eq)])
 
 
 def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:
@@ -134,8 +134,11 @@ def _pushforward_error(cal: SystemDescriptor, pain: SystemDescriptor, state: Pha
 
 def run_correspondence_suite(eq: str, rank: int, n_points: int = 100, seed: int = 7,
                              g4sq: complex = 0j) -> CheckReport:
-    """Pushforward equality at n_points random generic points."""
+    """Pushforward equality at n_points random generic points.  An unknown
+    equation tag raises ``UnsupportedEquation``, an ``n_points`` that is not
+    an integer >= 1 ``ValueError``."""
     aux = default_aux(eq)
+    n_points = check_index(n_points, "n_points", 1)
     check_id = f"correspondence.{eq}.rank{rank}"
     cal = SystemDescriptor(eq, "calogero", rank, g4sq, aux)
     pain = SystemDescriptor(eq, "painleve", rank, g4sq, aux)
@@ -161,7 +164,8 @@ def run_dynamic_correspondence(eq: str, rank: int = 1, seed: int = 7,
     Path A: integrate the Calogero flow, then map the endpoint.  Path B:
     map the initial point, then integrate the Painleve flow over the
     corresponding t-arc.  For VI the tau-interval matching the t-arc is
-    found through the inverse time map.
+    found through the inverse time map.  An unknown equation tag raises
+    ``UnsupportedEquation``.
     """
     aux = default_aux(eq)
     check_id = f"dynamic.{eq}.rank{rank}"

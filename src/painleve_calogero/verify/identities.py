@@ -18,7 +18,7 @@ def _draw_u(rng, tau):
     """A generic point in the cell, away from the half-period lattice."""
     a = rng.uniform(0.06, 0.44)
     b = rng.uniform(0.06, 0.44)
-    if rng.integers(2):
+    if rng.random() < 0.5:
         a += 0.5
     return complex(a + b * tau.real, b * tau.imag)
 

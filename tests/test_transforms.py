@@ -110,6 +110,30 @@ def test_branch_cuts_raise():
         q_of_lambda("III", 0, 0.5)
 
 
+@pytest.mark.parametrize("lam", (1e12, 1e16, 1e20, -1e16, 1e12j, 3e23))
+def test_pv_inverse_keeps_the_digits_of_a_large_lambda(lam):
+    # log((s - 1)/(s + 1)) rounds its argument near 1: a relative error growing like sqrt(lambda)
+    q = q_of_lambda("V", lam, 0.5)
+    assert abs(lambda_of_q("V", q, 0.5) - lam) <= 1e-15 * abs(lam)
+
+
+@pytest.mark.parametrize("lam", (1e-11, 0.3, 0.7, 0.9))
+@pytest.mark.parametrize("zero", (0.0, -0.0))
+def test_pv_inverse_on_the_segment_takes_im_q_pi(lam, zero):
+    # on 0 < lambda < 1, (s - 1)/(s + 1) is negative: the principal q has Im q = +pi
+    q = q_of_lambda("V", complex(lam, zero), 0.5)
+    assert q.imag == PI
+    assert abs(q.real + 2 * math.atanh(math.sqrt(lam))) <= 1e-15 * abs(q)
+
+
+@pytest.mark.parametrize("lam", (4e24, 1e30, -1e300, 1e300j))
+def test_pv_inverse_of_a_lambda_whose_q_lies_on_the_sinh_zero_set_is_refused(lam):
+    # the q of such a lambda is within 1e-12 of 0, where lambda_of_q refuses it
+    from painleve_calogero.errors import MapSingularity
+    with pytest.raises(MapSingularity, match="sinh zero set"):
+        q_of_lambda("V", lam, 0.5)
+
+
 def test_abel_map_quadrature_oracle():
     """Incomplete integral of dz/sqrt(z(z-1)(z-t)), branch-tracked along a
     straight pole-free path, rescaled by 2 sqrt(e2-e1), against the
