@@ -302,13 +302,13 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
     The segment runs from initial.time to t_end in the system's own time
     variable; it must keep distance > 1e-3 from the fixed singularities
-    (t = 0 and, for VI, t = 1), and the PVI Calogero flow must end at a tau
-    ``elliptic.check_tau`` takes (``BadContext`` otherwise).  ``rel_tol``
-    must be finite and > 0, ``abs_tol`` finite and >= 0 and ``max_steps``
-    an integer >= 0; anything else, or a non-finite entry in ``initial`` or
-    ``t_end``, raises ``ValueError``, all before any field call.  Movable
-    poles terminate the trajectory with a 'pole_detected' or
-    'step_underflow' tag instead of raising; an overflowing step is
+    (t = 0 and, for VI, t = 1), and the PVI Calogero flow must start and end
+    at a tau ``elliptic.check_tau`` takes (``BadContext`` otherwise).
+    ``rel_tol`` must be finite and > 0, ``abs_tol`` finite and >= 0 and
+    ``max_steps`` an integer >= 0; anything else, or a non-finite entry in
+    ``initial`` or ``t_end``, raises ``ValueError``, all before any field
+    call.  Movable poles terminate the trajectory with a 'pole_detected'
+    or 'step_underflow' tag instead of raising; an overflowing step is
     rejected, not raised.
 
     The first step is ``HINIT``'s (see ``_initial_step``): it follows the
@@ -416,8 +416,9 @@ def integrate(sys: SystemDescriptor, initial: PhaseState, t_end: complex,
 
 
 def _check_segment(sys, t0, t1):
-    # Im tau is linear along the segment and check_state has vetted t0
+    # Im tau is linear along the segment, so its two ends vet all of it
     if sys.time_gauge == "tau":
+        check_tau(t0)
         check_tau(t1)
     for b in sys.singular_times:
         if _segment_distance(t0, t1, b) < 1e-3:

@@ -34,8 +34,9 @@ below e^{-39},
 
 The Lambert sums run K terms, K the least K >= 0 whose tail over both
 sides of the k^2 sum, at most 2 m^2 r^m/((1-rho)(1-|Q|^m)) with m = K+1
-and rho = ((m+1)/m)^2 r, is below e^{-39}; K <= N, with K = 3 where N = 5
-at Im tau = 1.17 and K = 6575 where N = 7125 at Im tau = 1e-3.
+and rho = ((m+1)/m)^2 r, the largest ratio of consecutive terms j^2 r^j
+past m (no bound while rho >= 1), is below e^{-39}; K <= N, with K = 3
+where N = 5 at Im tau = 1.17 and K = 6575 where N = 7125 at Im tau = 1e-3.
 
 N grows like 1/Im tau, so ``check_tau``, the one test of the tau domain,
 raises ``BadContext`` unless tau is finite with Im tau >= ``MIN_IM_TAU`` =
@@ -122,14 +123,15 @@ class EllipticContext:
     c = -pi^2/3 - 2 pi^2 sum_{n=1}^N 1/sin^2(pi n tau), the K <= N Lambert
     coefficient pairs (k/(1-Q^k), k^2/(1-Q^k)) and the half periods
     (0, 1/2, -(1+tau)/2, tau/2), so ``tau`` must not change afterwards.
-    One loop over k <= N gives c and the pairs, with 1/sin^2(pi k tau) =
-    -4 Q^k/(1-Q^k)^2.  The half-period values (e1, e2, e3) are cached on
-    first use; the cache is write-once/read-many, and concurrent writers
-    recompute the same values.  ``last_pass`` is (u, (wp(u), wp'(u))) from
-    the last joint pass at a u of type ``complex``, and it hits only for
-    that same u object.  It is replaced by one tuple store and read once
-    per lookup, so concurrent use of a context can at worst miss, never
-    return another argument's value.
+    One loop over k <= N gives c, with 1/sin^2(pi k tau) = -4 Q^k/(1-Q^k)^2,
+    and the pairs, pair k kept while the Lambert tail bound past k - 1
+    pairs is not below e^{-39}.  The half-period values (e1, e2, e3) are
+    cached on first use; the cache is write-once/read-many, and concurrent
+    writers recompute the same values.  ``last_pass`` is (u, (wp(u),
+    wp'(u))) from the last joint pass at a u of type ``complex``, and it
+    hits only for that same u object.  It is replaced by one tuple store
+    and read once per lookup, so concurrent use of a context can at worst
+    miss, never return another argument's value.
     """
 
     tau: complex
@@ -147,7 +149,8 @@ class EllipticContext:
         self.tau = tau = check_tau(self.tau)
         decay = 2 * PI * tau.imag  # -ln|Q|; 1 - |Q| is -expm1(-decay)
         n_terms = max(1, math.ceil((39 + math.log(-2 / math.expm1(-decay))) / decay - 0.5))
-        n_lambert = _lambert_count(math.exp(-decay), n_terms)
+        abs_q = math.exp(-decay)
+        r = abs_q * math.sqrt(abs_q)  # bounds |y| in the cell
         # 1/sin^2(pi k tau) = -4 Q^k/(1-Q^k)^2; where |Q^k| >= 1/2, 1 - Q^k
         # would cancel, so it is taken as -2 e^z sinh z (z = pi i k tau)
         near = math.log(2) / decay
@@ -164,36 +167,15 @@ class EllipticContext:
                 qk *= q
                 inv = 1 / (1 - qk)
             tail += qk * inv * inv
-            if k <= n_lambert:
-                lambert.append((k * inv, k * k * inv))
+            # pair k follows pairs 1..k-1 while their tail bound (the module
+            # docstring's at m = k; none while rho >= 1) is not below e^{-39}
+            if len(lambert) == k - 1:
+                rho = ((k + 1) / k) ** 2 * r
+                if rho >= 1 or 2 * k * k * r**k / ((1 - rho) * (1 - abs_q**k)) >= math.exp(-39):
+                    lambert.append((k * inv, k * k * inv))
         self.const = -PI * PI / 3 + 8 * PI * PI * tail
         self._lambert = tuple(lambert)
         self.half_periods = (0j, 0.5 + 0j, -(1 + tau) / 2, tau / 2)
-
-
-def _lambert_tail(k: int, q: float) -> float:
-    """Bound on the Lambert tails of both sides past k terms at |Q| = q:
-    2 sum_{j>k} j^2 r^j/(1-q^j), r = q^{3/2} >= |y|, is at most
-    2 m^2 r^m/((1-rho)(1-q^m)) with m = k+1 and rho = ((m+1)/m)^2 r, the
-    largest ratio of consecutive terms j^2 r^j; inf where rho >= 1."""
-    m = k + 1
-    r = q * math.sqrt(q)
-    rho = ((m + 1) / m) ** 2 * r
-    return math.inf if rho >= 1 else 2 * m * m * r**m / ((1 - rho) * (1 - q**m))
-
-
-def _lambert_count(q: float, n_terms: int) -> int:
-    """The least K >= 0 whose Lambert tail bound is below e^{-39}, found by
-    bisection on [0, N]: the bound falls with K, and K <= N at every tau
-    ``check_tau`` takes."""
-    lo, hi = -1, n_terms
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _lambert_tail(mid, q) < math.exp(-39):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def reduce_to_cell(u: complex, tau: complex) -> complex:
@@ -215,29 +197,6 @@ def reduce_to_cell(u: complex, tau: complex) -> complex:
     a -= math.floor(a + 0.5)
     b -= math.floor(b + 0.5)
     return complex(a + b * tau.real, b * tau.imag)
-
-
-def _sine_terms(z: complex) -> tuple[complex, complex]:
-    """(1/sin^2 z, cos z/sin^3 z) from one sine: the n = 0 terms of wp, wp'."""
-    if abs(z.imag) > _IM_OVERFLOW:
-        return 0j, 0j
-    s = cmath.sin(z)
-    # cot(z) first: sin^3 itself overflows to nan once |Im z| passes ~236
-    r = 1.0 / s
-    return 1.0 / (s * s), cmath.cos(z) * r * r * r
-
-
-def _check_pole(u_red: complex) -> None:
-    if abs(u_red) <= POLE_TOL:
-        raise PoleAt(u_red)
-
-
-def _nome_start(u: complex, ctx: EllipticContext):
-    """Reduced u, the nome Q and x_1 = e^{2 pi i (tau +- u)}."""
-    tau = ctx.tau
-    u = reduce_to_cell(u, tau)
-    _check_pole(u)
-    return u, ctx.nome, cmath.exp(TWO_PI_I * (tau + u)), cmath.exp(TWO_PI_I * (tau - u))
 
 
 def weierstrass_p(u: complex, ctx: EllipticContext) -> complex:
@@ -265,10 +224,16 @@ def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, 
     and the K Lambert terms: the one evaluation of both series.
     N = ceil((39 + ln(2/(1-|Q|)))/(2 pi Im tau) - 1/2), at least 1, keeps
     the nome tail of both sides, 2|Q|^{N+1/2}/(1-|Q|), below e^{-39}, and
-    K <= N keeps the Lambert tail below it too.  A u of type ``complex`` is
-    kept with the pair as the context's ``last_pass``: its value cannot
-    change, so the same object means the same argument."""
-    u0, q, xp, xm = _nome_start(u, ctx)
+    K <= N keeps the Lambert tail below it too.  u is reduced to the cell
+    (``reduce_to_cell``), and a reduced u within ``POLE_TOL`` of 0 raises
+    ``PoleAt``.  A u of type ``complex`` is kept with the pair as the
+    context's ``last_pass``: its value cannot change, so the same object
+    means the same argument."""
+    tau, q = ctx.tau, ctx.nome
+    u0 = reduce_to_cell(u, tau)
+    if abs(u0) <= POLE_TOL:
+        raise PoleAt(u0)
+    xp, xm = cmath.exp(TWO_PI_I * (tau + u0)), cmath.exp(TWO_PI_I * (tau - u0))
     dp, dm = 1 - xp, 1 - xm
     dp2, dm2 = dp * dp, dm * dm
     total = xp / dp2 + xm / dm2
@@ -280,7 +245,15 @@ def weierstrass_p_and_prime(u: complex, ctx: EllipticContext) -> tuple[complex, 
         total_prime += b * (zp - zm)
         zp *= yp
         zm *= ym
-    inv_sin2, cos_inv_sin3 = _sine_terms(PI * u0)
+    # the n = 0 terms (1/sin^2 z, cos z/sin^3 z) from one sine
+    z = PI * u0
+    if abs(z.imag) > _IM_OVERFLOW:
+        inv_sin2, cos_inv_sin3 = 0j, 0j
+    else:
+        s = cmath.sin(z)
+        # cot(z) first: sin^3 itself overflows to nan once |Im z| passes ~236
+        r = 1.0 / s
+        inv_sin2, cos_inv_sin3 = 1.0 / (s * s), cmath.cos(z) * r * r * r
     values = (ctx.const + _PI2 * inv_sin2 - _4PI2 * total,
               _M2PI3 * cos_inv_sin3 - _8JPI3 * total_prime)
     if type(u) is complex:

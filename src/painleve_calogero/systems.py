@@ -142,8 +142,6 @@ def check_state(sys: SystemDescriptor, state: PhaseState) -> None:
     if state.rank != sys.rank:
         raise ValueError(f"state rank {state.rank} != system rank {sys.rank}")
     t = state.time
-    if sys.time_gauge == "tau":
-        elliptic.check_tau(t)
     for b in sys.singular_times:
         if abs(t - b) < _SING_TOL:
             raise CoordinateSingularity(

@@ -67,8 +67,12 @@ def sample_calogero_state(eq: str, rank: int, rng, time=None) -> PhaseState:
     """A generic Calogero phase point away from the documented singular sets.
 
     Component offsets keep pairwise separations >= 0.05 (both q_j - q_k
-    and, where the potential is even, q_j + q_k stay off the poles).
+    and, where the potential is even, q_j + q_k stay off the poles).  An
+    unknown equation tag raises ``UnsupportedEquation``, a rank that is not
+    an integer >= 1 ``ValueError``.
     """
+    check_equation(eq)
+    rank = check_index(rank, "rank", 1)
     T = BASE_TIME[eq] if time is None else time
     qs, ps = [], []
     for j in range(rank):

@@ -219,7 +219,11 @@ SCHEDULES: dict[str, DegenerationSchedule] = {s.name: s for s in (
 
 
 def run_degeneration_suite(sched: DegenerationSchedule, seed: int = 7) -> list[CheckReport]:
-    """Per-eps defect reports plus the shrink-ratio report for the eps pair."""
+    """Per-eps defect reports plus the shrink-ratio report for the eps pair.
+    A ``sched`` that is not a ``DegenerationSchedule`` raises ``ValueError``."""
+    if not isinstance(sched, DegenerationSchedule):
+        raise ValueError(f"sched must be a DegenerationSchedule, such as SCHEDULES[name] for a "
+                         f"name in {tuple(SCHEDULES)}, got {sched!r}")
     e1, e2 = sched.eps_pair
     d1, d2 = sched.defect(e1, seed), sched.defect(e2, seed)
     reports = [CheckReport(

@@ -71,15 +71,15 @@ def contexts(monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """A one-item list counting the wp/wp' series passes (``_nome_start`` calls)."""
+    """A one-item list counting the wp/wp' series passes (``weierstrass_p_and_prime`` calls)."""
     count = [0]
-    nome_start = elliptic._nome_start
+    joint_pass = elliptic.weierstrass_p_and_prime
 
     def counting(u, ctx):
         count[0] += 1
-        return nome_start(u, ctx)
+        return joint_pass(u, ctx)
 
-    monkeypatch.setattr(elliptic, "_nome_start", counting)
+    monkeypatch.setattr(elliptic, "weierstrass_p_and_prime", counting)
     return count
 
 

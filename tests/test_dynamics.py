@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,16 @@ def test_pvi_calogero_segment_leaving_upper_half_plane_is_refused(rng, no_field_
     for t_end in (0.1 - 0.2j, 0.1 + 5e-4j):
         with pytest.raises(BadContext):
             integrate(sd, st, t_end, max_steps=10)
+
+
+@pytest.mark.parametrize("t0", (0.1 - 0.2j, 0.1 + 5e-4j))
+def test_pvi_calogero_segment_starting_at_a_refused_tau_is_refused(t0, rng, no_field_calls):
+    # the segment's start is tested with its end, before any field call
+    sd = SystemDescriptor("VI", "calogero", params=default_aux("VI"))
+    st = sample_calogero_state("VI", 1, rng, time=0.1 + 0.2j)
+    start = PhaseState(st.coords, st.momenta, t0)
+    with pytest.raises(BadContext, match=re.escape(f"got tau={t0}")):
+        integrate(sd, start, 0.1 + 0.3j, max_steps=10)
 
 
 def _reference_step_loop(sys, initial, t_end, rel_tol, abs_tol):

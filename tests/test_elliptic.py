@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import re
@@ -622,3 +623,46 @@ def test_no_overflow_at_large_imtau():
         w, wp1 = weierstrass_p(u, ctx), weierstrass_p_prime(u, ctx)
         assert cmath.isfinite(w) and cmath.isfinite(wp1)
     assert abs(weierstrass_p(0.3, ctx) - (PI**2 / math.sin(0.3 * PI) ** 2 - PI**2 / 3)) < 1e-12
+
+
+# README's accuracy rows, on the lattice's own scale E = max_j |e_j| (wp
+# scales like E, wp' like E^{3/2}, so a value near a zero of either is held
+# to the scale, not to itself).  Measured against the twin at 430 seeded tau
+# with |Re tau| <= 1/2 and Im tau in {0.05, 0.1, 0.2, 1.17, 3, 8}, at cell
+# points and points within 1e-3 of the pole and of each half period: at
+# most 5.1e-15 (wp), 8.8e-15 (wp') and 3.5e-15 (e_k), all at Im tau = 0.05
+ACCURACY_IM_TAUS = (0.05, 0.2, 1.17, 3.0)
+WP_BOUND, WP_PRIME_BOUND, E_BOUND = 1e-14, 2e-14, 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def accuracy_case(im_tau):
+    """A seeded tau at this Im tau, the twin's (e1, e2, e3) there, and
+    (u, wp(u), wp'(u)) from the twin at four seeded cell points and at one
+    seeded point within 1e-3 of the pole and of each half period."""
+    rng = random.Random(f"accuracy.{im_tau}")
+    tau = complex(rng.uniform(-0.5, 0.5), im_tau)
+    halves = (0.5, -(1 + tau) / 2, tau / 2)
+    e = tuple(mp_sine_series(w, tau, dps=25) for w in halves)
+    cell = [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau for _ in range(4)]
+    near = [w + 1e-3 * rng.uniform(0.01, 1) * cmath.exp(2j * PI * rng.random())
+            for w in (0, *halves)]
+    return tau, e, tuple((u, mp_sine_series(u, tau, dps=25), mp_sine_series(u, tau, True, dps=25))
+                         for u in cell + near)
+
+
+@pytest.mark.parametrize("im_tau", ACCURACY_IM_TAUS)
+def test_wp_and_wp_prime_meet_their_accuracy_rows(im_tau):
+    tau, e, points = accuracy_case(im_tau)
+    ctx, scale = EllipticContext(tau), max(map(abs, e))
+    for u, wp, wp_prime in points:
+        got, got_prime = weierstrass_p_and_prime(u, ctx)
+        assert abs(got - wp) <= WP_BOUND * max(abs(wp), scale), u
+        assert abs(got_prime - wp_prime) <= WP_PRIME_BOUND * max(abs(wp_prime), scale**1.5), u
+
+
+@pytest.mark.parametrize("im_tau", ACCURACY_IM_TAUS)
+def test_half_period_values_meet_their_accuracy_row(im_tau):
+    tau, e, _ = accuracy_case(im_tau)
+    got = half_period_values(EllipticContext(tau))
+    assert max(abs(a - b) for a, b in zip(got, e)) <= E_BOUND * max(map(abs, e))

@@ -12,6 +12,11 @@ refuses: not finite, Im tau <= 0, or below the floor ``MIN_IM_TAU`` = 1e-3
 them, are built inside the fuzzed call (``_Later``): one set in
 ten has a non-finite constant and one in ten a constant its equation does
 not read, and their refusal is then that call's declared error.
+
+The callables of ``verify.__all__`` and ``sample_calogero_state`` are
+held to the same contract with cheap draws (at most 2 points per
+correspondence row): bad equation tags, ranks, point counts, schedules,
+suite names and seeds.
 """
 
 import cmath
@@ -31,7 +36,9 @@ from painleve_calogero.errors import (
     PainleveCalogeroError,
     PoleAt,
 )
+from painleve_calogero import verify
 from painleve_calogero.params import AUX_KEYS, EQUATIONS, PAINLEVE_KEYS
+from painleve_calogero.verify import correspondence
 from painleve_calogero.verify.correspondence import default_aux
 
 DECLARED = (PainleveCalogeroError, ValueError)
@@ -444,3 +451,115 @@ def test_only_declared_errors_escape(name):
         if name not in MAY_RETURN_NONFINITE:
             assert all(map(cmath.isfinite, _numbers(out))), \
                 f"draw {i}: {name}(*{args!r}, **{kwargs!r}) returned {out!r}"
+
+
+# ---------------------------------------------------------------------------
+# verify: one draw per callable of verify.__all__, and sample_calogero_state
+# ---------------------------------------------------------------------------
+
+SEEDS = (7, 0, 1000, 2**40, True, -1, 2.5, None, "7")
+BAD_EQUATIONS = ("VII", "", "vi", None)
+RANKS = (1, 1, 2, 2, 3, 0, -1, 2.5)
+# pass, fail, and the NaN a report turns into inf; a string float() reads or refuses
+ERRORS = (0.0, 1e-12, 1.0, -1.0, math.inf, math.nan, "1e-3", "x")
+
+
+def _tag(rng):
+    return rng.choice(EQUATIONS * 2 + BAD_EQUATIONS)
+
+
+def _seed(rng):
+    return rng.choice(SEEDS)
+
+
+def _report(rng):
+    return ((rng.choice(("b.2", "a.1", "")), rng.choice(ERRORS), rng.choice(ERRORS),
+             rng.randrange(-1, 3)), {"metadata": {"seed": "7"}})
+
+
+def _reports(rng):
+    out = []
+    for _ in range(rng.randrange(0, 4)):
+        args, kwargs = _report(rng)
+        out.append(verify.CheckReport(*args, **kwargs))
+    return (out,), {}
+
+
+def _draw_schedule(rng):
+    # a record with no check of its own: it keeps what it is given
+    s = rng.choice(tuple(verify.SCHEDULES.values()))
+    eps = (1e-2, 0.0, -1e-3, math.nan)
+    return ((s.name, s.source, s.target, s.defect, (rng.choice(eps), rng.choice(eps)),
+             rng.choice((30.0, math.inf, math.nan)), rng.choice((10.0, -1.0, math.nan))),
+            {"order": rng.choice((1, 2, 0, -1))})
+
+
+def _draw_run_degeneration_suite(rng):
+    sched = rng.choice((*verify.SCHEDULES.values(), *verify.SCHEDULES, None, 7))
+    return (sched, _seed(rng)), {}
+
+
+def _draw_run_correspondence_suite(rng):
+    g4sq = rng.choice((0j, 0.7, _z(rng)))
+    return (_tag(rng), rng.choice(RANKS), rng.choice((1, 2, 2, 0, -3, 2.5, None)), _seed(rng),
+            g4sq), {}
+
+
+def _draw_run_dynamic_correspondence(rng):
+    # couplings the flows cross in a few hundred steps, and two they refuse
+    g4sq = rng.choice((0j, 0.7, 0.3 - 0.2j, complex("nan"), complex(math.inf, 0)))
+    return (_tag(rng), rng.choice(RANKS[:5] + (0, 2.5)), _seed(rng), g4sq), {}
+
+
+def _draw_run_suite(rng):
+    name = rng.choice((*verify.SUITE_NAMES, "", "ALL", "identity", None, 7))
+    return (name, _seed(rng)), {}
+
+
+def _draw_sample_calogero_state(rng):
+    time = rng.choice((None, None, rng.choice(TAUS), _finite(rng)))
+    return (_tag(rng), rng.choice(RANKS), random.Random(rng.random()), time), {}
+
+
+VERIFY_DRAWS = {
+    "CheckReport": _report,
+    "DegenerationSchedule": _draw_schedule,
+    "asymptotics_checks": lambda rng: ((), {}),
+    "default_aux": lambda rng: ((_tag(rng),), {}),
+    "reports_to_json": _reports,
+    "run_correspondence_suite": _draw_run_correspondence_suite,
+    "run_degeneration_suite": _draw_run_degeneration_suite,
+    "run_dynamic_correspondence": _draw_run_dynamic_correspondence,
+    "run_identity_suite": lambda rng: ((_seed(rng),), {}),
+    "run_suite": _draw_run_suite,
+    "sample_calogero_state": _draw_sample_calogero_state,
+    "sort_reports": _reports,
+}
+# a suite costs up to 0.2 s a run; these counts keep each name under a second
+VERIFY_DRAWS_PER_NAME = {"asymptotics_checks": 3, "run_identity_suite": 12, "run_suite": 16,
+                         "run_dynamic_correspondence": 40}
+
+
+def test_the_verify_fuzz_covers_every_callable_it_exports():
+    exported = {name for name in verify.__all__ if callable(getattr(verify, name))}
+    assert set(VERIFY_DRAWS) == exported | {"sample_calogero_state"}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DRAWS))
+def test_verify_lets_only_declared_errors_escape(name):
+    rng = random.Random(f"refusals.verify.{name}")
+    fn = getattr(verify if name in verify.__all__ else correspondence, name)
+    for i in range(VERIFY_DRAWS_PER_NAME.get(name, 100)):
+        try:
+            args, kwargs = VERIFY_DRAWS[name](rng)
+        except DECLARED:
+            continue  # a drawn report was itself refused
+        try:
+            out = fn(*args, **kwargs)
+        except DECLARED:
+            continue
+        except Exception as exc:  # the contract under test: nothing else escapes
+            pytest.fail(f"draw {i}: {name}(*{args!r}, **{kwargs!r}) raised "
+                        f"{type(exc).__name__}: {exc}")
+        assert all(map(cmath.isfinite, _numbers(out))), \
+            f"draw {i}: {name}(*{args!r}, **{kwargs!r}) returned {out!r}"

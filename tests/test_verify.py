@@ -436,3 +436,26 @@ def test_verify_process_matches_the_golden_report_without_numpy(tmp_path):
     assert run_without_numpy(code, str(out)).split()[-1:] == ["0"]
     golden = Path(__file__).parent / "data" / "verify_all_seed1000.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("time", (None, 0.5 + 0.1j), ids=("base-time", "given-time"))
+def test_sample_calogero_state_refuses_an_unknown_equation(time):
+    # a KeyError without a time; with one, a state of the PII..PI kind
+    with pytest.raises(UnsupportedEquation, match="'VII'"):
+        sample_calogero_state("VII", 1, random.Random(1), time)
+
+
+@pytest.mark.parametrize("call", (lambda: sample_calogero_state("I", 2.5, random.Random(1)),
+                                  lambda: run_dynamic_correspondence("I", 2.5)),
+                         ids=("sample_calogero_state", "run_dynamic_correspondence"))
+def test_a_sampled_rank_that_is_not_an_integer_is_refused(call):
+    # range(2.5) raised TypeError before any system refused the rank
+    with pytest.raises(ValueError, match="rank must be an integer >= 1, got 2.5"):
+        call()
+
+
+@pytest.mark.parametrize("sched", ("pvi_to_pv", None))
+def test_run_degeneration_suite_refuses_anything_but_a_schedule(sched):
+    # an AttributeError on sched.eps_pair; the refusal names the schedules
+    with pytest.raises(ValueError, match="DegenerationSchedule.*'pvi_to_pv'.*'second_rational_to_pi'"):
+        run_degeneration_suite(sched, seed=7)
